@@ -7,7 +7,7 @@ the coordinates of the unit.  Structure constants are stored sparsely:
 """
 
 from .errors import ValidationError
-from .linalg import SparseMat, coerce_vector, kernel_basis
+from .linalg import SparseMat, acc, axpy, coerce_vector, kernel_basis
 
 
 class AlgebraPresentation:
@@ -26,14 +26,7 @@ class AlgebraPresentation:
         for i, j, l, v in structure:
             if not (0 <= i < d and 0 <= j < d and 0 <= l < d):
                 raise ValidationError(f"structure index ({i},{j},{l}) out of range")
-            v = field.coerce(v)
-            if v == field.zero:
-                continue
-            w = field.add(mult[i][j].get(l, field.zero), v)
-            if w == field.zero:
-                mult[i][j].pop(l, None)
-            else:
-                mult[i][j][l] = w
+            acc(mult[i][j], l, field.coerce(v), field)
         self.mult = mult
         self.unit = coerce_vector(field, unit, d)
         self._cache = {}
@@ -48,13 +41,7 @@ class AlgebraPresentation:
         out = {}
         for i, va in a.items():
             for j, vb in b.items():
-                coeff = fld.mul(va, vb)
-                for l, c in self.mult[i][j].items():
-                    s = fld.add(out.get(l, fld.zero), fld.mul(coeff, c))
-                    if s == fld.zero:
-                        out.pop(l, None)
-                    else:
-                        out[l] = s
+                axpy(out, fld.mul(va, vb), self.mult[i][j], fld)
         return out
 
     def left_matrix(self, i):

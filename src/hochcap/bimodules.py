@@ -10,9 +10,12 @@ short exact sequences of bimodules.
 """
 
 from .errors import NotExact, ValidationError
+from .kernels import build_rref
 from .linalg import (
     SparseMat,
     Solver,
+    acc,
+    axpy,
     coerce_vector,
     kernel_basis,
     rank,
@@ -68,15 +71,8 @@ class Bimodule:
         fld = self.field
         out = SparseMat(self.dim, self.dim, fld)
         for i, c in coeffs.items():
-            if c == fld.zero:
-                continue
             for j in range(self.dim):
-                for l, v in mats[i].cols[j].items():
-                    s = fld.add(out.cols[j].get(l, fld.zero), fld.mul(c, v))
-                    if s == fld.zero:
-                        out.cols[j].pop(l, None)
-                    else:
-                        out.cols[j][l] = s
+                axpy(out.cols[j], c, mats[i].cols[j], fld)
         return out
 
     def left_action(self, a):
@@ -123,10 +119,6 @@ class BimoduleMorphism:
     def apply(self, x):
         return self.matrix.matvec(coerce_vector(self.source.field, x, self.source.dim))
 
-    def compose(self, other):
-        """self after other."""
-        return BimoduleMorphism(other.source, self.target, self.matrix @ other.matrix)
-
 
 # -- subspaces ---------------------------------------------------------
 
@@ -142,8 +134,6 @@ def commutator_subspace(N):
             if col:
                 cols.append(dict(col))
     span = SparseMat.from_columns(N.dim, fld, cols)
-    from .kernels import build_rref
-
     pivots, rows, _ = build_rref(fld, list(span.cols), N.dim)
     return SparseMat.from_columns(N.dim, fld, [dict(r) for r in rows])
 
@@ -326,25 +316,14 @@ def tensor_over_algebra(N, M, label=None):
                 for l, v in rn.cols[i].items():
                     col[l * rM + j] = v
                 for l, v in lm.cols[j].items():
-                    s = fld.sub(col.get(i * rM + l, fld.zero), v)
-                    if s == fld.zero:
-                        col.pop(i * rM + l, None)
-                    else:
-                        col[i * rM + l] = s
+                    acc(col, i * rM + l, fld.neg(v), fld)
                 if col:
                     rels.append(col)
     space = subquotient(
         SparseMat.identity(amb, fld), SparseMat.from_columns(amb, fld, rels)
     )
     q = space.dim
-    proj = SparseMat.from_columns(
-        q, fld,
-        [
-            {k: v for k, v in enumerate(space.coset_reduce({t: fld.one})) if v != fld.zero}
-            for t in range(amb)
-        ],
-    )
-    sect = SparseMat.from_columns(amb, fld, [space.representative(k) for k in range(q)])
+    proj, sect = space.projection_section()
 
     left = tuple(proj @ kron(N.left[s], SparseMat.identity(rM, fld)) @ sect for s in range(A.dim))
     right = tuple(proj @ kron(SparseMat.identity(rN, fld), M.right[s]) @ sect for s in range(A.dim))
@@ -413,16 +392,10 @@ def coinduced(M, label=None):
     embed = BimoduleMorphism(M, E, emb).validate()
 
     space = subquotient(SparseMat.identity(d * r, fld), emb)
-    q = space.dim
-    proj_cols = [space.coset_reduce({t: fld.one}) for t in range(d * r)]
-    proj = SparseMat.from_columns(
-        q, fld,
-        [{k: v for k, v in enumerate(c) if v != fld.zero} for c in proj_cols],
-    )
-    sect = SparseMat.from_columns(d * r, fld, [space.representative(k) for k in range(q)])
+    proj, sect = space.projection_section()
     C = Bimodule(
         A,
-        q,
+        space.dim,
         tuple(proj @ E.left[s] @ sect for s in range(d)),
         tuple(proj @ E.right[s] @ sect for s in range(d)),
         label=f"coker({lbl})",

@@ -40,7 +40,7 @@ from .complexes import (
 )
 from . import config
 from .errors import DegreeError, LiftFailed
-from .linalg import Solver, SparseMat
+from .linalg import Solver, SparseMat, acc, axpy
 
 
 # -- bar resolution differentials ---------------------------------------
@@ -49,13 +49,13 @@ def bar_differential(A, n):
     """d_n : A^{(x)(n+2)} -> A^{(x)(n+1)}, alternating sum of contractions."""
     if n < 1:
         raise DegreeError("bar differential starts in degree 1")
+    fld = A.field
+    d = A.dim
+    config.guard(d ** (n + 2), "a bar resolution term")
     key = ("bar_d", n)
     cached = A._cache.get(key)
     if cached is not None:
         return cached
-    fld = A.field
-    d = A.dim
-    config.guard(d ** (n + 2), "a bar resolution term")
     cols = []
     for c in tuples(d, n + 2):
         col = {}
@@ -63,7 +63,7 @@ def bar_differential(A, n):
             sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
             for l, v in A.mult[c[k]][c[k + 1]].items():
                 tup = c[:k] + (l,) + c[k + 2 :]
-                _bump(col, tuple_rank(d, tup), fld.mul(sign, v), fld)
+                acc(col, tuple_rank(d, tup), fld.mul(sign, v), fld)
         cols.append(col)
     mat = SparseMat(d ** (n + 1), d ** (n + 2), fld, cols)
     A._cache[key] = mat
@@ -83,19 +83,6 @@ def augmentation_matrix(A):
     return mat
 
 
-def multiply_all_matrix(A, k):
-    """A^{(x)k} -> A collapsing every tensor factor by multiplication."""
-    fld = A.field
-    d = A.dim
-    cols = []
-    for c in tuples(d, k):
-        v = {c[0]: fld.one}
-        for s in c[1:]:
-            v = A.multiply(v, {s: fld.one})
-        cols.append(v)
-    return SparseMat(d, d ** k, fld, cols)
-
-
 def diagonal_matrix(A, i, j):
     """The (i, j) component of the comultiplication on the bar resolution.
 
@@ -106,34 +93,24 @@ def diagonal_matrix(A, i, j):
     """
     if i < 0 or j < 0:
         raise DegreeError("diagonal components need nonnegative degrees")
-    key = ("diagonal", i, j)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
     fld = A.field
     d = A.dim
     n = i + j
     config.guard(d ** (n + 3), "a split bar term")
+    key = ("diagonal", i, j)
+    cached = A._cache.get(key)
+    if cached is not None:
+        return cached
     cols = []
     for c in tuples(d, n + 2):
         col = {}
         for s, v in A.unit.items():
             tup = c[: i + 1] + (s,) + c[i + 1 :]
-            _bump(col, tuple_rank(d, tup), v, fld)
+            acc(col, tuple_rank(d, tup), v, fld)
         cols.append(col)
     mat = SparseMat(d ** (n + 3), d ** (n + 2), fld, cols)
     A._cache[key] = mat
     return mat
-
-
-def _bump(col, idx, v, fld):
-    if v == fld.zero:
-        return
-    s = fld.add(col.get(idx, fld.zero), v)
-    if s == fld.zero:
-        col.pop(idx, None)
-    else:
-        col[idx] = s
 
 
 # The diagonal identities are checked symbolically on vectors keyed by
@@ -147,7 +124,7 @@ def _tv_mult_slot(A, vec, k):
     for c, coeff in vec.items():
         for l, v in A.mult[c[k]][c[k + 1]].items():
             tup = c[:k] + (l,) + c[k + 2 :]
-            _bump(out, tup, fld.mul(coeff, v), fld)
+            acc(out, tup, fld.mul(coeff, v), fld)
     return out
 
 
@@ -156,13 +133,8 @@ def _tv_insert_unit(A, vec, pos):
     out = {}
     for c, coeff in vec.items():
         for s, v in A.unit.items():
-            _bump(out, c[: pos + 1] + (s,) + c[pos + 1 :], fld.mul(coeff, v), fld)
+            acc(out, c[: pos + 1] + (s,) + c[pos + 1 :], fld.mul(coeff, v), fld)
     return out
-
-
-def _tv_axpy(out, sign, vec, fld):
-    for c, v in vec.items():
-        _bump(out, c, fld.mul(sign, v), fld)
 
 
 def _tv_bar_d(A, vec, nfaces):
@@ -170,7 +142,7 @@ def _tv_bar_d(A, vec, nfaces):
     out = {}
     for k in range(nfaces):
         sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
-        _tv_axpy(out, sign, _tv_mult_slot(A, vec, k), fld)
+        axpy(out, sign, _tv_mult_slot(A, vec, k), fld)
     return out
 
 
@@ -185,7 +157,7 @@ def _tv_partial_right(A, vec, i, j):
     out = {}
     for k in range(j + 1):
         sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
-        _tv_axpy(out, sign, _tv_mult_slot(A, vec, i + 1 + k), fld)
+        axpy(out, sign, _tv_mult_slot(A, vec, i + 1 + k), fld)
     return out
 
 
@@ -216,7 +188,7 @@ def check_diagonal_identities(A, max_total, insert=None):
                 lhs = insert(A, _tv_bar_d(A, gen, total + 2), i)
                 rhs = _tv_partial_left(A, insert(A, gen, i + 1), i + 1)
                 sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-                _tv_axpy(rhs, sign, _tv_partial_right(A, insert(A, gen, i), i, j + 1), fld)
+                axpy(rhs, sign, _tv_partial_right(A, insert(A, gen, i), i, j + 1), fld)
                 if lhs != rhs:
                     failures.append(("split", i, j, c))
     for c in tuples(d, 2):
@@ -243,13 +215,16 @@ def _cochain_value(M, T, m, w):
     return out
 
 
-def cap_chain(N, n, xi, M, m, T, tens):
-    """xi cap T in C_{n-m}(A, N (x)_A M); `tens` realizes the target."""
+def cap_chain(N, n, xi, M, m, T, tens=None):
+    """xi cap T in C_{n-m}(A, N (x)_A M); `tens` realizes the target.
+
+    Without `tens`, M must be the regular bimodule and the target is
+    collapsed through N (x)_A A = N: x (x) a becomes x.a.
+    """
     if not 0 <= m <= n:
         raise DegreeError(f"cap needs 0 <= m <= n, got n={n}, m={m}")
-    A = N.algebra
     fld = N.field
-    d = A.dim
+    d = N.algebra.dim
     out = {}
     k = n - m
     for idx, coeff in xi.items():
@@ -258,33 +233,19 @@ def cap_chain(N, n, xi, M, m, T, tens):
         tvec = _cochain_value(M, T, m, w[:m])
         if not tvec:
             continue
-        pvec = tens.project_pure({x: fld.one}, tvec)
+        if tens is None:
+            pvec = N.act_right({x: fld.one}, tvec)
+        else:
+            pvec = tens.project_pure({x: fld.one}, tvec)
         tail = tuple_rank(d, w[m:])
         for q, v in pvec.items():
-            _bump(out, q * d ** k + tail, fld.mul(coeff, v), fld)
+            acc(out, q * d ** k + tail, fld.mul(coeff, v), fld)
     return out
 
 
 def cap_chain_regular(N, n, xi, m, T):
     """xi cap T with M = A, collapsed through N (x)_A A = N."""
-    if not 0 <= m <= n:
-        raise DegreeError(f"cap needs 0 <= m <= n, got n={n}, m={m}")
-    A = N.algebra
-    fld = N.field
-    d = A.dim
-    out = {}
-    k = n - m
-    for idx, coeff in xi.items():
-        x, wrank = divmod(idx, d ** n)
-        w = tuple_digits(d, n, wrank)
-        tvec = _cochain_value(A.regular(), T, m, w[:m])
-        if not tvec:
-            continue
-        pvec = N.act_right({x: fld.one}, tvec)
-        tail = tuple_rank(d, w[m:])
-        for q, v in pvec.items():
-            _bump(out, q * d ** k + tail, fld.mul(coeff, v), fld)
-    return out
+    return cap_chain(N, n, xi, N.algebra.regular(), m, T)
 
 
 def descent_defect(N, n, xi, M, m, T, tens=None):
@@ -300,22 +261,13 @@ def descent_defect(N, n, xi, M, m, T, tens=None):
     if tens is None and M is not N.algebra.regular():
         tens = tensor_over_algebra(N, M)
 
-    def product(chain, deg_c, cochain, deg_t):
-        if tens is None:
-            return cap_chain_regular(N, deg_c, chain, deg_t, cochain)
-        return cap_chain(N, deg_c, chain, M, deg_t, cochain, tens)
-
     target = N if tens is None else tens.module
-    lhs = boundary_matrix(target, n - m).matvec(product(xi, n, T, m))
+    out = boundary_matrix(target, n - m).matvec(cap_chain(N, n, xi, M, m, T, tens))
     bxi = boundary_matrix(N, n).matvec(xi)
     dT = coboundary_matrix(M, m).matvec(T)
     sign_b = fld.one if m % 2 == 0 else fld.neg(fld.one)
-    sign_t = fld.neg(sign_b)
-    out = dict(lhs)
-    for idx, v in product(bxi, n - 1, T, m).items():
-        _bump(out, idx, fld.neg(fld.mul(sign_b, v)), fld)
-    for idx, v in product(xi, n, dT, m + 1).items():
-        _bump(out, idx, fld.neg(fld.mul(sign_t, v)), fld)
+    axpy(out, fld.neg(sign_b), cap_chain(N, n - 1, bxi, M, m, T, tens), fld)
+    axpy(out, sign_b, cap_chain(N, n, xi, M, m + 1, dT, tens), fld)
     return out
 
 
@@ -347,8 +299,6 @@ class CapPairing:
 
     def chain_cap(self, xi, T):
         n, m = self.chains.degree, self.cochains.degree
-        if self.tens is None:
-            return cap_chain_regular(self.module, n, xi, m, T)
         return cap_chain(self.module, n, xi, self.coefficients, m, T, self.tens)
 
     def of_classes(self, hcoords, ccoords):
@@ -411,7 +361,7 @@ def _first_slot_left_mult(A, s, vec, width):
     for u, coeff in vec.items():
         c0, rest = divmod(u, block)
         for l, v in A.mult[s][c0].items():
-            _bump(out, l * block + rest, fld.mul(coeff, v), fld)
+            acc(out, l * block + rest, fld.mul(coeff, v), fld)
     return out
 
 
@@ -422,7 +372,7 @@ def _last_slot_right_mult(A, vec, s, width):
     for u, coeff in vec.items():
         head, c = divmod(u, d)
         for l, v in A.mult[c][s].items():
-            _bump(out, head * d + l, fld.mul(coeff, v), fld)
+            acc(out, head * d + l, fld.mul(coeff, v), fld)
     return out
 
 
@@ -437,21 +387,14 @@ def _lift_rhs(A, prev_values, w, width):
     q = len(w)
     out = {}
     # face 0: 1 . w_0 sends the generator to w_0-decorated w[1:]
-    _acc_vec(out, fld.one, _first_slot_left_mult(A, w[0], prev_values[w[1:]], width), fld)
+    axpy(out, fld.one, _first_slot_left_mult(A, w[0], prev_values[w[1:]], width), fld)
     for k in range(1, q):
         sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
         for l, v in A.mult[w[k - 1]][w[k]].items():
-            _acc_vec(out, fld.mul(sign, v), prev_values[w[:k - 1] + (l,) + w[k + 1 :]], fld)
+            axpy(out, fld.mul(sign, v), prev_values[w[:k - 1] + (l,) + w[k + 1 :]], fld)
     sign = fld.one if q % 2 == 0 else fld.neg(fld.one)
-    _acc_vec(out, sign, _last_slot_right_mult(A, prev_values[w[:-1]], w[-1], width), fld)
+    axpy(out, sign, _last_slot_right_mult(A, prev_values[w[:-1]], w[-1], width), fld)
     return out
-
-
-def _acc_vec(out, coeff, vec, fld):
-    if coeff == fld.zero:
-        return
-    for idx, v in vec.items():
-        _bump(out, idx, fld.mul(coeff, v), fld)
 
 
 def explicit_lift(A, T, m, up_to):
@@ -477,7 +420,7 @@ def explicit_lift(A, T, m, up_to):
             for j, tv in tvec.items():
                 for s, sv in A.unit.items():
                     idx = (j * d ** i + mid) * d + s
-                    _bump(vec, idx, fld.mul(tv, sv), fld)
+                    acc(vec, idx, fld.mul(tv, sv), fld)
             layer[w] = vec
         values.append(layer)
     return ChainMapLift(A, m, values)
@@ -540,7 +483,7 @@ def solve_lift(A, T, m, up_to, seed=None):
         solver = _bar_solver(A, i)
         for w in tuples(d, m + i):
             rhs = {}
-            _acc_vec(rhs, sign_m, _lift_rhs(A, values[i - 1], w, i + 1), fld)
+            axpy(rhs, sign_m, _lift_rhs(A, values[i - 1], w, i + 1), fld)
             sol = solver.solve(rhs)
             if sol is None:
                 raise LiftFailed(
@@ -565,10 +508,10 @@ def solve_lift(A, T, m, up_to, seed=None):
             layer = {}
             for w in tuples(d, m + i):
                 vec = dict(values[i][w])
-                _acc_vec(vec, fld.one, dmat.matvec(hvalues[i][w]), fld)
+                axpy(vec, fld.one, dmat.matvec(hvalues[i][w]), fld)
                 if i > 0:
                     # the sign keeps the twisted lifting property intact
-                    _acc_vec(vec, sign_m, _lift_rhs(A, hvalues[i - 1], w, i + 2), fld)
+                    axpy(vec, sign_m, _lift_rhs(A, hvalues[i - 1], w, i + 2), fld)
                 layer[w] = vec
             perturbed.append(layer)
         values = perturbed
@@ -621,7 +564,7 @@ def verify_lift(A, T, m, lift):
         for w in tuples(d, m + i):
             lhs = dmat.matvec(lift.value(i, w))
             rhs = {}
-            _acc_vec(rhs, sign_m, _lift_rhs(A, lift.values[i - 1], w, i + 1), fld)
+            axpy(rhs, sign_m, _lift_rhs(A, lift.values[i - 1], w, i + 1), fld)
             if lhs != rhs:
                 raise LiftFailed(f"lifting property fails in degree {i} at {w}")
             checked += 1
@@ -655,10 +598,5 @@ def cap_via_lift(N, n, xi, lift):
             mid, clast = divmod(rest, d)
             y = A.multiply(A.multiply({clast: fld.one}, {x: fld.one}), {c0: fld.one})
             for z, zv in y.items():
-                _bump(
-                    out,
-                    z * d ** i + mid,
-                    fld.mul(coeff, fld.mul(v, zv)),
-                    fld,
-                )
+                acc(out, z * d ** i + mid, fld.mul(coeff, fld.mul(v, zv)), fld)
     return out

@@ -22,7 +22,7 @@ from itertools import product
 from . import config
 from .bimodules import commutator_subspace, invariants_subspace, kron
 from .errors import DegreeError, NotCentral, NotInvariant
-from .linalg import SparseMat, coerce_vector, kernel_basis, subquotient
+from .linalg import SparseMat, acc, coerce_vector, kernel_basis, subquotient
 
 
 def tuples(d, n):
@@ -49,10 +49,6 @@ def chain_pos(d, n, x, w):
     return x * d ** n + tuple_rank(d, w)
 
 
-def cochain_pos(d, r, w, j):
-    return tuple_rank(d, w) * r + j
-
-
 def chain_dim(N, n):
     return N.dim * N.algebra.dim ** n
 
@@ -61,31 +57,20 @@ def cochain_dim(M, m):
     return M.algebra.dim ** m * M.dim
 
 
-def _acc(col, idx, v, fld):
-    if v == fld.zero:
-        return
-    s = fld.add(col.get(idx, fld.zero), v)
-    if s == fld.zero:
-        col.pop(idx, None)
-    else:
-        col[idx] = s
-
-
 def boundary_matrix(N, n):
     """Matrix of b_n : C_n(A, N) -> C_{n-1}(A, N).  Requires n >= 1."""
     if n < 1:
         raise DegreeError("boundary starts in degree 1")
-    key = ("boundary", n)
-    cached = N._cache.get(key)
-    if cached is not None:
-        return cached
-
     A = N.algebra
     fld = N.field
     d, r = A.dim, N.dim
     src = r * d ** n
     tgt = r * d ** (n - 1)
     config.guard(max(src, tgt), "a chain space")
+    key = ("boundary", n)
+    cached = N._cache.get(key)
+    if cached is not None:
+        return cached
 
     sign_n = fld.one if n % 2 == 0 else fld.neg(fld.one)
     cols = []
@@ -93,14 +78,14 @@ def boundary_matrix(N, n):
         for w in tuples(d, n):
             col = {}
             for y, v in N.right[w[0]].col(x).items():
-                _acc(col, chain_pos(d, n - 1, y, w[1:]), v, fld)
+                acc(col, chain_pos(d, n - 1, y, w[1:]), v, fld)
             for i in range(1, n):
                 sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
                 for l, v in A.mult[w[i - 1]][w[i]].items():
                     tup = w[: i - 1] + (l,) + w[i + 1 :]
-                    _acc(col, chain_pos(d, n - 1, x, tup), fld.mul(sign, v), fld)
+                    acc(col, chain_pos(d, n - 1, x, tup), fld.mul(sign, v), fld)
             for y, v in N.left[w[-1]].col(x).items():
-                _acc(col, chain_pos(d, n - 1, y, w[:-1]), fld.mul(sign_n, v), fld)
+                acc(col, chain_pos(d, n - 1, y, w[:-1]), fld.mul(sign_n, v), fld)
             cols.append(col)
 
     mat = SparseMat(tgt, src, fld, cols)
@@ -112,17 +97,16 @@ def coboundary_matrix(M, m):
     """Matrix of delta_m : C^m(A, M) -> C^{m+1}(A, M).  Requires m >= 0."""
     if m < 0:
         raise DegreeError("cochains start in degree 0")
-    key = ("coboundary", m)
-    cached = M._cache.get(key)
-    if cached is not None:
-        return cached
-
     A = M.algebra
     fld = M.field
     d, r = A.dim, M.dim
     src = d ** m * r
     tgt = d ** (m + 1) * r
     config.guard(max(src, tgt), "a cochain space")
+    key = ("coboundary", m)
+    cached = M._cache.get(key)
+    if cached is not None:
+        return cached
 
     sign_last = fld.one if (m + 1) % 2 == 0 else fld.neg(fld.one)
     cols = [dict() for _ in range(src)]
@@ -132,7 +116,7 @@ def coboundary_matrix(M, m):
         w_base = tuple_rank(d, u[1:]) * r
         for j in range(r):
             for y, v in M.left[u[0]].col(j).items():
-                _acc(cols[w_base + j], u_base + y, v, fld)
+                acc(cols[w_base + j], u_base + y, v, fld)
         # interior contractions hit T diagonally in the module index
         for i in range(1, m + 1):
             sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
@@ -141,43 +125,52 @@ def coboundary_matrix(M, m):
                 w_base = tuple_rank(d, w) * r
                 sv = fld.mul(sign, v)
                 for j in range(r):
-                    _acc(cols[w_base + j], u_base + j, sv, fld)
+                    acc(cols[w_base + j], u_base + j, sv, fld)
         # (-1)^{m+1} T(a_1 .. a_m) . a_{m+1}
         w_base = tuple_rank(d, u[:m]) * r
         for j in range(r):
             for y, v in M.right[u[m]].col(j).items():
-                _acc(cols[w_base + j], u_base + y, fld.mul(sign_last, v), fld)
+                acc(cols[w_base + j], u_base + y, fld.mul(sign_last, v), fld)
 
     mat = SparseMat(tgt, src, fld, cols)
     M._cache[key] = mat
     return mat
 
 
-class HomologySpace:
-    """H_n(A, N) with canonical class coordinates."""
+class ClassSpace:
+    """H_n(A, N) (kind "homology") or H^n(A, N) (kind "cohomology") with
+    canonical class coordinates."""
 
-    __slots__ = ("module", "degree", "space")
+    __slots__ = ("module", "degree", "kind", "space")
 
-    def __init__(self, module, degree):
+    def __init__(self, module, degree, kind):
         if degree < 0:
-            raise DegreeError("homology degree must be nonnegative")
+            raise DegreeError(f"{kind} degree must be nonnegative")
         self.module = module
         self.degree = degree
+        self.kind = kind
         fld = module.field
-        if degree == 0:
-            Z = SparseMat.identity(module.dim, fld)
+        if kind == "homology":
+            if degree == 0:
+                Z = SparseMat.identity(module.dim, fld)
+            else:
+                Z = kernel_basis(boundary_matrix(module, degree))
+            B = boundary_matrix(module, degree + 1)
         else:
-            Z = kernel_basis(boundary_matrix(module, degree))
-        B = boundary_matrix(module, degree + 1)
+            Z = kernel_basis(coboundary_matrix(module, degree))
+            if degree == 0:
+                B = SparseMat.zero(module.dim, 0, fld)
+            else:
+                B = coboundary_matrix(module, degree - 1)
         self.space = subquotient(Z, B)
 
     @property
     def dim(self):
         return self.space.dim
 
-    def class_of(self, chain):
-        """Canonical coordinates of the class of a cycle (dense tuple)."""
-        return self.space.coset_reduce(chain)
+    def class_of(self, vec):
+        """Canonical coordinates of the class of a (co)cycle (dense tuple)."""
+        return self.space.coset_reduce(vec)
 
     def representative(self, k):
         return self.space.representative(k)
@@ -186,58 +179,24 @@ class HomologySpace:
         return self.space.lift(coords)
 
     def __repr__(self):
-        return f"<H_{self.degree}({self.module!r}) dim={self.dim}>"
+        script = "_" if self.kind == "homology" else "^"
+        return f"<H{script}{self.degree}({self.module!r}) dim={self.dim}>"
 
 
-class CohomologySpace:
-    """H^m(A, M) with canonical class coordinates."""
-
-    __slots__ = ("module", "degree", "space")
-
-    def __init__(self, module, degree):
-        if degree < 0:
-            raise DegreeError("cohomology degree must be nonnegative")
-        self.module = module
-        self.degree = degree
-        fld = module.field
-        Z = kernel_basis(coboundary_matrix(module, degree))
-        if degree == 0:
-            B = SparseMat.zero(module.dim, 0, fld)
-        else:
-            B = coboundary_matrix(module, degree - 1)
-        self.space = subquotient(Z, B)
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def class_of(self, cochain):
-        return self.space.coset_reduce(cochain)
-
-    def representative(self, k):
-        return self.space.representative(k)
-
-    def lift(self, coords):
-        return self.space.lift(coords)
-
-    def __repr__(self):
-        return f"<H^{self.degree}({self.module!r}) dim={self.dim}>"
+def _class_space(module, degree, kind):
+    key = (kind, degree)
+    cs = module._cache.get(key)
+    if cs is None:
+        cs = module._cache[key] = ClassSpace(module, degree, kind)
+    return cs
 
 
 def homology(N, n):
-    key = ("homology", n)
-    hs = N._cache.get(key)
-    if hs is None:
-        hs = N._cache[key] = HomologySpace(N, n)
-    return hs
+    return _class_space(N, n, "homology")
 
 
 def cohomology(M, m):
-    key = ("cohomology", m)
-    cs = M._cache.get(key)
-    if cs is None:
-        cs = M._cache[key] = CohomologySpace(M, m)
-    return cs
+    return _class_space(M, m, "cohomology")
 
 
 def homology_dims(N, up_to):
@@ -286,44 +245,24 @@ def invariants_dim(M):
 
 # -- action of the center ----------------------------------------------
 
-def center_action_chain_matrix(N, z, n):
-    """z acting on C_n(A, N) through the module slot; z must be central."""
-    if not N.algebra.is_central(z):
-        raise NotCentral("chain action is only defined for central elements")
-    L = N.left_action(z)
-    if n == 0:
-        return L
-    return kron(L, SparseMat.identity(N.algebra.dim ** n, N.field))
-
-
-def center_action_cochain_matrix(M, z, m):
+def central_action(cs, z):
+    """Matrix of the action of central z on the canonical coordinates of a
+    class space.  z acts through the module slot of each (co)chain."""
+    M = cs.module
+    chains = cs.kind == "homology"
     if not M.algebra.is_central(z):
-        raise NotCentral("cochain action is only defined for central elements")
-    L = M.left_action(z)
-    if m == 0:
-        return L
-    return kron(SparseMat.identity(M.algebra.dim ** m, M.field), L)
+        what = "chain" if chains else "cochain"
+        raise NotCentral(f"{what} action is only defined for central elements")
+    mat = M.left_action(z)
+    if cs.degree:
+        ident = SparseMat.identity(M.algebra.dim ** cs.degree, M.field)
+        mat = kron(mat, ident) if chains else kron(ident, mat)
+    cols = [dict(enumerate(cs.class_of(mat.matvec(cs.representative(k)))))
+            for k in range(cs.dim)]
+    return SparseMat.from_columns(cs.dim, M.field, cols)
 
 
-def central_action_homology(hs, z):
-    """Matrix of the action of central z on canonical H_n coordinates."""
-    mat = center_action_chain_matrix(hs.module, z, hs.degree)
-    cols = []
-    for k in range(hs.dim):
-        image = mat.matvec(hs.representative(k))
-        coords = hs.class_of(image)
-        cols.append({i: c for i, c in enumerate(coords) if c != hs.module.field.zero})
-    return SparseMat(hs.dim, hs.dim, hs.module.field, cols)
-
-
-def central_action_cohomology(cs, z):
-    mat = center_action_cochain_matrix(cs.module, z, cs.degree)
-    cols = []
-    for k in range(cs.dim):
-        image = mat.matvec(cs.representative(k))
-        coords = cs.class_of(image)
-        cols.append({i: c for i, c in enumerate(coords) if c != cs.module.field.zero})
-    return SparseMat(cs.dim, cs.dim, cs.module.field, cols)
+central_action_homology = central_action_cohomology = central_action
 
 
 # -- two sided bar form --------------------------------------------------
@@ -368,17 +307,17 @@ def bar_form(N, n):
                 # (x.s; c)  -  (x; s c_0, c_1, ...)
                 rel = {}
                 for y, v in N.right[s].col(x).items():
-                    _acc(rel, pos(y, c), v, fld)
+                    acc(rel, pos(y, c), v, fld)
                 for l, v in A.mult[s][c[0]].items():
-                    _acc(rel, pos(x, (l,) + c[1:]), fld.neg(v), fld)
+                    acc(rel, pos(x, (l,) + c[1:]), fld.neg(v), fld)
                 if rel:
                     relations.append(rel)
                 # (s.x; c)  -  (x; c_0, ..., c_{n+1} s)
                 rel = {}
                 for y, v in N.left[s].col(x).items():
-                    _acc(rel, pos(y, c), v, fld)
+                    acc(rel, pos(y, c), v, fld)
                 for l, v in A.mult[c[-1]][s].items():
-                    _acc(rel, pos(x, c[:-1] + (l,)), fld.neg(v), fld)
+                    acc(rel, pos(x, c[:-1] + (l,)), fld.neg(v), fld)
                 if rel:
                     relations.append(rel)
 
@@ -386,14 +325,7 @@ def bar_form(N, n):
         SparseMat.identity(amb, fld),
         SparseMat.from_columns(amb, fld, relations),
     )
-    proj_cols = []
-    for j in range(amb):
-        coords = space.coset_reduce({j: fld.one})
-        proj_cols.append({i: c for i, c in enumerate(coords) if c != fld.zero})
-    proj = SparseMat(space.dim, amb, fld, proj_cols)
-    sect = SparseMat.from_columns(
-        amb, fld, [space.representative(k) for k in range(space.dim)]
-    )
+    proj, sect = space.projection_section()
     return BarForm(N, n, space, proj, sect, amb)
 
 
@@ -417,7 +349,7 @@ def bar_form_boundary(N, bf_n, bf_prev):
                 sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
                 for l, v in A.mult[c[i]][c[i + 1]].items():
                     tup = c[:i] + (l,) + c[i + 2 :]
-                    _acc(col, pos(x, tup), fld.mul(sign, v), fld)
+                    acc(col, pos(x, tup), fld.mul(sign, v), fld)
             cols.append(col)
     ambient = SparseMat(r * d ** (n + 1), bf_n.ambient_dim, fld, cols)
     return bf_prev.proj @ ambient @ bf_n.sect
@@ -435,7 +367,7 @@ def bar_to_standard(N, bf):
             col = {}
             mid = N.act_right(N.left[c[-1]].col(x), {c[0]: fld.one})
             for y, v in mid.items():
-                _acc(col, chain_pos(d, n, y, c[1:-1]), v, fld)
+                acc(col, chain_pos(d, n, y, c[1:-1]), v, fld)
             cols.append(col)
     conv = SparseMat(r * d ** n, bf.ambient_dim, fld, cols)
     return conv @ bf.sect
@@ -457,7 +389,7 @@ def standard_to_bar(N, bf):
             col = {}
             for s, vs in A.unit.items():
                 for t, vt in A.unit.items():
-                    _acc(col, pos(x, (s,) + w + (t,)), fld.mul(vs, vt), fld)
+                    acc(col, pos(x, (s,) + w + (t,)), fld.mul(vs, vt), fld)
             cols.append(col)
     amb = SparseMat(bf.ambient_dim, r * d ** n, fld, cols)
     return bf.proj @ amb

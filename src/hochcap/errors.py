@@ -25,10 +25,6 @@ class NotACycle(HochcapError):
     """Vector fails the cycle condition (or lies outside the cycle space)."""
 
 
-class NotACocycle(HochcapError):
-    """Cochain fails the cocycle condition."""
-
-
 class NotCentral(HochcapError):
     """Element is not in the center of the algebra."""
 

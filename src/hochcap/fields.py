@@ -12,18 +12,31 @@ from fractions import Fraction
 from .errors import ParseError
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; exact for n < _MR_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = t * 2**s, t odd
+    t = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -66,9 +79,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
 
-    def div(self, a, b):
-        return a / b
-
     def format(self, x):
         return str(x)
 
@@ -91,6 +101,8 @@ class PrimeField:
     kind = "Fp"
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= _MR_BOUND:
+            raise ParseError(f"p must be below {_MR_BOUND}, got {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ParseError(f"p must be prime, got {p!r}")
         self.p = p
@@ -128,9 +140,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
 
     def format(self, x):
         return str(x % self.p)

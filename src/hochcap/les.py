@@ -28,7 +28,7 @@ from .complexes import (
     homology,
 )
 from .errors import Unsolvable
-from .linalg import Solver, SparseMat, coerce_vector, rank
+from .linalg import Solver, SparseMat, acc, axpy, coerce_vector, rank
 
 
 def map_chain(mor, chain, n):
@@ -40,7 +40,7 @@ def map_chain(mor, chain, n):
     for idx, v in chain.items():
         x, w = divmod(idx, block)
         for y, c in mor.matrix.col(x).items():
-            _bump(out, y * block + w, fld.mul(c, v), fld)
+            acc(out, y * block + w, fld.mul(c, v), fld)
     return out
 
 
@@ -53,18 +53,8 @@ def map_cochain(mor, coch, m):
     for idx, v in coch.items():
         w, j = divmod(idx, r)
         for y, c in mor.matrix.col(j).items():
-            _bump(out, w * rt + y, fld.mul(c, v), fld)
+            acc(out, w * rt + y, fld.mul(c, v), fld)
     return out
-
-
-def _bump(out, idx, v, fld):
-    if v == fld.zero:
-        return
-    s = fld.add(out.get(idx, fld.zero), v)
-    if s == fld.zero:
-        out.pop(idx, None)
-    else:
-        out[idx] = s
 
 
 def _chain_preimage(mor, chain, n):
@@ -149,8 +139,7 @@ def connecting_homology(ses, n, seed=None):
                 rng.randrange(chain_dim(ses.left, n)): fld.coerce(rng.randint(-3, 3))
                 for _ in range(3)
             }
-            for idx, v in map_chain(ses.f, noise, n).items():
-                _bump(y, idx, v, fld)
+            axpy(y, fld.one, map_chain(ses.f, noise, n), fld)
         beta = boundary_matrix(ses.middle, n).matvec(y)
         zeta = _chain_preimage(ses.f, beta, n - 1)
         cols.append(coerce_vector(fld, hs1.class_of(zeta)))
@@ -174,8 +163,7 @@ def connecting_cohomology(ses, m, seed=None):
                 rng.randrange(cochain_dim(ses.left, m)): fld.coerce(rng.randint(-3, 3))
                 for _ in range(3)
             }
-            for idx, v in map_cochain(ses.f, noise, m).items():
-                _bump(T2, idx, v, fld)
+            axpy(T2, fld.one, map_cochain(ses.f, noise, m), fld)
         U = coboundary_matrix(ses.middle, m).matvec(T2)
         T1 = _cochain_preimage(ses.f, U, m + 1)
         cols.append(coerce_vector(fld, cs1.class_of(T1)))

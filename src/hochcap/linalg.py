@@ -45,20 +45,6 @@ class SparseMat:
         return m
 
     @classmethod
-    def from_triplets(cls, nrows, ncols, field, triplets):
-        m = cls(nrows, ncols, field)
-        for i, j, v in triplets:
-            v = field.coerce(v)
-            if v != field.zero:
-                old = m.cols[j].get(i, field.zero)
-                w = field.add(old, v)
-                if w == field.zero:
-                    m.cols[j].pop(i, None)
-                else:
-                    m.cols[j][i] = w
-        return m
-
-    @classmethod
     def from_dense(cls, field, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -125,50 +111,28 @@ class SparseMat:
 
     def matvec(self, vec):
         """Matrix times sparse vector (dict) -> sparse dict."""
-        fld = self.field
-        acc = {}
+        out = {}
         for j, v in vec.items():
-            if v == fld.zero:
-                continue
-            for i, w in self.cols[j].items():
-                s = fld.add(acc.get(i, fld.zero), fld.mul(w, v))
-                if s == fld.zero:
-                    acc.pop(i, None)
-                else:
-                    acc[i] = s
-        return acc
+            axpy(out, v, self.cols[j], self.field)
+        return out
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        fld = self.field
-        out = SparseMat(self.nrows, other.ncols, fld)
-        for j in range(other.ncols):
-            acc = {}
-            for k, v in other.cols[j].items():
-                for i, w in self.cols[k].items():
-                    s = fld.add(acc.get(i, fld.zero), fld.mul(w, v))
-                    if s == fld.zero:
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = s
-            out.cols[j] = acc
+        out = SparseMat(self.nrows, other.ncols, self.field)
+        for j, col in enumerate(other.cols):
+            for k, v in col.items():
+                axpy(out.cols[j], v, self.cols[k], self.field)
         return out
 
     def __add__(self, other):
         fld = self.field
         out = SparseMat(self.nrows, self.ncols, fld)
         for j in range(self.ncols):
-            acc = dict(self.cols[j])
-            for i, v in other.cols[j].items():
-                s = fld.add(acc.get(i, fld.zero), v)
-                if s == fld.zero:
-                    acc.pop(i, None)
-                else:
-                    acc[i] = s
-            out.cols[j] = acc
+            out.cols[j] = dict(self.cols[j])
+            axpy(out.cols[j], fld.one, other.cols[j], fld)
         return out
 
     def __sub__(self, other):
@@ -196,14 +160,32 @@ class SparseMat:
         return f"<SparseMat {self.nrows}x{self.ncols} over {self.field!r}, nnz={self.nnz()}>"
 
 
-def vec_axpy(u, f, row, field):
-    """u := u - f*row in place on sparse dicts."""
+def acc(u, idx, v, field):
+    """u[idx] += v in place on a sparse dict, dropping zeros."""
+    if not v:
+        return
+    s = field.add(u.get(idx, field.zero), v)
+    if s:
+        u[idx] = s
+    else:
+        u.pop(idx, None)
+
+
+def axpy(u, f, row, field):
+    """u := u + f*row in place on sparse dicts.
+
+    The loop body is `acc` written out inline rather than called per
+    entry: this is the innermost loop of every matrix product.
+    """
+    if not f:
+        return
+    zero, add, mul = field.zero, field.add, field.mul
     for c, v in row.items():
-        s = field.sub(u.get(c, field.zero), field.mul(f, v))
-        if s == field.zero:
-            u.pop(c, None)
-        else:
+        s = add(u.get(c, zero), mul(f, v))
+        if s:
             u[c] = s
+        else:
+            u.pop(c, None)
 
 
 def reduce_against(pivots, rows, v, field, record=None):
@@ -219,7 +201,7 @@ def reduce_against(pivots, rows, v, field, record=None):
             continue
         if record is not None:
             record[p] = f
-        vec_axpy(v, f, rows[k], field)
+        axpy(v, field.neg(f), rows[k], field)
     return v
 
 
@@ -258,12 +240,6 @@ def rref(m):
 def rank(m):
     pivots, _, _ = build_rref(m.field, m.rows_view(), m.ncols)
     return len(pivots)
-
-
-def column_space_pivots(m):
-    """Pivot structure of the column space: (pivots, reduced rows)."""
-    pivots, rows, _ = build_rref(m.field, list(m.cols), m.nrows)
-    return pivots, rows
 
 
 def kernel_basis(m):
@@ -453,13 +429,6 @@ class SubquotientSpace:
                 coords[k] = f
         return tuple(coords)
 
-    def contains(self, v):
-        try:
-            self.coset_reduce(v)
-        except NotACycle:
-            return False
-        return True
-
     def is_boundary(self, v):
         coords = self.coset_reduce(v)
         return all(c == self.field.zero for c in coords)
@@ -476,10 +445,22 @@ class SubquotientSpace:
         out = {}
         for k, c in enumerate(coords):
             c = fld.coerce(c)
-            if c == fld.zero:
-                continue
-            vec_axpy(out, fld.neg(c), self.representative(k), fld)
+            if c:
+                axpy(out, c, self.representative(k), fld)
         return out
+
+    def projection_section(self):
+        """(proj, sect): the quotient map from the ambient space onto the
+        canonical coordinates, and its splitting by the representatives."""
+        fld = self.field
+        proj = SparseMat.from_columns(self.dim, fld, [
+            dict(enumerate(self.coset_reduce({t: fld.one})))
+            for t in range(self.ambient_dim)
+        ])
+        sect = SparseMat.from_columns(
+            self.ambient_dim, fld, [self.representative(k) for k in range(self.dim)]
+        )
+        return proj, sect
 
     def __repr__(self):
         return (

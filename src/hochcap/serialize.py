@@ -160,8 +160,3 @@ def load(path):
         return loads(text)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from e
-
-
-def dump(A, path, bimodules=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(A, bimodules))

@@ -224,3 +224,26 @@ def test_memory_guard_trips():
     finally:
         config.set_max_coordinates(None)
     assert config.max_coordinates() == 1 << 24
+
+
+def test_memory_guard_trips_on_cached_builds():
+    from hochcap.cap import bar_differential, diagonal_matrix
+
+    a = zoo.two_by_two_matrices()
+    reg = a.regular()
+    builders = [
+        lambda: boundary_matrix(reg, 3),
+        lambda: coboundary_matrix(reg, 3),
+        lambda: bar_differential(a, 2),
+        lambda: diagonal_matrix(a, 1, 1),
+    ]
+    for build in builders:
+        build()  # now cached
+    config.set_max_coordinates(100)
+    try:
+        for build in builders:
+            with pytest.raises(MemoryGuardError):
+                build()
+    finally:
+        config.set_max_coordinates(None)
+    assert config.max_coordinates() == 1 << 24

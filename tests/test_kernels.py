@@ -1,134 +1,80 @@
-"""Lane selection and pure/compiled agreement.
+"""The elimination kernel against the dense oracle.
 
-The compiled kernels must be drop-in: same pivots, same rows, same value
-types.  Everything here that needs the extension is skipped when it did
-not build, so the suite stays green on a box without a C compiler.
+`build_rref` is the one routine every rank, kernel, solve and
+subquotient goes through.  Random sparse inputs over Q and several F_p
+are checked against plain Gaussian elimination in `_oracle.py`, and the
+output against the definition of a reduced row echelon form.
 """
 
-import copy
-import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hochcap import _elim_py, kernels, zoo
-from hochcap.complexes import boundary_matrix, homology_dims
-from hochcap.linalg import rank
+from hochcap import kernels
+from hochcap.fields import GF, QQ
 
-needs_compiled = pytest.mark.skipif(
-    not kernels.compiled_available(), reason="extension not built"
-)
+from _oracle import dense_rank
 
-
-@pytest.fixture
-def lane_guard():
-    old = kernels.active_lane()
-    yield
-    kernels.set_lane(old)
+PRIMES = [2, 3, 101, (1 << 31) + 11]
 
 
-def random_rational_rows(rng, nrows, ncols):
-    rows = []
-    for _ in range(nrows):
-        row = {}
-        for _ in range(rng.randint(0, ncols)):
-            row[rng.randrange(ncols)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        rows.append(row)
-    return rows
-
-
-@needs_compiled
-def test_rational_lanes_bit_identical():
-    from hochcap import _speedups
-
-    rng = random.Random(2024)
-    for _ in range(150):
-        ncols = rng.randint(1, 13)
-        rows = random_rational_rows(rng, rng.randint(0, 11), ncols)
-        limit = rng.choice([None, ncols, max(1, ncols - 2)])
-        stop = rng.choice([False, True])
-        got_pure = _elim_py.build_rref_rational(copy.deepcopy(rows), ncols, limit, stop)
-        got_fast = _speedups.build_rref_rational(copy.deepcopy(rows), ncols, limit, stop)
-        assert got_pure == got_fast
-        # not just equal values: the same types come back
-        assert all(
-            isinstance(v, Fraction) for row in got_fast[1] for v in row.values()
-        )
-
-
-@needs_compiled
-@pytest.mark.parametrize("p", [2, 3, 101, (1 << 31) + 11])
-def test_mod_p_lanes_bit_identical(p):
-    from hochcap import _speedups
-
-    rng = random.Random(p)
-    for _ in range(80):
-        ncols = rng.randint(1, 13)
-        rows = [
-            {rng.randrange(ncols): rng.randrange(p) for _ in range(rng.randint(0, ncols))}
-            for _ in range(rng.randint(0, 11))
-        ]
-        limit = rng.choice([None, ncols, max(1, ncols - 2)])
-        stop = rng.choice([False, True])
-        got_pure = _elim_py.build_rref_mod_p(copy.deepcopy(rows), ncols, p, limit, stop)
-        got_fast = _speedups.build_rref_mod_p(copy.deepcopy(rows), ncols, p, limit, stop)
-        assert got_pure == got_fast
-
-
-@needs_compiled
-@pytest.mark.parametrize("name", ["truncated_cubic", "f2_c2"])
-def test_pipeline_agrees_across_lanes(name, lane_guard):
-    A = zoo.get(name)
-    kernels.set_lane("pure")
-    dims_pure = homology_dims(A.regular(), 3)
-    rank_pure = rank(boundary_matrix(A.regular(), 3))
-    A._cache.clear()
-    kernels.set_lane("compiled")
-    dims_fast = homology_dims(A.regular(), 3)
-    rank_fast = rank(boundary_matrix(A.regular(), 3))
-    assert dims_pure == dims_fast
-    assert rank_pure == rank_fast
-
-
-def test_set_lane_round_trip(lane_guard):
-    old = kernels.set_lane("pure")
-    assert kernels.active_lane() == "pure"
-    kernels.set_lane("auto")
-    if kernels.compiled_available():
-        assert kernels.active_lane() == "compiled"
+@st.composite
+def sparse_rows(draw, p):
+    """(ncols, rows, pivot_limit, stop_on_defect); rows may hold zeros."""
+    ncols = draw(st.integers(1, 10))
+    if p is None:
+        value = st.fractions(min_value=-9, max_value=9, max_denominator=7)
     else:
-        assert kernels.active_lane() == "pure"
-    assert old in ("pure", "compiled")
+        value = st.integers(-2 * p, 2 * p)
+    row = st.dictionaries(st.integers(0, ncols - 1), value, max_size=ncols)
+    rows = draw(st.lists(row, max_size=9))
+    return ncols, rows, draw(st.integers(0, ncols)), draw(st.booleans())
 
 
-def test_set_lane_rejects_unknown(lane_guard):
-    with pytest.raises(ValueError, match="unknown lane"):
-        kernels.set_lane("vectorized")
+def _rank(rows, ncols, p):
+    return dense_rank([[r.get(c, 0) for c in range(ncols)] for r in rows], p)
 
 
-def test_set_lane_compiled_errors_when_missing(lane_guard, monkeypatch):
-    monkeypatch.setattr(kernels, "_COMPILED_OK", False)
-    with pytest.raises(RuntimeError, match="not available"):
-        kernels.set_lane("compiled")
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_build_rref_matches_oracle(p, data):
+    field = QQ if p is None else GF(p)
+    ncols, rows, limit, stop = data.draw(sparse_rows(p))
 
+    pivots, out, defects = kernels.build_rref(field, rows, ncols)
+    assert defects == []
+    assert len(pivots) == _rank(rows, ncols, p)
+    # the output spans the same row space
+    assert _rank(rows + out, ncols, p) == len(pivots)
+    assert pivots == sorted(set(pivots)) and len(out) == len(pivots)
+    for lead, row in zip(pivots, out):
+        assert min(row) == lead and row[lead] == 1
+        assert set(row) & set(pivots) == {lead}  # fully reduced
+        for v in row.values():
+            assert v != 0
+            assert isinstance(v, Fraction) if p is None else 0 <= v < p
 
-def test_env_var_forces_pure_lane():
-    code = (
-        "import os; os.environ['HOCHCAP_PURE'] = '1'; "
-        "from hochcap import kernels; print(kernels.active_lane())"
+    got, _, defects = kernels.build_rref(
+        field, rows, ncols, pivot_limit=limit, stop_on_defect=stop
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "pure"
+    assert all(q < limit for q in got)
+    # a defect is a row reducing to something supported at or past the limit
+    assert all(d and min(d) >= limit for d in defects)
+    assert bool(defects) == any(q >= limit for q in pivots)
+    if stop:
+        assert len(defects) <= 1
+        assert set(got) <= set(pivots)
+    else:
+        assert got == [q for q in pivots if q < limit]
 
 
 def test_pure_lane_always_importable():
-    # the fallback must never depend on the extension
-    pivots, rows, defects = _elim_py.build_rref_rational(
-        [{0: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}], 2
+    # the kernel needs nothing beyond the standard library
+    pivots, rows, defects = kernels.build_rref(
+        QQ, [{0: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}], 2
     )
     assert pivots == [0, 1]
     assert rows == [{0: Fraction(1)}, {1: Fraction(1)}]

@@ -27,6 +27,17 @@ def test_field_parsing():
         field_from_json({"kind": "R"})
 
 
+def test_is_prime_agrees_with_trial_division():
+    from hochcap.fields import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if _is_prime(n)] == [
+        n for n in range(-3, 5000) if trial(n)
+    ]
+
+
 def test_sparsemat_basics():
     m = SparseMat.from_dense(QQ, [[1, 2], [3, 4]])
     assert m.entry(0, 1) == 2

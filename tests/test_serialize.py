@@ -1,6 +1,7 @@
 """The JSON algebra format: round trips, fixtures, rejection diagnostics."""
 
 import json
+import time
 
 import pytest
 
@@ -84,6 +85,47 @@ def test_nonprime_characteristic_rejected():
                 }
             )
         )
+
+
+def _point_algebra(p):
+    return json.dumps(
+        {
+            "field": {"kind": "Fp", "p": p},
+            "basis": ["e"],
+            "unit": ["1"],
+            "structure": [[0, 0, 0, "1"]],
+        }
+    )
+
+
+def test_large_prime_loads_quickly():
+    p = 2305843009213693951  # 2**61 - 1
+    start = time.perf_counter()
+    A, _ = serialize.loads(_point_algebra(p))
+    assert time.perf_counter() - start < 0.01
+    assert A.field.p == p
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        561,  # Carmichael number
+        # strong pseudoprime to every prime base up to 37; only base 41 exposes it
+        318665857834031151167461,
+        # the first strong pseudoprime to all 13 bases: above the exact range
+        3317044064679887385961981,
+        1 << 89,
+    ],
+)
+def test_composite_and_out_of_range_p_rejected(p):
+    with pytest.raises(ParseError, match="p must be"):
+        serialize.loads(_point_algebra(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, (1 << 31) + 11, (1 << 61) - 1])
+def test_primes_accepted(p):
+    A, _ = serialize.loads(_point_algebra(p))
+    assert A.field.p == p
 
 
 def test_nonassociative_structure_rejected():
