@@ -10,8 +10,8 @@ short exact sequences of bimodules.
 """
 
 from .errors import NotExact, ValidationError
-from .kernels import build_rref
 from .linalg import (
+    Echelon,
     SparseMat,
     Solver,
     acc,
@@ -134,7 +134,7 @@ def commutator_subspace(N):
             if col:
                 cols.append(dict(col))
     span = SparseMat.from_columns(N.dim, fld, cols)
-    pivots, rows, _ = build_rref(fld, list(span.cols), N.dim)
+    rows = Echelon(fld, list(span.cols), N.dim).rows
     return SparseMat.from_columns(N.dim, fld, [dict(r) for r in rows])
 
 

@@ -9,6 +9,14 @@ Matrices are stored column-major as dicts {row: value} because that is
 the direction in which differentials are assembled (image of each basis
 vector).  Vectors are sparse dicts {index: value}; the empty dict is the
 zero vector.
+
+Every elimination produces one `Echelon`: the canonical rref rows from
+`kernels.build_rref` with an index from pivot column to row.  Reducing a
+vector against it walks only the pivot columns in the vector's support,
+so the work is the support plus the fill of the rows used, never the
+rank.  `kernel_basis` scatters each rref row into its free columns, and
+`Solver` keeps the transposed augmentation so a solve scatters over the
+support of the right-hand side.
 """
 
 from .errors import InclusionViolation, NotACycle
@@ -188,23 +196,6 @@ def axpy(u, f, row, field):
             u.pop(c, None)
 
 
-def reduce_against(pivots, rows, v, field, record=None):
-    """Reduce sparse vector v against reduced rows with the given pivots.
-
-    Mutates and returns v.  If `record` is a dict, the coefficient used at
-    each pivot is stored there (these are the coordinates of the reduced
-    part of v in the row basis).
-    """
-    for k, p in enumerate(pivots):
-        f = v.get(p)
-        if f is None or f == field.zero:
-            continue
-        if record is not None:
-            record[p] = f
-        axpy(v, field.neg(f), rows[k], field)
-    return v
-
-
 def coerce_vector(field, v, n=None):
     """Accepts a dict or a sequence; returns a clean sparse dict."""
     out = {}
@@ -223,23 +214,61 @@ def coerce_vector(field, v, n=None):
 # -- row reduction and friends ----------------------------------------
 
 
+class Echelon:
+    """The reduced row echelon form of a list of sparse rows.
+
+    `rows[i]` is the fully reduced row with leading 1 at `pivots[i]`
+    (increasing), `index` maps each pivot column to its row, and
+    `defects` are the rows that reduced to columns >= `pivot_limit`
+    (see `kernels.build_rref`).
+    """
+
+    __slots__ = ("field", "pivots", "rows", "index", "defects")
+
+    def __init__(self, field, rows, ncols, pivot_limit=None, stop_on_defect=False):
+        self.field = field
+        self.pivots, self.rows, self.defects = build_rref(
+            field, rows, ncols, pivot_limit=pivot_limit, stop_on_defect=stop_on_defect
+        )
+        self.index = dict(zip(self.pivots, self.rows))
+
+    def reduce(self, v, record=None):
+        """Subtract from sparse v, in place, its part in the row space.
+
+        Returns v.  Only the pivot columns in v's support are visited: a
+        fully reduced row is zero at every other pivot, so the coefficient
+        at pivot p is v's own entry there and one pass is exact.  The cost
+        is the support of v plus the fill of the rows used, whatever the
+        rank.  If `record` is a dict, each coefficient is stored there
+        under its pivot column.
+        """
+        fld, index = self.field, self.index
+        for p in [c for c in v if c in index]:
+            f = v[p]
+            if not f:
+                continue
+            if record is not None:
+                record[p] = f
+            axpy(v, fld.neg(f), index[p], fld)
+        return v
+
+
 def rref(m):
     """Reduced row echelon form.  Returns (SparseMat, pivot columns).
 
     The result has the same shape as the input with zero rows at the
     bottom; it is the canonical representative of the row space.
     """
-    pivots, rows, _ = build_rref(m.field, m.rows_view(), m.ncols)
+    ech = Echelon(m.field, m.rows_view(), m.ncols)
     out = SparseMat(m.nrows, m.ncols, m.field)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(ech.rows):
         for c, v in row.items():
             out.cols[c][i] = v
-    return out, pivots
+    return out, ech.pivots
 
 
 def rank(m):
-    pivots, _, _ = build_rref(m.field, m.rows_view(), m.ncols)
-    return len(pivots)
+    return len(Echelon(m.field, m.rows_view(), m.ncols).pivots)
 
 
 def kernel_basis(m):
@@ -250,19 +279,15 @@ def kernel_basis(m):
     increasing free column, which makes the result deterministic.
     """
     fld = m.field
-    pivots, rows, _ = build_rref(fld, m.rows_view(), m.ncols)
-    piv_set = set(pivots)
-    cols = []
-    for f in range(m.ncols):
-        if f in piv_set:
-            continue
-        col = {f: fld.one}
-        for i, p in enumerate(pivots):
-            v = rows[i].get(f)
-            if v is not None and v != fld.zero:
-                col[p] = fld.neg(v)
-        cols.append(col)
-    return SparseMat.from_columns(m.ncols, fld, cols)
+    ech = Echelon(fld, m.rows_view(), m.ncols)
+    cols = {f: {f: fld.one} for f in range(m.ncols) if f not in ech.index}
+    # scatter each row into the columns of its free entries; rows come in
+    # increasing pivot order, so every column lists its pivots in order
+    for p, row in zip(ech.pivots, ech.rows):
+        for f, v in row.items():
+            if f != p:
+                cols[f][p] = fld.neg(v)
+    return SparseMat(m.ncols, len(cols), fld, list(cols.values()))
 
 
 def solve(m, b):
@@ -278,14 +303,12 @@ def solve(m, b):
     rows = m.rows_view()
     for i, v in bvec.items():
         rows[i][aug] = v
-    pivots, out_rows, defects = build_rref(
-        fld, rows, aug + 1, pivot_limit=aug, stop_on_defect=True
-    )
-    if defects:
+    ech = Echelon(fld, rows, aug + 1, pivot_limit=aug, stop_on_defect=True)
+    if ech.defects:
         return None
     x = {}
-    for i, p in enumerate(pivots):
-        v = out_rows[i].get(aug)
+    for p, row in zip(ech.pivots, ech.rows):
+        v = row.get(aug)
         if v is not None and v != fld.zero:
             x[p] = v
     return x
@@ -294,8 +317,11 @@ def solve(m, b):
 class Solver:
     """Factors a matrix once for repeated exact solves against it.
 
-    Row-reduces [m | I]; a solve is then two sparse dot passes.  Free
-    variables are zero, matching `solve`.
+    Row-reduces [m | I] and keeps only the augmentation part, transposed:
+    `_by_row[i]` lists (k, c), meaning b_i enters the k-th solution
+    coordinate (the value at `pivots[k]`) with coefficient c, or for
+    k >= rank the (k - rank)-th consistency condition.  A solve scatters
+    over the support of b.  Free variables are zero, matching `solve`.
     """
 
     def __init__(self, m):
@@ -305,39 +331,34 @@ class Solver:
         rows = m.rows_view()
         for i in range(m.nrows):
             rows[i][aug + i] = m.field.one
-        pivots, out_rows, defects = build_rref(
-            m.field, rows, aug + m.nrows, pivot_limit=aug
-        )
-        self.pivots = pivots
-        self.exprs = [
-            {c - aug: v for c, v in row.items() if c >= aug} for row in out_rows
-        ]
+        ech = Echelon(m.field, rows, aug + m.nrows, pivot_limit=aug)
+        self.pivots = ech.pivots
         # defect rows are supported on the augmentation only: combinations
         # of the original rows that vanish, i.e. the consistency conditions
-        self.defect_exprs = [
-            {c - aug: v for c, v in row.items() if c >= aug} for row in defects
-        ]
-
-    def _dot(self, expr, bvec):
-        fld = self.field
-        acc = fld.zero
-        for i, v in expr.items():
-            w = bvec.get(i)
-            if w is not None:
-                acc = fld.add(acc, fld.mul(v, w))
-        return acc
+        by_row = {}
+        for k, row in enumerate(ech.rows + ech.defects):
+            for c, v in row.items():
+                if c >= aug:
+                    by_row.setdefault(c - aug, []).append((k, v))
+        self._by_row = by_row
 
     def solve(self, b):
         fld = self.field
         bvec = b if isinstance(b, dict) else coerce_vector(fld, b, self.m.nrows)
-        for expr in self.defect_exprs:
-            if self._dot(expr, bvec) != fld.zero:
-                return None
+        zero, add, mul = fld.zero, fld.add, fld.mul
+        by_row = self._by_row
+        sums = {}
+        for i, w in bvec.items():
+            for k, v in by_row.get(i, ()):
+                sums[k] = add(sums.get(k, zero), mul(v, w))
+        pivots = self.pivots
         x = {}
-        for k, p in enumerate(self.pivots):
-            v = self._dot(self.exprs[k], bvec)
-            if v != fld.zero:
-                x[p] = v
+        for k in sorted(sums):
+            v = sums[k]
+            if v != zero:
+                if k >= len(pivots):
+                    return None
+                x[pivots[k]] = v
         return x
 
     def solve_matrix(self, rhs):
@@ -357,12 +378,18 @@ class Solver:
 class SubquotientSpace:
     """span(Z) / span(B) with canonical coordinates.
 
-    Built from the rrefs of the two column spaces.  The boundary pivot
-    set is contained in the cycle pivot set; the difference (the "free"
-    pivots, in increasing order) indexes the canonical coordinates.  The
-    canonical representative of generator k is the cycle rref row at the
-    k-th free pivot: it already has zeros at every boundary pivot, so its
-    coset coordinates are the k-th unit vector.
+    Holds the `Echelon`s of the two column spaces, `cycles` and
+    `boundaries`.  The boundary pivot set is contained in the cycle pivot
+    set; the difference (the "free" pivots, in increasing order) indexes
+    the canonical coordinates.  The canonical representative of generator
+    k is the cycle rref row at the k-th free pivot: it already has zeros
+    at every boundary pivot, so its coset coordinates are the k-th unit
+    vector.
+
+    Every reduction (the B <= Z inclusion check at construction, coset
+    coordinates, lifts) goes through `Echelon.reduce`, which visits only
+    the pivot columns in a vector's support, so it costs the support plus
+    the fill of the rows it uses, not the rank of Z or B.
     """
 
     __slots__ = (
@@ -370,10 +397,8 @@ class SubquotientSpace:
         "field",
         "cycle_basis",
         "boundary_basis",
-        "cycle_pivots",
-        "cycle_rows",
-        "boundary_pivots",
-        "boundary_rows",
+        "cycles",
+        "boundaries",
         "free_pivots",
         "_free_index",
         "dim",
@@ -387,26 +412,16 @@ class SubquotientSpace:
         self.field = fld
         self.cycle_basis = Z
         self.boundary_basis = B
+        cycles = self.cycles = Echelon(fld, list(Z.cols), Z.nrows)
+        boundaries = self.boundaries = Echelon(fld, list(B.cols), B.nrows)
 
-        zp, zrows, _ = build_rref(fld, list(Z.cols), Z.nrows)
-        bp, brows, _ = build_rref(fld, list(B.cols), B.nrows)
-        self.cycle_pivots = zp
-        self.cycle_rows = zrows
-        self.boundary_pivots = bp
-        self.boundary_rows = brows
-
-        zp_set = set(zp)
-        for k, row in enumerate(brows):
-            if bp[k] not in zp_set:
-                raise InclusionViolation(
-                    f"boundary pivot {bp[k]} outside the cycle space"
-                )
-            rem = reduce_against(zp, zrows, dict(row), fld)
-            if rem:
+        for p, row in zip(boundaries.pivots, boundaries.rows):
+            if p not in cycles.index:
+                raise InclusionViolation(f"boundary pivot {p} outside the cycle space")
+            if cycles.reduce(dict(row)):
                 raise InclusionViolation("boundary vector outside the cycle space")
 
-        bp_set = set(bp)
-        self.free_pivots = [p for p in zp if p not in bp_set]
+        self.free_pivots = [p for p in cycles.pivots if p not in boundaries.index]
         self._free_index = {p: k for k, p in enumerate(self.free_pivots)}
         self.dim = len(self.free_pivots)
 
@@ -415,29 +430,27 @@ class SubquotientSpace:
 
         Raises NotACycle when v is not in the cycle space.
         """
-        fld = self.field
-        u = coerce_vector(fld, v, self.ambient_dim)
-        reduce_against(self.boundary_pivots, self.boundary_rows, u, fld)
-        rec = {}
-        reduce_against(self.cycle_pivots, self.cycle_rows, u, fld, record=rec)
-        if u:
-            raise NotACycle("vector is not in the cycle space")
-        coords = [fld.zero] * self.dim
-        for p, f in rec.items():
-            k = self._free_index.get(p)
-            if k is not None:
-                coords[k] = f
+        coords = [self.field.zero] * self.dim
+        for k, f in self._coords(coerce_vector(self.field, v, self.ambient_dim)):
+            coords[k] = f
         return tuple(coords)
 
+    def _coords(self, u):
+        """The nonzero (k, coordinate) pairs of [u]; consumes the clean dict u."""
+        self.boundaries.reduce(u)
+        rec = {}
+        self.cycles.reduce(u, record=rec)
+        if u:
+            raise NotACycle("vector is not in the cycle space")
+        free = self._free_index
+        return [(free[p], f) for p, f in rec.items() if p in free]
+
     def is_boundary(self, v):
-        coords = self.coset_reduce(v)
-        return all(c == self.field.zero for c in coords)
+        return not self._coords(coerce_vector(self.field, v, self.ambient_dim))
 
     def representative(self, k):
         """Canonical ambient representative of generator k (sparse dict)."""
-        p = self.free_pivots[k]
-        i = self.cycle_pivots.index(p)
-        return dict(self.cycle_rows[i])
+        return dict(self.cycles.index[self.free_pivots[k]])
 
     def lift(self, coords):
         """Ambient representative of the class with the given coordinates."""
@@ -446,7 +459,7 @@ class SubquotientSpace:
         for k, c in enumerate(coords):
             c = fld.coerce(c)
             if c:
-                axpy(out, c, self.representative(k), fld)
+                axpy(out, c, self.cycles.index[self.free_pivots[k]], fld)
         return out
 
     def projection_section(self):
@@ -454,8 +467,7 @@ class SubquotientSpace:
         canonical coordinates, and its splitting by the representatives."""
         fld = self.field
         proj = SparseMat.from_columns(self.dim, fld, [
-            dict(enumerate(self.coset_reduce({t: fld.one})))
-            for t in range(self.ambient_dim)
+            dict(sorted(self._coords({t: fld.one}))) for t in range(self.ambient_dim)
         ])
         sect = SparseMat.from_columns(
             self.ambient_dim, fld, [self.representative(k) for k in range(self.dim)]

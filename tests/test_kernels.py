@@ -38,7 +38,7 @@ def _rank(rows, ncols, p):
 
 
 @pytest.mark.parametrize("p", [None] + PRIMES)
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_build_rref_matches_oracle(p, data):
     field = QQ if p is None else GF(p)

@@ -2,10 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochcap import QQ, GF, SparseMat, Solver, kernel_basis, rank, rref, solve, subquotient
 from hochcap.errors import InclusionViolation, NotACycle, ParseError
 from hochcap.fields import field_from_json
+from hochcap.linalg import Echelon, axpy
+
+from _oracle import dense_rank
+
+PRIMES = [2, 3, 101, (1 << 31) + 11]
 
 
 def F(x):
@@ -214,3 +221,172 @@ def test_subquotient_mod_p():
     assert sq.dim == 1
     assert sq.coset_reduce({1: 1, 2: 1}) == (1,)
     assert sq.is_boundary({0: 1, 1: 1})
+
+
+# -- properties of the echelon layer on random sparse input --------------
+
+
+def _field(p):
+    return QQ if p is None else GF(p)
+
+
+def _scalars(p):
+    if p is None:
+        return st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.integers(0, p - 1)
+
+
+@st.composite
+def sparse_columns(draw, field, p, nrows, ncols):
+    """ncols sparse columns of length nrows, at most 3 entries each."""
+    col = st.dictionaries(st.integers(0, nrows - 1), _scalars(p), max_size=3)
+    return [
+        {i: field.coerce(v) for i, v in c.items() if v}
+        for c in draw(st.lists(col, min_size=ncols, max_size=ncols))
+    ]
+
+
+@st.composite
+def sparse_matrices(draw, p):
+    field = _field(p)
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return SparseMat.from_columns(
+        nrows, field, draw(sparse_columns(field, p, nrows, ncols))
+    )
+
+
+def _rank_of_columns(cols, n, p):
+    return dense_rank([[c.get(i, 0) for i in range(n)] for c in cols], p)
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_kernel_basis_properties(p, data):
+    m = data.draw(sparse_matrices(p))
+    k = kernel_basis(m)
+    assert (m @ k).is_zero()
+    assert k.ncols == m.ncols - dense_rank(m.to_dense(), p)
+    # column j is {f_j: 1} followed by the pivots in increasing order, and
+    # the free columns f_j are exactly the non-pivot columns, increasing
+    _, pivots = rref(m)
+    free = [next(iter(c)) for c in k.cols]
+    assert free == [f for f in range(m.ncols) if f not in pivots]
+    for j, col in enumerate(k.cols):
+        assert col[free[j]] == 1
+        rest = list(col)[1:]
+        assert rest == sorted(rest) and set(rest) <= set(pivots)
+        assert not any(free[j] in other for i, other in enumerate(k.cols) if i != j)
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_solver_agrees_with_solve(p, data):
+    m = data.draw(sparse_matrices(p))
+    field = m.field
+    if data.draw(st.booleans()):
+        b = m.matvec(data.draw(sparse_columns(field, p, m.ncols, 1))[0])
+    else:
+        b = data.draw(sparse_columns(field, p, m.nrows, 1))[0]
+    x = Solver(m).solve(b)
+    assert x == solve(m, b)
+    consistent = _rank_of_columns(m.cols + [b], m.nrows, p) == _rank_of_columns(
+        m.cols, m.nrows, p
+    )
+    assert (x is None) == (not consistent)
+    if x is not None:
+        assert m.matvec(x) == b
+
+
+def _full_scan_coords(sq, v):
+    """Coset coordinates by scanning every pivot of B, then of Z."""
+    fld = sq.field
+    u, rec = dict(v), {}
+    for ech, out in ((sq.boundaries, {}), (sq.cycles, rec)):
+        for q, row in zip(ech.pivots, ech.rows):
+            f = u.get(q)
+            if f:
+                out[q] = f
+                axpy(u, fld.neg(f), row, fld)
+    assert not u
+    return tuple(rec.get(q, fld.zero) for q in sq.free_pivots)
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_subquotient_properties(p, data):
+    field = _field(p)
+    n = data.draw(st.integers(1, 8))
+    Z = SparseMat.from_columns(
+        n, field, data.draw(sparse_columns(field, p, n, data.draw(st.integers(1, 6))))
+    )
+    C = SparseMat.from_columns(
+        Z.ncols, field, data.draw(sparse_columns(field, p, Z.ncols, 3))
+    )
+    B = Z @ C
+    sq = subquotient(Z, B)
+    rank_z = _rank_of_columns(Z.cols, n, p)
+    assert sq.dim == rank_z - _rank_of_columns(B.cols, n, p)
+
+    for y in data.draw(sparse_columns(field, p, Z.ncols, 3)):
+        v = Z.matvec(y)
+        coords = sq.coset_reduce(v)
+        assert coords == _full_scan_coords(sq, v)
+        # v and the lift of its class differ by a boundary
+        back = sq.lift(coords)
+        assert sq.coset_reduce(back) == coords
+        diff = dict(v)
+        axpy(diff, field.neg(field.one), back, field)
+        assert sq.is_boundary(diff)
+
+    for w in data.draw(sparse_columns(field, p, n, 2)):
+        if _rank_of_columns(Z.cols + [w], n, p) > rank_z:
+            with pytest.raises(NotACycle):
+                sq.coset_reduce(w)
+
+    outside = [
+        t for t in range(n) if _rank_of_columns(Z.cols + [{t: field.one}], n, p) > rank_z
+    ]
+    if outside:
+        bad = SparseMat.from_columns(n, field, B.cols + [{outside[0]: field.one}])
+        with pytest.raises(InclusionViolation):
+            subquotient(Z, bad)
+
+
+class _CountingDict(dict):
+    """A dict that counts its keyed lookups."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("support", [1, 2, 3])
+def test_reduce_cost_is_support_plus_fill_not_rank(support):
+    # rank 6000, two entries per row: pivot 2i, tail 2i + 1
+    fld = GF(101)
+    rank_ = 6000
+    ech = Echelon(fld, [{2 * i: 1, 2 * i + 1: i % 100 + 1} for i in range(rank_)], 2 * rank_)
+    assert len(ech.pivots) == rank_
+    hit = [2 * i for i in (17, 2900, 5999)][:support]
+    fill = sum(len(ech.index[q]) for q in hit)
+    ech.index = _CountingDict(ech.index)
+    v = _CountingDict({q: 3 for q in hit})
+    rec = {}
+    ech.reduce(v, record=rec)
+    # a scan over every pivot would make rank_ lookups here
+    assert v.lookups + ech.index.lookups <= 3 * (support + fill)
+    assert rec == {q: 3 for q in hit}
+    assert v == {q + 1: (-3 * (q // 2 % 100 + 1)) % 101 for q in hit}
