@@ -6,6 +6,8 @@ the coordinates of the unit.  Structure constants are stored sparsely:
 `mult[i][j]` is the dict {l: c} of the product e_i * e_j.
 """
 
+import weakref
+
 from .errors import ValidationError
 from .linalg import SparseMat, acc, axpy, coerce_vector, kernel_basis
 
@@ -118,16 +120,30 @@ class AlgebraPresentation:
         return True
 
     def regular(self):
-        """The algebra as a bimodule over itself (cached singleton)."""
-        if "regular" not in self._cache:
+        """The algebra as a bimodule over itself.
+
+        The same object comes back for as long as some caller holds it.
+        The cache keeps only a weak reference: the bimodule points back
+        at the algebra, and a strong one would make a reference cycle,
+        so the two and all their caches would wait for the cyclic
+        garbage collector instead of being freed when dropped.
+        """
+        ref = self._cache.get("regular")
+        bm = ref() if ref is not None else None
+        if bm is None:
             from .bimodules import Bimodule
 
             left = tuple(self.left_matrix(i) for i in range(self.dim))
             right = tuple(self.right_matrix(i) for i in range(self.dim))
             bm = Bimodule(self, self.dim, left, right, label="regular")
             bm.validate()
-            self._cache["regular"] = bm
-        return self._cache["regular"]
+            self._cache["regular"] = weakref.ref(bm)
+        return bm
+
+    def is_regular(self, M):
+        """Whether M is the regular bimodule, without building it."""
+        ref = self._cache.get("regular")
+        return ref is not None and ref() is M
 
     def __repr__(self):
         name = self.label or "algebra"

@@ -24,7 +24,7 @@ from .linalg import (
 
 
 class Bimodule:
-    __slots__ = ("algebra", "dim", "left", "right", "label", "_cache")
+    __slots__ = ("algebra", "dim", "left", "right", "label", "_cache", "__weakref__")
 
     def __init__(self, algebra, dim, left, right, label=None):
         self.algebra = algebra

@@ -202,15 +202,14 @@ def check_diagonal_identities(A, max_total, insert=None):
 
 # -- the chain level product ---------------------------------------------
 
-def _cochain_value(M, T, m, w):
-    """T(e_w) as a sparse module vector."""
-    r = M.dim
-    base = tuple_rank(M.algebra.dim, w) * r
-    fld = M.field
+def _cochain_value(T, r, d, w):
+    """T(e_w) as a sparse vector of a module of dimension r over an
+    algebra of dimension d."""
+    base = tuple_rank(d, w) * r
     out = {}
     for j in range(r):
         v = T.get(base + j)
-        if v is not None and v != fld.zero:
+        if v:
             out[j] = v
     return out
 
@@ -230,7 +229,7 @@ def cap_chain(N, n, xi, M, m, T, tens=None):
     for idx, coeff in xi.items():
         x, wrank = divmod(idx, d ** n)
         w = tuple_digits(d, n, wrank)
-        tvec = _cochain_value(M, T, m, w[:m])
+        tvec = _cochain_value(T, M.dim, d, w[:m])
         if not tvec:
             continue
         if tens is None:
@@ -258,7 +257,7 @@ def descent_defect(N, n, xi, M, m, T, tens=None):
     if not 0 <= m < n:
         raise DegreeError("the descent identity needs 0 <= m < n")
     fld = N.field
-    if tens is None and M is not N.algebra.regular():
+    if tens is None and not N.algebra.is_regular(M):
         tens = tensor_over_algebra(N, M)
 
     target = N if tens is None else tens.module
@@ -289,7 +288,7 @@ class CapPairing:
         self.coefficients = M
         self.chains = homology(N, n)
         self.cochains = cohomology(M, m)
-        if tens is None and M is N.algebra.regular():
+        if tens is None and N.algebra.is_regular(M):
             self.tens = None
             target_module = N
         else:
@@ -409,12 +408,11 @@ def explicit_lift(A, T, m, up_to):
         raise DegreeError("lift degrees must be nonnegative")
     fld = A.field
     d = A.dim
-    reg = A.regular()
     values = []
     for i in range(up_to + 1):
         layer = {}
         for w in tuples(d, m + i):
-            tvec = _cochain_value(reg, T, m, w[:m])
+            tvec = _cochain_value(T, d, d, w[:m])
             vec = {}
             mid = tuple_rank(d, w[m:])
             for j, tv in tvec.items():
@@ -468,12 +466,11 @@ def solve_lift(A, T, m, up_to, seed=None):
         raise DegreeError("lift degrees must be nonnegative")
     fld = A.field
     d = A.dim
-    reg = A.regular()
     sign_m = fld.one if m % 2 == 0 else fld.neg(fld.one)
     values = []
     layer0 = {}
     for w in tuples(d, m):
-        sol = _aug_solver(A).solve(_cochain_value(reg, T, m, w))
+        sol = _aug_solver(A).solve(_cochain_value(T, d, d, w))
         if sol is None:  # cannot happen: d_0 is onto
             raise LiftFailed(f"augmentation not solvable at {w}")
         layer0[w] = sol
@@ -529,10 +526,9 @@ def coboundary_lift(A, S, m, up_to):
         raise DegreeError("a coboundary lift needs m >= 1")
     fld = A.field
     d = A.dim
-    reg = A.regular()
     shat = {}
     for w in tuples(d, m - 1):
-        sol = _aug_solver(A).solve(_cochain_value(reg, S, m - 1, w))
+        sol = _aug_solver(A).solve(_cochain_value(S, d, d, w))
         if sol is None:  # d_0 is onto
             raise LiftFailed(f"augmentation not solvable at {w}")
         shat[w] = sol
@@ -551,12 +547,11 @@ def verify_lift(A, T, m, lift):
     """
     fld = A.field
     d = A.dim
-    reg = A.regular()
     sign_m = fld.one if m % 2 == 0 else fld.neg(fld.one)
     checked = 0
     aug = augmentation_matrix(A)
     for w in tuples(d, m):
-        if aug.matvec(lift.value(0, w)) != _cochain_value(reg, T, m, w):
+        if aug.matvec(lift.value(0, w)) != _cochain_value(T, d, d, w):
             raise LiftFailed(f"degree 0 value at {w} does not project to T")
         checked += 1
     for i in range(1, lift.depth + 1):

@@ -137,32 +137,35 @@ def coboundary_matrix(M, m):
     return mat
 
 
+def _class_subquotient(module, degree, kind):
+    """Z / B in the given degree of the chain or cochain complex."""
+    fld = module.field
+    if kind == "homology":
+        if degree == 0:
+            Z = SparseMat.identity(module.dim, fld)
+        else:
+            Z = kernel_basis(boundary_matrix(module, degree))
+        B = boundary_matrix(module, degree + 1)
+    else:
+        Z = kernel_basis(coboundary_matrix(module, degree))
+        if degree == 0:
+            B = SparseMat.zero(module.dim, 0, fld)
+        else:
+            B = coboundary_matrix(module, degree - 1)
+    return subquotient(Z, B)
+
+
 class ClassSpace:
     """H_n(A, N) (kind "homology") or H^n(A, N) (kind "cohomology") with
     canonical class coordinates."""
 
     __slots__ = ("module", "degree", "kind", "space")
 
-    def __init__(self, module, degree, kind):
-        if degree < 0:
-            raise DegreeError(f"{kind} degree must be nonnegative")
+    def __init__(self, module, degree, kind, space):
         self.module = module
         self.degree = degree
         self.kind = kind
-        fld = module.field
-        if kind == "homology":
-            if degree == 0:
-                Z = SparseMat.identity(module.dim, fld)
-            else:
-                Z = kernel_basis(boundary_matrix(module, degree))
-            B = boundary_matrix(module, degree + 1)
-        else:
-            Z = kernel_basis(coboundary_matrix(module, degree))
-            if degree == 0:
-                B = SparseMat.zero(module.dim, 0, fld)
-            else:
-                B = coboundary_matrix(module, degree - 1)
-        self.space = subquotient(Z, B)
+        self.space = space
 
     @property
     def dim(self):
@@ -184,11 +187,16 @@ class ClassSpace:
 
 
 def _class_space(module, degree, kind):
+    # the module caches the subquotient, which does not point back at the
+    # module; a cached ClassSpace would, and the cycle would keep every
+    # cached matrix alive until the cyclic garbage collector ran
+    if degree < 0:
+        raise DegreeError(f"{kind} degree must be nonnegative")
     key = (kind, degree)
-    cs = module._cache.get(key)
-    if cs is None:
-        cs = module._cache[key] = ClassSpace(module, degree, kind)
-    return cs
+    space = module._cache.get(key)
+    if space is None:
+        space = module._cache[key] = _class_subquotient(module, degree, kind)
+    return ClassSpace(module, degree, kind, space)
 
 
 def homology(N, n):

@@ -1,10 +1,17 @@
 """Ground fields: the rationals and prime fields.
 
-Field elements are plain Python objects: `Fraction` for Q, ints in
-[0, p) for F_p.  A field object only bundles the arithmetic, parsing and
-formatting conventions; it never wraps the scalars themselves, so the
-rest of the package can use native operators through these helpers
-without boxing overhead.
+Field elements are plain Python objects.  Over Q they are integer
+first: an `int` whenever the value is integral, a `Fraction` only when
+its denominator exceeds 1.  Over F_p they are ints in [0, p).  A field
+object only bundles the arithmetic, parsing and formatting conventions;
+it never wraps the scalars themselves, so the rest of the package can
+use native operators through these helpers without boxing overhead.
+
+The canonical form over Q is set where scalars enter (`coerce`, `inv`)
+and where the elimination kernel emits them, not by `add` or `mul`.
+Python's `int`/`Fraction` mixing is exact, and an `int` equals its
+integral `Fraction` with the same hash and `str()`, so a sum that comes
+out as `Fraction(2, 1)` compares, hashes and prints like `2`.
 """
 
 from fractions import Fraction
@@ -41,26 +48,26 @@ def _is_prime(n):
 
 
 class Rationals:
-    """The field Q.  Elements are `fractions.Fraction`."""
+    """The field Q.  Elements are `int`s, or `Fraction`s that are not integral."""
 
     kind = "Q"
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         if isinstance(x, str):
             try:
-                return Fraction(x.strip())
+                x = Fraction(x.strip())
             except (ValueError, ZeroDivisionError) as e:
                 raise ParseError(f"bad rational literal {x!r}") from e
-        raise ParseError(f"cannot coerce {x!r} into Q")
+        elif not isinstance(x, Fraction):
+            raise ParseError(f"cannot coerce {x!r} into Q")
+        return x.numerator if x.denominator == 1 else x
 
     def add(self, a, b):
         return a + b
@@ -77,7 +84,8 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        q = Fraction(1, a)
+        return q.numerator if q.denominator == 1 else q
 
     def format(self, x):
         return str(x)

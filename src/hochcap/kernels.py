@@ -6,11 +6,13 @@ output is canonical: the reduced row echelon form of a row space is
 unique, pivots are always the leftmost possible, and rows come out
 sorted by pivot column.
 
-Rows are sparse dicts {column: value}.  Over Q the values entering and
-leaving are `Fraction`s, but internally each row is scaled to a primitive
+Rows are sparse dicts {column: value}.  Over Q the values entering may
+be `int`s or `Fraction`s; internally each row is scaled to a primitive
 integer vector (content 1), so an elimination step is integer arithmetic
-plus one gcd pass instead of a gcd per entry.  Over F_p the values are
-ints in [0, p).
+plus one gcd pass instead of a gcd per entry.  The values leaving are
+integer first, like `fields.Rationals`: an `int` wherever the leading
+entry divides it, a `Fraction` with denominator > 1 otherwise.  Over F_p
+the values are ints in [0, p).
 
 `pivot_limit` caps the columns allowed to carry a pivot.  Rows whose
 reduction is supported entirely on columns >= pivot_limit are returned in
@@ -20,7 +22,7 @@ all their consumers need.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def build_rref(field, rows, ncols, pivot_limit=None, stop_on_defect=False):
@@ -67,7 +69,8 @@ def _primitive(u):
 def _rref_rational(rows, pivot_limit, stop_on_defect):
     """Incremental rref over Q.
 
-    rows: iterable of {col: Fraction | int}; output values are Fractions.
+    rows: iterable of {col: int | Fraction}; output values are ints, or
+    Fractions with denominator > 1.
     """
     pivot_of = {}          # pivot col -> index into basis
     basis = []             # primitive integer dicts
@@ -79,18 +82,13 @@ def _rref_rational(rows, pivot_limit, stop_on_defect):
             col_rows.setdefault(c, set()).add(idx)
 
     for row in rows:
-        u = {}
-        den = 1
-        for c, v in row.items():
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
-            if v:
-                u[c] = v
+        u = {c: v for c, v in row.items() if v}
         if not u:
             continue
-        for v in u.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        u = {c: int(v * den) for c, v in u.items()}
+        dens = [v.denominator for v in u.values() if type(v) is not int]
+        if dens:
+            den = lcm(*dens)
+            u = {c: v.numerator * (den // v.denominator) for c, v in u.items()}
         _primitive(u)
 
         # one pass over the pivot columns present in u, ascending; a fully
@@ -135,7 +133,11 @@ def _rref_rational(rows, pivot_limit, stop_on_defect):
     for p in pivots:
         b = basis[pivot_of[p]]
         lead = b[p]
-        out.append({c: Fraction(v, lead) for c, v in sorted(b.items())})
+        if lead == 1:
+            out.append(dict(sorted(b.items())))
+        else:
+            out.append({c: v // lead if v % lead == 0 else Fraction(v, lead)
+                        for c, v in sorted(b.items())})
     return pivots, out, defects
 
 

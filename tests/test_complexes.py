@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -247,3 +248,24 @@ def test_memory_guard_trips_on_cached_builds():
     finally:
         config.set_max_coordinates(None)
     assert config.max_coordinates() == 1 << 24
+
+
+def test_caches_are_freed_by_reference_counting():
+    # nothing a computation caches points back at its algebra or module,
+    # so dropping the module frees it and its caches at once, without
+    # waiting for the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert homology_dims(zoo.get("truncated_cubic").regular(), 3) == [3, 2, 2, 2]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_regular_is_shared_while_held():
+    A = zoo.get("dual_numbers")
+    N = A.regular()
+    assert A.regular() is N and A.is_regular(N)
+    assert homology(N, 1).space is homology(N, 1).space
+    assert not A.is_regular(coinduced(N).module)

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochcap import kernels
+from hochcap import kernels, zoo
+from hochcap.complexes import boundary_matrix, coboundary_matrix
 from hochcap.fields import GF, QQ
+from hochcap.linalg import Echelon, kernel_basis
 
 from _oracle import dense_rank
 
@@ -25,12 +27,20 @@ def sparse_rows(draw, p):
     """(ncols, rows, pivot_limit, stop_on_defect); rows may hold zeros."""
     ncols = draw(st.integers(1, 10))
     if p is None:
-        value = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+        value = st.one_of(
+            st.integers(-9, 9),
+            st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        )
     else:
         value = st.integers(-2 * p, 2 * p)
     row = st.dictionaries(st.integers(0, ncols - 1), value, max_size=ncols)
     rows = draw(st.lists(row, max_size=9))
     return ncols, rows, draw(st.integers(0, ncols)), draw(st.booleans())
+
+
+def is_canonical_q(v):
+    """An int, or a Fraction that is not integral."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
 def _rank(rows, ncols, p):
@@ -55,7 +65,7 @@ def test_build_rref_matches_oracle(p, data):
         assert set(row) & set(pivots) == {lead}  # fully reduced
         for v in row.values():
             assert v != 0
-            assert isinstance(v, Fraction) if p is None else 0 <= v < p
+            assert is_canonical_q(v) if p is None else 0 <= v < p
 
     got, _, defects = kernels.build_rref(
         field, rows, ncols, pivot_limit=limit, stop_on_defect=stop
@@ -79,3 +89,30 @@ def test_pure_lane_always_importable():
     assert pivots == [0, 1]
     assert rows == [{0: Fraction(1)}, {1: Fraction(1)}]
     assert defects == []
+
+
+def test_rational_rows_keep_fractions_only_where_needed():
+    pivots, rows, _ = kernels.build_rref(
+        QQ, [{0: 2, 1: 1}, {0: Fraction(1, 2), 2: Fraction(3, 2)}], 3
+    )
+    assert pivots == [0, 1]
+    assert rows == [{0: 1, 2: 3}, {1: 1, 2: -6}]
+    assert all(type(v) is int for row in rows for v in row.values())
+    _, rows, _ = kernels.build_rref(QQ, [{0: 2, 1: 1}], 2)
+    assert rows == [{0: 1, 1: Fraction(1, 2)}] and type(rows[0][0]) is int
+
+
+@pytest.mark.parametrize("name", [n for n in zoo.ZOO if zoo.get(n).field is QQ])
+def test_zoo_differentials_stay_integral(name):
+    # every Q zoo algebra has integral structure constants, so its
+    # differentials hold only ints; their rrefs and kernel bases hold an
+    # int wherever the value is integral (truncated_cubic's b_2 and
+    # delta^1 genuinely need halves)
+    N = zoo.get(name).regular()
+    mats = [boundary_matrix(N, n) for n in range(1, 4)]
+    mats += [coboundary_matrix(N, m) for m in range(3)]
+    for mat in mats:
+        assert all(type(v) is int for col in mat.cols for v in col.values())
+        rows = Echelon(QQ, mat.rows_view(), mat.ncols).rows
+        for vecs in (rows, kernel_basis(mat).cols):
+            assert all(is_canonical_q(v) for vec in vecs for v in vec.values())

@@ -34,6 +34,40 @@ def test_field_parsing():
         field_from_json({"kind": "R"})
 
 
+def test_qq_coerce_is_integer_first():
+    for x in (0, -7, True, Fraction(6, 3), Fraction(0), "4/2", " -3 ", "2.0"):
+        assert type(QQ.coerce(x)) is int, x
+    assert QQ.coerce("4/2") == 2 and QQ.coerce(True) == 1
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for x in (Fraction(1, 3), Fraction(-5, 2), "3/4", "1.5"):
+        y = QQ.coerce(x)
+        assert type(y) is Fraction and y.denominator > 1, x
+    with pytest.raises(ParseError):
+        QQ.coerce(1.5)
+
+
+def test_qq_inv_is_exact_and_integer_first():
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert type(QQ.inv(Fraction(1, 4))) is int and QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+@given(
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=9)),
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=9)),
+)
+def test_qq_operations_never_return_float(a, b):
+    a, b = QQ.coerce(a), QQ.coerce(b)
+    out = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+    if b:
+        out.append(QQ.inv(b))
+        assert QQ.mul(b, QQ.inv(b)) == 1
+    for v in out:
+        assert type(v) in (int, Fraction), (a, b, v)
+
+
 def test_is_prime_agrees_with_trial_division():
     from hochcap.fields import _is_prime
 
