@@ -14,6 +14,8 @@ short exact sequence exact.  When it does not, the check reports a
 skip carrying the exactness diagnostic instead of silently passing.
 """
 
+import random
+
 from . import zoo
 from .bimodules import (
     Bimodule,
@@ -75,6 +77,18 @@ def summarize(results):
     return f"{n['pass']} passed, {n['fail']} failed, {n['skip']} skipped"
 
 
+def _row(check, instance, degrees, cases, noun):
+    """One result row from a stream of cases, each None when it holds and
+    a witness when it does not: a fail on the first witness (the rest of
+    the stream is never computed), else a pass counting the cases."""
+    count = 0
+    for witness in cases:
+        count += 1
+        if witness is not None:
+            return CheckResult(check, instance, degrees, "fail", f"witness {witness}")
+    return CheckResult(check, instance, degrees, "pass", f"{count} {noun}")
+
+
 def _unit_coords(dim, k, fld):
     return tuple(fld.one if i == k else fld.zero for i in range(dim))
 
@@ -95,42 +109,33 @@ def _scaled(fld, coords, sign_exp):
 def check_center_linearity(A, n_max=3):
     """z.(gamma cap eps) = (z.gamma) cap eps = gamma cap (z.eps) for central z."""
     N = A.regular()
-    fld = A.field
     rows = []
     for n in range(n_max + 1):
         for m in range(n + 1):
-            pairing = CapPairing(N, n, N, m)
-            hs, cs, tgt = pairing.chains, pairing.cochains, pairing.target
-            bad = None
-            pairs = 0
-            for z in A.center():
-                zh = central_action(hs, z)
-                zc = central_action(cs, z)
-                zt = central_action(tgt, z)
-                for a in range(hs.dim):
-                    ga = _unit_coords(hs.dim, a, fld)
-                    zga = _dense(fld, zh.matvec({a: fld.one}), hs.dim)
-                    for b in range(cs.dim):
-                        eb = _unit_coords(cs.dim, b, fld)
-                        zeb = _dense(fld, zc.matvec({b: fld.one}), cs.dim)
-                        base = pairing.of_classes(ga, eb)
-                        want = zt.matvec(coerce_vector(fld, base))
-                        left = coerce_vector(fld, pairing.of_classes(zga, eb))
-                        right = coerce_vector(fld, pairing.of_classes(ga, zeb))
-                        pairs += 1
-                        if left != want or right != want:
-                            bad = (z, a, b, left, right, want)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            status = "fail" if bad else "pass"
-            detail = f"{pairs} products" if not bad else f"witness {bad}"
-            rows.append(
-                CheckResult("center-linearity", A.label, (n, m), status, detail)
-            )
+            cases = _center_cases(A, CapPairing(N, n, N, m))
+            rows.append(_row("center-linearity", A.label, (n, m), cases, "products"))
     return rows
+
+
+def _center_cases(A, pairing):
+    fld = A.field
+    hs, cs, tgt = pairing.chains, pairing.cochains, pairing.target
+    for z in A.center():
+        zh = central_action(hs, z)
+        zc = central_action(cs, z)
+        zt = central_action(tgt, z)
+        for a in range(hs.dim):
+            ga = _unit_coords(hs.dim, a, fld)
+            zga = _dense(fld, zh.matvec({a: fld.one}), hs.dim)
+            for b in range(cs.dim):
+                eb = _unit_coords(cs.dim, b, fld)
+                zeb = _dense(fld, zc.matvec({b: fld.one}), cs.dim)
+                base = pairing.of_classes(ga, eb)
+                want = zt.matvec(coerce_vector(fld, base))
+                left = coerce_vector(fld, pairing.of_classes(zga, eb))
+                right = coerce_vector(fld, pairing.of_classes(ga, zeb))
+                ok = left == want and right == want
+                yield None if ok else (z, a, b, left, right, want)
 
 
 def check_homology_connecting(ses, M, n_max=3, instance=None):
@@ -142,51 +147,7 @@ def check_homology_connecting(ses, M, n_max=3, instance=None):
     exactness, since then that connecting map does not exist.
     """
     instance = instance or f"{ses.label or 'ses'} by {M.label or 'M'}"
-    try:
-        tses, (t1, _, t3) = tensor_ses_with(ses, M)
-    except NotExact as e:
-        return [
-            CheckResult(
-                "connecting-homology",
-                instance,
-                (),
-                "skip",
-                f"tensored sequence not exact: {e}",
-            )
-        ]
-    fld = M.field
-    rows = []
-    for n in range(1, n_max + 1):
-        delta_o = connecting_homology(ses, n)
-        for m in range(n):
-            pair3 = CapPairing(ses.right, n, M, m, tens=t3)
-            pair1 = CapPairing(ses.left, n - 1, M, m, tens=t1)
-            delta_t = connecting_homology(tses, n - m)
-            bad = None
-            pairs = 0
-            for a in range(pair3.chains.dim):
-                ga = _unit_coords(pair3.chains.dim, a, fld)
-                dga = _dense(fld, delta_o.col(a), pair1.chains.dim)
-                for b in range(pair3.cochains.dim):
-                    eb = _unit_coords(pair3.cochains.dim, b, fld)
-                    lhs = delta_t.matvec(
-                        coerce_vector(fld, pair3.of_classes(ga, eb))
-                    )
-                    rhs = _scaled(
-                        fld, pair1.of_classes(dga, eb), m + HOMOLOGY_SIGN_OFFSET
-                    )
-                    pairs += 1
-                    if lhs != rhs:
-                        bad = (a, b, lhs, rhs)
-                        break
-                if bad:
-                    break
-            status = "fail" if bad else "pass"
-            detail = f"{pairs} products" if not bad else f"witness {bad}"
-            rows.append(
-                CheckResult("connecting-homology", instance, (n, m), status, detail)
-            )
-    return rows
+    return _check_connecting("homology", ses, M, n_max, instance)
 
 
 def check_cohomology_connecting(N, ses, n_max=3, instance=None):
@@ -197,53 +158,57 @@ def check_cohomology_connecting(N, ses, n_max=3, instance=None):
     tensoring with N on the left.  Skips when that sequence is not exact.
     """
     instance = instance or f"{N.label or 'N'} by {ses.label or 'ses'}"
+    return _check_connecting("cohomology", N, ses, n_max, instance)
+
+
+def _check_connecting(kind, N, M, n_max, instance):
+    """Both connecting checks: the short exact sequence is N for kind
+    "homology" and M for kind "cohomology"; the other argument is the
+    bimodule it is tensored with."""
+    check = f"connecting-{kind}"
+    homology = kind == "homology"
+    ses = N if homology else M
     try:
-        tses, (t1, _, t3) = tensor_with_ses(N, ses)
+        tses, (t1, _, t3) = tensor_ses_with(N, M) if homology else tensor_with_ses(N, M)
     except NotExact as e:
-        return [
-            CheckResult(
-                "connecting-cohomology",
-                instance,
-                (),
-                "skip",
-                f"tensored sequence not exact: {e}",
-            )
-        ]
-    fld = N.field
+        return [CheckResult(check, instance, (), "skip", f"tensored sequence not exact: {e}")]
     rows = []
     for n in range(1, n_max + 1):
+        conn = {}  # connecting maps of `ses` by degree, shared by the m of one n
         for m in range(n):
-            pair3 = CapPairing(N, n, ses.right, m, tens=t3)
-            pair1 = CapPairing(N, n, ses.left, m + 1, tens=t1)
-            conn = connecting_cohomology(ses, m)
+            if homology:  # (delta gamma) cap eps, delta: H_n -> H_{n-1}
+                pair3 = CapPairing(ses.right, n, M, m, tens=t3)
+                pair1 = CapPairing(ses.left, n - 1, M, m, tens=t1)
+                k, sign = n, m + HOMOLOGY_SIGN_OFFSET
+            else:  # gamma cap (partial eps), partial: H^m -> H^{m+1}
+                pair3 = CapPairing(N, n, ses.right, m, tens=t3)
+                pair1 = CapPairing(N, n, ses.left, m + 1, tens=t1)
+                k, sign = m, m + 1 + COHOMOLOGY_SIGN_OFFSET
+            if k not in conn:
+                conn[k] = (connecting_homology if homology else connecting_cohomology)(ses, k)
             delta_t = connecting_homology(tses, n - m)
-            bad = None
-            pairs = 0
-            for a in range(pair3.chains.dim):
-                ga = _unit_coords(pair3.chains.dim, a, fld)
-                for b in range(pair3.cochains.dim):
-                    eb = _unit_coords(pair3.cochains.dim, b, fld)
-                    deb = _dense(fld, conn.col(b), pair1.cochains.dim)
-                    lhs = delta_t.matvec(
-                        coerce_vector(fld, pair3.of_classes(ga, eb))
-                    )
-                    rhs = _scaled(
-                        fld,
-                        pair1.of_classes(ga, deb),
-                        m + 1 + COHOMOLOGY_SIGN_OFFSET,
-                    )
-                    pairs += 1
-                    if lhs != rhs:
-                        bad = (a, b, lhs, rhs)
-                        break
-                if bad:
-                    break
-            status = "fail" if bad else "pass"
-            detail = f"{pairs} products" if not bad else f"witness {bad}"
-            rows.append(
-                CheckResult("connecting-cohomology", instance, (n, m), status, detail)
-            )
+            cases = _connecting_cases(homology, pair3, pair1, conn[k], delta_t, sign)
+            rows.append(_row(check, instance, (n, m), cases, "products"))
     return rows
+
+
+def _connecting_cases(homology, pair3, pair1, conn, delta_t, sign_exp):
+    """delta_t(ga cap eb) against sign * (conn ga) cap eb, or against
+    sign * ga cap (conn eb) for the cohomology check."""
+    fld = conn.field
+    images = [_dense(fld, conn.col(k), conn.nrows) for k in range(conn.ncols)]
+    hs, cs = pair3.chains, pair3.cochains
+    for a in range(hs.dim):
+        ga = _unit_coords(hs.dim, a, fld)
+        for b in range(cs.dim):
+            eb = _unit_coords(cs.dim, b, fld)
+            lhs = delta_t.matvec(coerce_vector(fld, pair3.of_classes(ga, eb)))
+            if homology:
+                rhs = pair1.of_classes(images[a], eb)
+            else:
+                rhs = pair1.of_classes(ga, images[b])
+            rhs = _scaled(fld, rhs, sign_exp)
+            yield None if lhs == rhs else (a, b, lhs, rhs)
 
 
 def check_degree_zero(N, M, shifts=3, seed=11, instance=None):
@@ -254,17 +219,17 @@ def check_degree_zero(N, M, shifts=3, seed=11, instance=None):
     equals the class of x (x) y, for any commutator shift of x.  The
     shift independence uses that y is invariant, so it is asserted too.
     """
-    import random
-
-    A = N.algebra
-    fld = N.field
     instance = instance or f"{N.label or 'N'} (x) {M.label or 'M'}"
     tens = tensor_over_algebra(N, M)
     pairing = CapPairing(N, 0, M, 0, tens)
+    cases = _degree_zero_cases(N, M, tens, pairing, shifts, random.Random(seed))
+    return [_row("degree-zero", instance, (0, 0), cases, "squares")]
+
+
+def _degree_zero_cases(N, M, tens, pairing, shifts, rng):
+    A = N.algebra
+    fld = N.field
     hs, cs = pairing.chains, pairing.cochains
-    rng = random.Random(seed)
-    bad = None
-    pairs = 0
     for a in range(hs.dim):
         ga = _unit_coords(hs.dim, a, fld)
         x = hs.lift(ga)
@@ -276,23 +241,13 @@ def check_degree_zero(N, M, shifts=3, seed=11, instance=None):
                 bottom = coerce_vector(
                     fld, pairing.target.class_of(tens.project_pure(x, y))
                 )
-                pairs += 1
-                if bottom != cap:
-                    bad = (a, b, bottom, cap)
-                    break
+                yield None if bottom == cap else (a, b, bottom, cap)
                 # replace x by x + a.w - w.a for random a and w
                 s = rng.randrange(A.dim)
                 w = {rng.randrange(N.dim): fld.coerce(rng.randint(-2, 2))}
                 x = dict(x)
                 axpy(x, fld.one, N.act_left({s: fld.one}, w), fld)
                 axpy(x, fld.neg(fld.one), N.act_right(w, {s: fld.one}), fld)
-            if bad:
-                break
-        if bad:
-            break
-    status = "fail" if bad else "pass"
-    detail = f"{pairs} squares" if not bad else f"witness {bad}"
-    return [CheckResult("degree-zero", instance, (0, 0), status, detail)]
 
 
 def check_dimension_shift(A, deg_max=3):

@@ -137,27 +137,18 @@ def _tv_insert_unit(A, vec, pos):
     return out
 
 
-def _tv_bar_d(A, vec, nfaces):
+def _tv_faces(A, vec, first, count):
+    """sum_k (-1)^k (contract slots first+k, first+k+1) for k < count.
+
+    With first = 0 and count = n + 2 this is the bar differential d_n;
+    on the realization of Bar_i (x)_A Bar_j, d (x) 1 is the first i+1
+    faces and 1 (x) d the next j+1, with signs counted from the seam.
+    """
     fld = A.field
     out = {}
-    for k in range(nfaces):
+    for k in range(count):
         sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
-        axpy(out, sign, _tv_mult_slot(A, vec, k), fld)
-    return out
-
-
-def _tv_partial_left(A, vec, i):
-    # d (x) 1 on the realization of Bar_i (x)_A Bar_j: the first i+1 faces
-    return _tv_bar_d(A, vec, i + 1)
-
-
-def _tv_partial_right(A, vec, i, j):
-    # 1 (x) d: the last j+1 faces, with signs counted from the seam
-    fld = A.field
-    out = {}
-    for k in range(j + 1):
-        sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
-        axpy(out, sign, _tv_mult_slot(A, vec, i + 1 + k), fld)
+        axpy(out, sign, _tv_mult_slot(A, vec, first + k), fld)
     return out
 
 
@@ -171,8 +162,10 @@ def check_diagonal_identities(A, max_total, insert=None):
 
     and in total degree zero, multiplying the three factors of the image
     of D_{0,0} recovers the augmentation.  Returns the list of failing
-    instances; empty means every identity holds.  `insert` may override
-    the comultiplication (vector in, position argument as in
+    instances, ("split", i, j, generator) ordered by total degree, then
+    generator, then i, followed by ("augment", 0, 0, generator); empty
+    means every identity holds.  `insert` may override the
+    comultiplication (vector in, position argument as in
     `_tv_insert_unit`) so a wrong candidate can be shown to fail.
     """
     if insert is None:
@@ -181,16 +174,21 @@ def check_diagonal_identities(A, max_total, insert=None):
     d = A.dim
     failures = []
     for total in range(max_total + 1):
-        for i in range(total + 1):
-            j = total - i
-            for c in tuples(d, total + 3):
-                gen = {c: fld.one}
-                lhs = insert(A, _tv_bar_d(A, gen, total + 2), i)
-                rhs = _tv_partial_left(A, insert(A, gen, i + 1), i + 1)
+        for c in tuples(d, total + 3):
+            gen = {c: fld.one}
+            boundary = _tv_faces(A, gen, 0, total + 2)
+            # D_{i,j+1} of this split is D_{i+1,j} of the one before
+            below = insert(A, gen, 0)
+            for i in range(total + 1):
+                j = total - i
+                above = insert(A, gen, i + 1)
+                lhs = insert(A, boundary, i)
+                rhs = _tv_faces(A, above, 0, i + 2)
                 sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-                axpy(rhs, sign, _tv_partial_right(A, insert(A, gen, i), i, j + 1), fld)
+                axpy(rhs, sign, _tv_faces(A, below, i + 1, j + 2), fld)
                 if lhs != rhs:
                     failures.append(("split", i, j, c))
+                below = above
     for c in tuples(d, 2):
         gen = {c: fld.one}
         lhs = _tv_mult_slot(A, _tv_mult_slot(A, insert(A, gen, 0), 0), 0)

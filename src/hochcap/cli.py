@@ -23,7 +23,7 @@ import sys
 from . import axioms, config, serialize, zoo
 from .bimodules import coinduced, induced
 from .cap import CapPairing
-from .complexes import cohomology_dims, homology_dims
+from .complexes import class_dims
 from .errors import HochcapError, MemoryGuardError, ParseError, ValidationError
 
 EXIT_OK = 0
@@ -82,32 +82,19 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def cmd_homology(args):
+def cmd_dims(args):
     A, modules = _load_algebra(args.algebra)
     N = _resolve_module(A, modules, args.module)
-    dims = homology_dims(N, args.max_degree)
+    kind = args.command
+    dims = class_dims(N, args.max_degree, kind)
     payload = {
         "algebra": A.label,
         "module": N.label or args.module or "regular",
-        "homology": dims,
+        kind: dims,
     }
-    lines = [f"homology of {A.label or args.algebra} with coefficients in {payload['module']}"]
-    lines += [f"  H_{n}  dim {k}" for n, k in enumerate(dims)]
-    _emit(args, payload, lines)
-    return EXIT_OK
-
-
-def cmd_cohomology(args):
-    A, modules = _load_algebra(args.algebra)
-    M = _resolve_module(A, modules, args.module)
-    dims = cohomology_dims(M, args.max_degree)
-    payload = {
-        "algebra": A.label,
-        "module": M.label or args.module or "regular",
-        "cohomology": dims,
-    }
-    lines = [f"cohomology of {A.label or args.algebra} with coefficients in {payload['module']}"]
-    lines += [f"  H^{m}  dim {k}" for m, k in enumerate(dims)]
+    script = "_" if kind == "homology" else "^"
+    lines = [f"{kind} of {A.label or args.algebra} with coefficients in {payload['module']}"]
+    lines += [f"  H{script}{n}  dim {k}" for n, k in enumerate(dims)]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -238,17 +225,14 @@ def _build_parser():
     add_format(p)
     p.set_defaults(func=cmd_validate)
 
-    for name, func, what in (
-        ("homology", cmd_homology, "homology dimensions"),
-        ("cohomology", cmd_cohomology, "cohomology dimensions"),
-    ):
-        p = sub.add_parser(name, help=f"print {what}")
+    for kind in ("homology", "cohomology"):
+        p = sub.add_parser(kind, help=f"print {kind} dimensions")
         p.add_argument("algebra", help="zoo name or JSON file")
         p.add_argument("--module", default="regular", metavar="NAME",
                        help="regular, coinduced, induced or a bimodule from the file")
         p.add_argument("--max-degree", type=int, default=4, metavar="N")
         add_format(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("cap", help="pairing of basis classes with regular coefficients")
     p.add_argument("algebra", help="zoo name or JSON file")

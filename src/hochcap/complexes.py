@@ -5,6 +5,9 @@ element (x; a_1, ..., a_n) is x*d**n + sum(a_i * d**(n-i)), i.e. module
 index major, tuple in lexicographic order.  Cochains in degree m are
 maps A^{(x)m} -> M stored tuple major: the coordinate of the elementary
 cochain sending the basis tuple w to basis vector j is rank(w)*r + j.
+`by_tuple` and `from_tuples` convert either layout to and from
+{tuple rank: {module index: value}}, so code that acts on the module
+slot is written once for both kinds.
 
 Boundary of (x; a_1..a_n):
 
@@ -55,6 +58,32 @@ def chain_dim(N, n):
 
 def cochain_dim(M, m):
     return M.algebra.dim ** m * M.dim
+
+
+def by_tuple(M, n, kind, vec):
+    """A degree n chain (kind "homology") or cochain ("cohomology") of M
+    grouped as {tuple rank: {module index: value}}."""
+    out = {}
+    if kind == "homology":
+        block = M.algebra.dim ** n
+        for idx, v in vec.items():
+            x, w = divmod(idx, block)
+            out.setdefault(w, {})[x] = v
+    else:
+        r = M.dim
+        for idx, v in vec.items():
+            w, x = divmod(idx, r)
+            out.setdefault(w, {})[x] = v
+    return out
+
+
+def from_tuples(M, n, kind, grouped):
+    """Inverse of `by_tuple`: the degree n (co)chain of M with these entries."""
+    if kind == "homology":
+        block = M.algebra.dim ** n
+        return {x * block + w: v for w, vec in grouped.items() for x, v in vec.items()}
+    r = M.dim
+    return {w * r + x: v for w, vec in grouped.items() for x, v in vec.items()}
 
 
 def boundary_matrix(N, n):
@@ -137,21 +166,25 @@ def coboundary_matrix(M, m):
     return mat
 
 
+def differential(M, n, kind):
+    """b_n (kind "homology") or delta_n (kind "cohomology")."""
+    if kind == "homology":
+        return boundary_matrix(M, n)
+    return coboundary_matrix(M, n)
+
+
 def _class_subquotient(module, degree, kind):
     """Z / B in the given degree of the chain or cochain complex."""
     fld = module.field
-    if kind == "homology":
-        if degree == 0:
-            Z = SparseMat.identity(module.dim, fld)
-        else:
-            Z = kernel_basis(boundary_matrix(module, degree))
-        B = boundary_matrix(module, degree + 1)
+    step = -1 if kind == "homology" else 1  # the degree of the differential
+    if degree + step < 0:
+        Z = SparseMat.identity(module.dim, fld)
     else:
-        Z = kernel_basis(coboundary_matrix(module, degree))
-        if degree == 0:
-            B = SparseMat.zero(module.dim, 0, fld)
-        else:
-            B = coboundary_matrix(module, degree - 1)
+        Z = kernel_basis(differential(module, degree, kind))
+    if degree - step < 0:
+        B = SparseMat.zero(module.dim, 0, fld)
+    else:
+        B = differential(module, degree - step, kind)
     return subquotient(Z, B)
 
 
@@ -207,12 +240,22 @@ def cohomology(M, m):
     return _class_space(M, m, "cohomology")
 
 
+def class_space(module, degree, kind):
+    # through the two public names, so a wrapper placed on them (as the
+    # tracer in perfbench/spans.py does) sees every class space built
+    return homology(module, degree) if kind == "homology" else cohomology(module, degree)
+
+
+def class_dims(module, up_to, kind):
+    return [class_space(module, n, kind).dim for n in range(up_to + 1)]
+
+
 def homology_dims(N, up_to):
-    return [homology(N, n).dim for n in range(up_to + 1)]
+    return class_dims(N, up_to, "homology")
 
 
 def cohomology_dims(M, up_to):
-    return [cohomology(M, m).dim for m in range(up_to + 1)]
+    return class_dims(M, up_to, "cohomology")
 
 
 # -- degree zero identifications ---------------------------------------
@@ -268,9 +311,6 @@ def central_action(cs, z):
     cols = [dict(enumerate(cs.class_of(mat.matvec(cs.representative(k)))))
             for k in range(cs.dim)]
     return SparseMat.from_columns(cs.dim, M.field, cols)
-
-
-central_action_homology = central_action_cohomology = central_action
 
 
 # -- two sided bar form --------------------------------------------------

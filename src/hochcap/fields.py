@@ -14,6 +14,7 @@ integral `Fraction` with the same hash and `str()`, so a sum that comes
 out as `Fraction(2, 1)` compares, hashes and prints like `2`.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -47,6 +48,22 @@ def _is_prime(n):
     return True
 
 
+# `Fraction("1e10000000")` builds a ten-million-digit integer before
+# anything can refuse it.  Decimal exponents are bounded by the
+# interpreter's default int-string limit, which already bounds the
+# digits of an integer literal.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _exponent_too_large(s):
+    m = _EXPONENT.search(s)
+    if m is None:
+        return False
+    digits = m.group(1).lstrip("+-").replace("_", "").lstrip("0")
+    return len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT
+
+
 class Rationals:
     """The field Q.  Elements are `int`s, or `Fraction`s that are not integral."""
 
@@ -61,6 +78,8 @@ class Rationals:
         if isinstance(x, int):
             return int(x)
         if isinstance(x, str):
+            if _exponent_too_large(x):
+                raise ParseError(f"exponent of {x!r} exceeds {_MAX_EXPONENT} in magnitude")
             try:
                 x = Fraction(x.strip())
             except (ValueError, ZeroDivisionError) as e:
@@ -171,9 +190,11 @@ _gf_cache = {}
 
 
 def GF(p):
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    # a JSON p may be a list or an object, which cannot be a dict key
+    field = _gf_cache.get(p) if isinstance(p, int) else None
+    if field is None:
+        field = _gf_cache[p] = PrimeField(p)
+    return field
 
 
 def field_from_json(obj):

@@ -1,14 +1,24 @@
 """Long exact sequences in both coefficient variables.
 
-A short exact sequence of bimodules induces a long exact sequence in
-homology (via the snake map going down one degree) and in cohomology
-(via the snake map going up one degree).  Both connecting maps are
-computed exactly on canonical class coordinates: lift a representative
-through the surjection coordinatewise, apply the (co)differential, pull
-back through the injection.  `Solver` makes the per-tuple solves cheap
-and deterministic; an optional seed shifts the lift by something in the
-image of the injection, which must not change the answer, and tests use
-that to confirm choice independence.
+A short exact sequence 0 -> left -f-> middle -g-> right -> 0 of
+bimodules induces a long exact sequence in homology, whose connecting
+map goes down one degree, and one in cohomology, whose connecting map
+goes up one degree.  Every operation here is written once and takes
+`kind` ("homology" or "cohomology"), the same word `ClassSpace` carries:
+a bimodule map acts on the module slot of a (co)chain one basis tuple at
+a time, and `complexes.by_tuple` hides that chains are stored module
+index major and cochains tuple major.
+
+The connecting map is computed exactly on canonical class coordinates:
+lift a representative through g one tuple at a time, apply the
+(co)differential of the middle term, pull back through f.  `Solver`
+makes the per-tuple solves cheap and deterministic; an optional seed
+shifts the lift by something in the image of f, which must not change
+the answer, and tests use that to confirm choice independence.
+
+The names ending in `_homology` and `_cohomology` are one-line
+delegates, kept because callers and the benchmark's tracer
+(perfbench/spans.py) look them up.
 """
 
 import random
@@ -19,155 +29,91 @@ from .bimodules import (
     make_ses,
     tensor_over_algebra,
 )
-from .complexes import (
-    boundary_matrix,
-    chain_dim,
-    coboundary_matrix,
-    cochain_dim,
-    cohomology,
-    homology,
-)
+from .complexes import by_tuple, chain_dim, class_space, differential, from_tuples
 from .errors import Unsolvable
-from .linalg import Solver, SparseMat, acc, axpy, coerce_vector, rank
+from .linalg import Solver, SparseMat, axpy, coerce_vector, rank
 
 
-def map_chain(mor, chain, n):
-    """Apply a bimodule map to the module slot of a degree n chain."""
-    d = mor.source.algebra.dim
-    block = d ** n
-    fld = mor.source.field
-    out = {}
-    for idx, v in chain.items():
-        x, w = divmod(idx, block)
-        for y, c in mor.matrix.col(x).items():
-            acc(out, y * block + w, fld.mul(c, v), fld)
-    return out
+def _degrees(kind):
+    """(the degree of the connecting map, the lowest degree it starts in)."""
+    return (-1, 1) if kind == "homology" else (1, 0)
 
 
-def map_cochain(mor, coch, m):
-    """Postcompose a degree m cochain with a bimodule map."""
-    fld = mor.source.field
-    r = mor.source.dim
-    rt = mor.target.dim
-    out = {}
-    for idx, v in coch.items():
-        w, j = divmod(idx, r)
-        for y, c in mor.matrix.col(j).items():
-            acc(out, w * rt + y, fld.mul(c, v), fld)
-    return out
+def map_coefficients(mor, vec, n, kind):
+    """Apply a bimodule map to the module slot of a degree n (co)chain."""
+    grouped = by_tuple(mor.source, n, kind, vec)
+    images = {w: mor.matrix.matvec(col) for w, col in grouped.items()}
+    return from_tuples(mor.target, n, kind, images)
 
 
-def _chain_preimage(mor, chain, n):
-    """Some chain mapping to `chain` under (mor on the module slot)."""
-    d = mor.source.algebra.dim
-    block = d ** n
+def _preimage(mor, vec, n, kind):
+    """Some degree n (co)chain that `map_coefficients` sends to vec."""
     solver = Solver(mor.matrix)
-    grouped = {}
-    for idx, v in chain.items():
-        x, w = divmod(idx, block)
-        grouped.setdefault(w, {})[x] = v
     out = {}
-    for w, vec in grouped.items():
-        sol = solver.solve(vec)
+    for w, col in by_tuple(mor.target, n, kind, vec).items():
+        sol = solver.solve(col)
         if sol is None:
-            raise Unsolvable("chain does not lie in the image")
-        for y, c in sol.items():
-            out[y * block + w] = c
-    return out
+            raise Unsolvable("not in the image of the map on the module slot")
+        out[w] = sol
+    return from_tuples(mor.source, n, kind, out)
 
 
-def _cochain_preimage(mor, coch, m):
-    rt = mor.target.dim
-    rs = mor.source.dim
-    solver = Solver(mor.matrix)
-    grouped = {}
-    for idx, v in coch.items():
-        w, j = divmod(idx, rt)
-        grouped.setdefault(w, {})[j] = v
-    out = {}
-    for w, vec in grouped.items():
-        sol = solver.solve(vec)
-        if sol is None:
-            raise Unsolvable("cochain does not take values in the image")
-        for y, c in sol.items():
-            out[w * rs + y] = c
-    return out
-
-
-def pushforward_homology(mor, n):
-    """Matrix of H_n(mor) on canonical class coordinates."""
-    hs_src = homology(mor.source, n)
-    hs_tgt = homology(mor.target, n)
+def pushforward(mor, n, kind):
+    """Matrix of H_n(mor) or H^n(mor) on canonical class coordinates."""
+    src = class_space(mor.source, n, kind)
+    tgt = class_space(mor.target, n, kind)
     fld = mor.source.field
     cols = [
-        coerce_vector(fld, hs_tgt.class_of(map_chain(mor, hs_src.representative(k), n)))
-        for k in range(hs_src.dim)
+        coerce_vector(fld, tgt.class_of(map_coefficients(mor, src.representative(k), n, kind)))
+        for k in range(src.dim)
     ]
-    return SparseMat.from_columns(hs_tgt.dim, fld, cols)
+    return SparseMat.from_columns(tgt.dim, fld, cols)
 
 
-def pushforward_cohomology(mor, m):
-    cs_src = cohomology(mor.source, m)
-    cs_tgt = cohomology(mor.target, m)
-    fld = mor.source.field
-    cols = [
-        coerce_vector(fld, cs_tgt.class_of(map_cochain(mor, cs_src.representative(k), m)))
-        for k in range(cs_src.dim)
-    ]
-    return SparseMat.from_columns(cs_tgt.dim, fld, cols)
+def connecting(ses, n, kind, seed=None):
+    """Snake map H_n(right) -> H_{n-1}(left) for kind "homology",
+    H^n(right) -> H^{n+1}(left) for kind "cohomology", on class coordinates.
 
-
-def connecting_homology(ses, n, seed=None):
-    """Snake map H_n(A, right) -> H_{n-1}(A, left) on class coordinates.
-
-    Lift a cycle through g on the module slot, take its boundary (which
-    lands in the image of f), pull back.  A seed adds an element of
-    im(f) to the lift first; the resulting class may not depend on it.
+    Lift a representative through g, apply the differential (the result
+    lies in the image of f), pull back.  A seed adds an element of im(f)
+    to the lift first; the resulting class may not depend on it.
     """
-    if n < 1:
-        raise ValueError("the connecting map starts in degree 1")
-    hs3 = homology(ses.right, n)
-    hs1 = homology(ses.left, n - 1)
+    step, lowest = _degrees(kind)
+    if n < lowest:
+        raise ValueError(f"the {kind} connecting map starts in degree {lowest}")
+    src = class_space(ses.right, n, kind)
+    tgt = class_space(ses.left, n + step, kind)
     fld = ses.left.field
     rng = random.Random(seed) if seed is not None else None
     cols = []
-    for k in range(hs3.dim):
-        xi = hs3.representative(k)
-        y = _chain_preimage(ses.g, xi, n)
+    for k in range(src.dim):
+        lift = _preimage(ses.g, src.representative(k), n, kind)
         if rng is not None:
+            # chain_dim == cochain_dim, so the draws do not depend on kind
             noise = {
                 rng.randrange(chain_dim(ses.left, n)): fld.coerce(rng.randint(-3, 3))
                 for _ in range(3)
             }
-            axpy(y, fld.one, map_chain(ses.f, noise, n), fld)
-        beta = boundary_matrix(ses.middle, n).matvec(y)
-        zeta = _chain_preimage(ses.f, beta, n - 1)
-        cols.append(coerce_vector(fld, hs1.class_of(zeta)))
-    return SparseMat.from_columns(hs1.dim, fld, cols)
+            axpy(lift, fld.one, map_coefficients(ses.f, noise, n, kind), fld)
+        image = differential(ses.middle, n, kind).matvec(lift)
+        cols.append(coerce_vector(fld, tgt.class_of(_preimage(ses.f, image, n + step, kind))))
+    return SparseMat.from_columns(tgt.dim, fld, cols)
+
+
+def pushforward_homology(mor, n):
+    return pushforward(mor, n, "homology")
+
+
+def pushforward_cohomology(mor, m):
+    return pushforward(mor, m, "cohomology")
+
+
+def connecting_homology(ses, n, seed=None):
+    return connecting(ses, n, "homology", seed)
 
 
 def connecting_cohomology(ses, m, seed=None):
-    """Snake map H^m(A, right) -> H^{m+1}(A, left) on class coordinates."""
-    if m < 0:
-        raise ValueError("cochains start in degree 0")
-    cs3 = cohomology(ses.right, m)
-    cs1 = cohomology(ses.left, m + 1)
-    fld = ses.left.field
-    rng = random.Random(seed) if seed is not None else None
-    cols = []
-    for k in range(cs3.dim):
-        T3 = cs3.representative(k)
-        T2 = _cochain_preimage(ses.g, T3, m)
-        if rng is not None:
-            noise = {
-                rng.randrange(cochain_dim(ses.left, m)): fld.coerce(rng.randint(-3, 3))
-                for _ in range(3)
-            }
-            axpy(T2, fld.one, map_cochain(ses.f, noise, m), fld)
-        U = coboundary_matrix(ses.middle, m).matvec(T2)
-        T1 = _cochain_preimage(ses.f, U, m + 1)
-        cols.append(coerce_vector(fld, cs1.class_of(T1)))
-    return SparseMat.from_columns(cs1.dim, fld, cols)
+    return connecting(ses, m, "cohomology", seed)
 
 
 def tensor_ses_with(ses, M):
@@ -205,40 +151,29 @@ def _exact_at(failures, degree, node, incoming, outgoing):
         failures.append((degree, node, "kernel strictly larger than image"))
 
 
-def verify_les_homology(ses, up_to):
-    """Exactness failures of the homology long exact sequence.
+def verify_les(ses, up_to, kind):
+    """Exactness failures of the long exact sequence of `kind`.
 
-    Checks every node in degrees <= up_to: the sequence ends in
-    H_0(right) -> 0, so exactness there means g_* is onto.  Returns a
-    list of (degree, node, reason) triples; [] means exact.
+    Checks the nodes H(left), H(middle), H(right) of every degree <=
+    up_to.  The homology sequence ends in H_0(right) -> 0, so exactness
+    there means g_* is onto; the cohomology sequence starts with
+    0 -> H^0(left), so exactness there means f^* is injective.  Returns
+    (degree, node, reason) triples, by degree and then in the order
+    left, middle, right; [] means exact.
     """
     failures = []
-    fstar = {n: pushforward_homology(ses.f, n) for n in range(up_to + 1)}
-    gstar = {n: pushforward_homology(ses.g, n) for n in range(up_to + 1)}
-    delta = {n: connecting_homology(ses, n) for n in range(1, up_to + 2)}
     fld = ses.left.field
+    fstar = {n: pushforward(ses.f, n, kind) for n in range(up_to + 1)}
+    gstar = {n: pushforward(ses.g, n, kind) for n in range(up_to + 1)}
+    step, lowest = _degrees(kind)
+    conn = {n: connecting(ses, n, kind) for n in range(lowest, lowest + up_to + 1)}
+    # the zero maps that end the sequence: H_0(right) -> 0, 0 -> H^0(left)
+    if kind == "homology":
+        conn[0] = SparseMat.zero(0, gstar[0].nrows, fld)
+    else:
+        conn[-1] = SparseMat.zero(fstar[0].ncols, 0, fld)
     for n in range(up_to + 1):
+        _exact_at(failures, n, "left", conn[n - step], fstar[n])
         _exact_at(failures, n, "middle", fstar[n], gstar[n])
-        out = delta[n] if n >= 1 else SparseMat.zero(0, gstar[0].nrows, fld)
-        _exact_at(failures, n, "right", gstar[n], out)
-        _exact_at(failures, n, "left", delta[n + 1], fstar[n])
-    return failures
-
-
-def verify_les_cohomology(ses, up_to):
-    """Exactness failures of the cohomology long exact sequence.
-
-    Checks every node in degrees <= up_to; the sequence starts with
-    0 -> H^0(left), so exactness there means f^* is injective.
-    """
-    failures = []
-    fstar = {m: pushforward_cohomology(ses.f, m) for m in range(up_to + 1)}
-    gstar = {m: pushforward_cohomology(ses.g, m) for m in range(up_to + 1)}
-    conn = {m: connecting_cohomology(ses, m) for m in range(up_to + 1)}
-    fld = ses.left.field
-    for m in range(up_to + 1):
-        inc = conn[m - 1] if m >= 1 else SparseMat.zero(fstar[0].ncols, 0, fld)
-        _exact_at(failures, m, "left", inc, fstar[m])
-        _exact_at(failures, m, "middle", fstar[m], gstar[m])
-        _exact_at(failures, m, "right", gstar[m], conn[m])
+        _exact_at(failures, n, "right", gstar[n], conn[n])
     return failures

@@ -25,6 +25,7 @@ the output bytes are stable across runs.
 """
 
 import json
+import sys
 
 from .algebras import AlgebraPresentation
 from .bimodules import Bimodule
@@ -105,8 +106,11 @@ def algebra_from_dict(obj, label=None):
         fld, basis, rows, unit, label=obj.get("label", label)
     ).validate()
 
+    blocks = obj.get("bimodules", {})
+    if not isinstance(blocks, dict):
+        raise ParseError("algebra: 'bimodules' must be an object")
     modules = {}
-    for name, block in obj.get("bimodules", {}).items():
+    for name, block in blocks.items():
         modules[name] = _bimodule_from_dict(A, name, block)
     return A, modules
 
@@ -146,6 +150,11 @@ def loads(text):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except ValueError as e:  # the other ValueError: an integer past the int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: an integer literal has more than {limit} digits") from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply") from e
     return algebra_from_dict(obj)
 
 

@@ -11,16 +11,21 @@ from hochcap.complexes import (
     bar_form_boundary,
     bar_to_standard,
     boundary_matrix,
-    central_action_homology,
+    by_tuple,
+    central_action,
+    chain_pos,
     coboundary_matrix,
+    cochain_dim,
     cohomology,
     cohomology_dims,
     coinvariants,
     degree_zero_cocycle,
+    from_tuples,
     homology,
     homology_dims,
     invariants_dim,
     standard_to_bar,
+    tuple_rank,
 )
 from hochcap.errors import MemoryGuardError, NotCentral, NotInvariant
 from hochcap.linalg import SparseMat
@@ -150,16 +155,16 @@ def test_central_action_unit_is_identity():
         a = zoo.get(name)
         reg = a.regular()
         for n in (0, 1, 2):
-            hs = homology(reg, n)
-            act = central_action_homology(hs, a.unit)
-            assert act == SparseMat.identity(hs.dim, a.field), (name, n)
+            for cs in (homology(reg, n), cohomology(reg, n)):
+                act = central_action(cs, a.unit)
+                assert act == SparseMat.identity(cs.dim, a.field), (name, cs)
 
 
 def test_central_action_nilpotent_kills_degree_one():
     # over Q[x]/(x^2): x . dx = 0 in degree 1
     a = zoo.get("dual_numbers")
     hs = homology(a.regular(), 1)
-    act = central_action_homology(hs, {1: 1})
+    act = central_action(hs, {1: 1})
     assert act.is_zero()
 
 
@@ -167,7 +172,31 @@ def test_central_action_rejects_non_central():
     a = zoo.get("upper_triangular")
     hs = homology(a.regular(), 1)
     with pytest.raises(NotCentral):
-        central_action_homology(hs, {0: 1})
+        central_action(hs, {0: 1})
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_by_tuple_reads_both_layouts(kind):
+    # truncated_cubic: d = 3; its coinduced module has r = 9, so the two
+    # layouts put (x; w) at different coordinates
+    M = coinduced(zoo.get("truncated_cubic").regular()).module
+    d, r, n = M.algebra.dim, M.dim, 2
+    rng = random.Random(kind)
+    entries = {}
+    for _ in range(20):
+        x, w = rng.randrange(r), tuple(rng.randrange(d) for _ in range(n))
+        entries[x, w] = rng.randint(1, 9)
+    if kind == "homology":
+        vec = {chain_pos(d, n, x, w): v for (x, w), v in entries.items()}
+    else:
+        vec = {tuple_rank(d, w) * r + x: v for (x, w), v in entries.items()}
+    assert max(vec) < cochain_dim(M, n)
+    grouped = by_tuple(M, n, kind, vec)
+    assert grouped == {
+        tuple_rank(d, w): {y: v for (y, u), v in entries.items() if u == w}
+        for (_, w) in entries
+    }
+    assert from_tuples(M, n, kind, grouped) == vec
 
 
 def test_coinduced_cohomology_vanishes():

@@ -1,6 +1,7 @@
 """Long exact sequences: pushforwards, connecting maps, exactness."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hochcap import zoo
 from hochcap.bimodules import (
@@ -11,20 +12,19 @@ from hochcap.bimodules import (
     make_ses,
     split_ses,
 )
-from hochcap.complexes import homology, homology_dims
+from hochcap.complexes import chain_dim, homology, homology_dims
 from hochcap.errors import NotExact, Unsolvable
 from hochcap.les import (
-    _chain_preimage,
+    _preimage,
+    connecting,
     connecting_cohomology,
     connecting_homology,
-    map_chain,
-    map_cochain,
+    map_coefficients,
     pushforward_cohomology,
     pushforward_homology,
     tensor_ses_with,
     tensor_with_ses,
-    verify_les_cohomology,
-    verify_les_homology,
+    verify_les,
 )
 from hochcap.linalg import SparseMat, rank
 
@@ -33,14 +33,20 @@ def identity_morphism(N):
     return BimoduleMorphism(N, N, SparseMat.identity(N.dim, N.field))
 
 
-def test_map_chain_identity():
+KINDS = ("homology", "cohomology")
+
+
+def verify_both(ses, up_to):
+    return verify_les(ses, up_to, "homology") + verify_les(ses, up_to, "cohomology")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_map_coefficients_identity(kind):
     A = zoo.get("dual_numbers")
     N = A.regular()
     ident = identity_morphism(N)
-    chain = {0: A.field.coerce(3), 5: A.field.coerce(-1)}
-    assert map_chain(ident, chain, 2) == chain
-    coch = {1: A.field.one, 6: A.field.coerce(2)}
-    assert map_cochain(ident, coch, 2) == coch
+    vec = {0: A.field.coerce(3), 5: A.field.coerce(-1), 6: A.field.coerce(2)}
+    assert map_coefficients(ident, vec, 2, kind) == vec
 
 
 def test_pushforward_identity_is_identity():
@@ -59,8 +65,7 @@ def test_split_ses_les_exact_and_connecting_zero(name):
     A = zoo.get(name)
     N = A.regular()
     ses = split_ses(N, N)
-    assert verify_les_homology(ses, 2) == []
-    assert verify_les_cohomology(ses, 2) == []
+    assert verify_both(ses, 2) == []
     for n in range(1, 4):
         assert connecting_homology(ses, n).is_zero()
     for m in range(3):
@@ -82,8 +87,7 @@ def test_split_ses_les_exact_and_connecting_zero(name):
 def test_les_for_induced_ses(name, up_to):
     A = zoo.get(name)
     ses = induced(A.regular()).ses
-    assert verify_les_homology(ses, up_to) == []
-    assert verify_les_cohomology(ses, up_to) == []
+    assert verify_both(ses, up_to) == []
 
 
 @pytest.mark.parametrize(
@@ -98,8 +102,7 @@ def test_les_for_induced_ses(name, up_to):
 def test_les_for_coinduced_ses(name, up_to):
     A = zoo.get(name)
     ses = coinduced(A.regular()).ses
-    assert verify_les_homology(ses, up_to) == []
-    assert verify_les_cohomology(ses, up_to) == []
+    assert verify_both(ses, up_to) == []
 
 
 def test_connecting_homology_nonzero_and_seed_independent():
@@ -171,21 +174,65 @@ def test_tensoring_with_free_module_keeps_exactness():
     ses, _, _ = _torsion_ses(A)
     tses, (t1, t2, t3) = tensor_ses_with(ses, A.regular())
     assert (t1.module.dim, t2.module.dim, t3.module.dim) == (1, 2, 1)
-    assert verify_les_homology(tses, 2) == []
+    assert verify_les(tses, 2, "homology") == []
     tses2, _ = tensor_with_ses(A.regular(), ses)
-    assert verify_les_cohomology(tses2, 2) == []
+    assert verify_les(tses2, 2, "cohomology") == []
 
 
 def test_les_of_torsion_ses():
     A = zoo.get("dual_numbers")
     ses, _, _ = _torsion_ses(A)
-    assert verify_les_homology(ses, 3) == []
-    assert verify_les_cohomology(ses, 3) == []
+    assert verify_both(ses, 3) == []
 
 
-def test_preimage_requires_membership():
+@pytest.mark.parametrize("kind", KINDS)
+def test_preimage_requires_membership(kind):
     A = zoo.get("dual_numbers")
     ses, _, _ = _torsion_ses(A)
-    # the unit of A in degree 0 is not in the image of x.A -> A
-    with pytest.raises(Unsolvable):
-        _chain_preimage(ses.f, {0: A.field.one}, 0)
+    # the unit of A, as the module entry of a degree 0 or 1 (co)chain
+    # (coordinate 0 in both layouts), is not in the image of x.A -> A
+    for n in (0, 1):
+        with pytest.raises(Unsolvable):
+            _preimage(ses.f, {0: A.field.one}, n, kind)
+
+
+def test_connecting_degree_bounds():
+    ses = induced(zoo.get("dual_numbers").regular()).ses
+    with pytest.raises(ValueError, match="degree 1"):
+        connecting(ses, 0, "homology")
+    with pytest.raises(ValueError, match="degree 0"):
+        connecting(ses, -1, "cohomology")
+
+
+def _sequences():
+    for name in ("dual_numbers", "truncated_cubic", "upper_triangular", "f2_c2"):
+        A = zoo.get(name)
+        yield f"{name} induced", induced(A.regular()).ses
+        yield f"{name} coinduced", coinduced(A.regular()).ses
+    yield "torsion", _torsion_ses(zoo.get("dual_numbers"))[0]
+
+
+SEQUENCES = dict(_sequences())
+
+
+@given(
+    label=st.sampled_from(sorted(SEQUENCES)),
+    kind=st.sampled_from(KINDS),
+    n=st.integers(0, 2),
+    data=st.data(),
+)
+def test_preimage_round_trip(label, kind, n, data):
+    # a random (co)chain of the left term, pushed into the middle term by
+    # f and pulled back by the preimage, returns to itself: f is injective,
+    # and the left and middle terms have different dimensions, so a mix-up
+    # of the two layouts would send it elsewhere
+    ses = SEQUENCES[label]
+    fld = ses.left.field
+    vec = data.draw(st.dictionaries(
+        st.integers(0, chain_dim(ses.left, n) - 1),
+        st.integers(-5, 5).map(fld.coerce).filter(bool),
+        max_size=6,
+    ))
+    image = map_coefficients(ses.f, vec, n, kind)
+    assert _preimage(ses.f, image, n, kind) == vec
+    assert map_coefficients(ses.f, _preimage(ses.f, image, n, kind), n, kind) == image

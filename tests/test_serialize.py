@@ -1,9 +1,12 @@
 """The JSON algebra format: round trips, fixtures, rejection diagnostics."""
 
+import copy
 import json
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hochcap import serialize, zoo
 from hochcap.bimodules import Bimodule
@@ -201,3 +204,135 @@ def test_unit_must_be_a_unit():
     }
     with pytest.raises(ValidationError, match="unit"):
         serialize.loads(json.dumps(doc))
+
+
+def _dual_numbers_doc(**fields):
+    doc = json.loads(zoo.data_path("dual_numbers").read_text())
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+def test_bimodules_must_be_an_object():
+    with pytest.raises(ParseError, match="'bimodules' must be an object"):
+        serialize.loads(_dual_numbers_doc(bimodules=[]))
+
+
+def test_integer_past_the_string_limit_is_a_parse_error():
+    text = _dual_numbers_doc().replace('"unit": ["1", "0"]', '"unit": [1' + "0" * 5000 + ', "0"]')
+    assert "0" * 5000 in text
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        serialize.loads(text)
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        serialize.loads("[" * 100000 + "]" * 100000)
+
+
+@pytest.mark.parametrize("literal", ["1e10000000", "1E-10000000", "7.5e+4301", "1e1_0000"])
+def test_huge_exponent_refused_before_expansion(literal):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds 4300"):
+        QQ.coerce(literal)
+    with pytest.raises(ParseError, match="exceeds 4300"):
+        serialize.loads(_dual_numbers_doc(unit=[literal, "0"]))
+    assert time.perf_counter() - start < 0.01
+
+
+def test_exponents_within_the_bound_still_parse():
+    assert QQ.coerce("1e3") == 1000
+    assert QQ.coerce("25e-2") == QQ.coerce("1/4")
+    assert QQ.coerce("1e4300") == 10 ** 4300
+    assert QQ.coerce("1e-04300") == Fraction(1, 10 ** 4300)
+
+
+@pytest.mark.parametrize("p", [[2], {"p": 2}, 2.0, "2", None, True])
+def test_non_integer_p_is_a_parse_error(p):
+    with pytest.raises(ParseError, match="p must be"):
+        serialize.loads(_point_algebra(p))
+
+
+# -- fuzzing: every input loads or is refused with ParseError/ValidationError
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["0", "1", "-1", "1/2", "2/0", "1e3", "x", ""])
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=10,
+)
+
+
+def _with_torsion():
+    A = zoo.get("dual_numbers")
+    ident = SparseMat.identity(1, A.field)
+    zero = SparseMat.zero(1, 1, A.field)
+    S = Bimodule(A, 1, (ident, zero), (ident, zero), label="torsion").validate()
+    return json.loads(serialize.dumps(A, bimodules={"torsion": S}))
+
+
+SHIPPED_DOCS = [json.loads(zoo.data_path(n).read_text()) for n in sorted(zoo.ZOO)]
+SHIPPED_DOCS.append(_with_torsion())
+
+
+def _paths(obj, prefix=()):
+    """Every position in a parsed JSON document, as a key path."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+_TOP_LEVEL = {
+    "label": JSON_VALUES,
+    "field": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["Q", "Fp", "R"])}, optional={"p": JSON_VALUES}
+    ) | JSON_VALUES,
+    "basis": JSON_VALUES,
+    "unit": JSON_VALUES,
+    "structure": JSON_VALUES,
+    "bimodules": JSON_VALUES,
+}
+
+
+@st.composite
+def mutated_docs(draw):
+    """A shipped document with one to three fields set, replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))[1:]
+        action = draw(st.sampled_from(["set", "replace", "delete"]))
+        if action == "set" or not paths:
+            key = draw(st.sampled_from(sorted(_TOP_LEVEL)))
+            doc[key] = draw(_TOP_LEVEL[key])
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "replace":
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return json.dumps(doc)
+
+
+@settings(max_examples=400)
+@given(st.one_of(JSON_VALUES.map(json.dumps), mutated_docs(), st.text(max_size=30)))
+@example(_dual_numbers_doc(bimodules=[]))
+@example(_dual_numbers_doc().replace('"unit": ["1", "0"]', '"unit": [1' + "0" * 5000 + ', "0"]'))
+@example(_dual_numbers_doc(unit=["1e10000000", "0"]))
+def test_loads_accepts_or_refuses_quickly(text):
+    start = time.perf_counter()
+    try:
+        serialize.loads(text)
+    except (ParseError, ValidationError):
+        pass
+    assert time.perf_counter() - start < 1.0
