@@ -173,8 +173,9 @@ def _check_connecting(kind, N, M, n_max, instance):
     except NotExact as e:
         return [CheckResult(check, instance, (), "skip", f"tensored sequence not exact: {e}")]
     rows = []
+    conn = {}  # connecting maps of `ses` by degree
+    conn_t = {}  # connecting maps of the tensored sequence by degree
     for n in range(1, n_max + 1):
-        conn = {}  # connecting maps of `ses` by degree, shared by the m of one n
         for m in range(n):
             if homology:  # (delta gamma) cap eps, delta: H_n -> H_{n-1}
                 pair3 = CapPairing(ses.right, n, M, m, tens=t3)
@@ -186,8 +187,9 @@ def _check_connecting(kind, N, M, n_max, instance):
                 k, sign = m, m + 1 + COHOMOLOGY_SIGN_OFFSET
             if k not in conn:
                 conn[k] = (connecting_homology if homology else connecting_cohomology)(ses, k)
-            delta_t = connecting_homology(tses, n - m)
-            cases = _connecting_cases(homology, pair3, pair1, conn[k], delta_t, sign)
+            if n - m not in conn_t:
+                conn_t[n - m] = connecting_homology(tses, n - m)
+            cases = _connecting_cases(homology, pair3, pair1, conn[k], conn_t[n - m], sign)
             rows.append(_row(check, instance, (n, m), cases, "products"))
     return rows
 

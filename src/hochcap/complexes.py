@@ -18,14 +18,24 @@ Boundary of (x; a_1..a_n):
 and the dual formula for the cochain differential.  Homology and
 cohomology are presented as subquotients with canonical coordinates, so
 equal classes get equal coordinate tuples no matter how they were found.
+
+Dimension queries (`class_dims`, `homology_dims`, `cohomology_dims`) use
+the normalized complex instead, with r (d-1)^n coordinates in degree n
+(see `Normalized`): a dimension is a rank count and needs no class
+coordinates.  Class spaces, and everything built on them (cap products,
+connecting maps, the identity checks), stay on the standard complex,
+because their coordinates are promised canonical there and no simple
+chain map carries normalized chain classes back.  Both complexes come
+out of the same two assembly loops, which run over an alphabet: the
+letters allowed in the tensor slots and their product table.
 """
 
 from itertools import product
 
 from . import config
 from .bimodules import commutator_subspace, invariants_subspace, kron
-from .errors import DegreeError, NotCentral, NotInvariant
-from .linalg import SparseMat, acc, coerce_vector, kernel_basis, subquotient
+from .errors import DegreeError, InclusionViolation, NotCentral, NotInvariant
+from .linalg import SparseMat, acc, axpy, coerce_vector, kernel_basis, rank, subquotient
 
 
 def tuples(d, n):
@@ -86,13 +96,91 @@ def from_tuples(M, n, kind, grouped):
     return {w * r + x: v for w, vec in grouped.items() for x, v in vec.items()}
 
 
+# -- the normalized complex ----------------------------------------------
+#
+# With Abar = A/k.1, the normalized chains N (x) Abar^{(x)n} are the
+# quotient of C_n by the tuples with a 1 in some slot, and the normalized
+# cochains Hom(Abar^{(x)m}, M) are the subcomplex of cochains that vanish
+# when any argument is 1.  Both inclusions/projections are
+# quasi-isomorphisms (Loday, Cyclic Homology, 1.1), and the spaces have
+# r (d-1)^n coordinates instead of r d^n.  In either complex a tensor slot
+# holds a basis element e_i, i != k, of A, and an interior product is read
+# through pi: A -> Abar, so the same assembly loops build both.
+
+
+def _normalized_mult(A):
+    """(letters, mult): the basis indices that span Abar and the product
+    table of pi(e_a e_b), keyed by letter position.
+
+    k is the first basis index where the unit has a nonzero coefficient
+    u_k.  pi sends e_i to ebar_i for i != k and e_k, which is
+    (1 - sum_{i != k} u_i e_i) / u_k, to -sum_{i != k} (u_i / u_k) ebar_i,
+    so no change of basis is needed.  Cached on the algebra: the table
+    holds only scalars.
+    """
+    cached = A._cache.get("normalized")
+    if cached is None:
+        fld = A.field
+        k = min(A.unit)
+        letters = [i for i in range(A.dim) if i != k]
+        pos = {i: a for a, i in enumerate(letters)}
+        scale = fld.neg(fld.inv(A.unit[k]))
+        pi_k = {pos[i]: fld.mul(scale, v) for i, v in A.unit.items() if i != k}
+        mult = []
+        for i in letters:
+            row = []
+            for j in letters:
+                prod = {}
+                for l, v in A.mult[i][j].items():
+                    if l == k:
+                        axpy(prod, v, pi_k, fld)
+                    else:
+                        acc(prod, pos[l], v, fld)
+                row.append(prod)
+            mult.append(row)
+        cached = A._cache["normalized"] = (letters, mult)
+    return cached
+
+
+class Normalized:
+    """The normalized complex of a bimodule, passed in the module's place
+    as the first argument of `boundary_matrix` and `coboundary_matrix`.
+
+    `left`/`right` are the module's actions of the letters of Abar and
+    `mult` their product table through pi.  The matrices are cached in
+    the object's own `_cache`: build one per query and drop it, so
+    nothing cached on the module depends on it.
+    """
+
+    __slots__ = ("field", "dim", "left", "right", "mult", "_cache")
+
+    def __init__(self, module):
+        letters, self.mult = _normalized_mult(module.algebra)
+        self.field = module.field
+        self.dim = module.dim
+        self.left = [module.left[i] for i in letters]
+        self.right = [module.right[i] for i in letters]
+        self._cache = {}
+
+
+def _alphabet(M):
+    """(left, right, mult) for the tensor slots of M's complex: the actions
+    of each letter on the module slot and the product table of the
+    letters, keyed by letter position.  The standard complex runs over
+    every basis element with the algebra's own multiplication;
+    `Normalized` supplies the letters of A/k.1."""
+    if isinstance(M, Normalized):
+        return M.left, M.right, M.mult
+    return M.left, M.right, M.algebra.mult
+
+
 def boundary_matrix(N, n):
     """Matrix of b_n : C_n(A, N) -> C_{n-1}(A, N).  Requires n >= 1."""
     if n < 1:
         raise DegreeError("boundary starts in degree 1")
-    A = N.algebra
+    left, right, mult = _alphabet(N)
     fld = N.field
-    d, r = A.dim, N.dim
+    d, r = len(mult), N.dim
     src = r * d ** n
     tgt = r * d ** (n - 1)
     config.guard(max(src, tgt), "a chain space")
@@ -106,14 +194,14 @@ def boundary_matrix(N, n):
     for x in range(r):
         for w in tuples(d, n):
             col = {}
-            for y, v in N.right[w[0]].col(x).items():
+            for y, v in right[w[0]].col(x).items():
                 acc(col, chain_pos(d, n - 1, y, w[1:]), v, fld)
             for i in range(1, n):
                 sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-                for l, v in A.mult[w[i - 1]][w[i]].items():
+                for l, v in mult[w[i - 1]][w[i]].items():
                     tup = w[: i - 1] + (l,) + w[i + 1 :]
                     acc(col, chain_pos(d, n - 1, x, tup), fld.mul(sign, v), fld)
-            for y, v in N.left[w[-1]].col(x).items():
+            for y, v in left[w[-1]].col(x).items():
                 acc(col, chain_pos(d, n - 1, y, w[:-1]), fld.mul(sign_n, v), fld)
             cols.append(col)
 
@@ -126,9 +214,9 @@ def coboundary_matrix(M, m):
     """Matrix of delta_m : C^m(A, M) -> C^{m+1}(A, M).  Requires m >= 0."""
     if m < 0:
         raise DegreeError("cochains start in degree 0")
-    A = M.algebra
+    left, right, mult = _alphabet(M)
     fld = M.field
-    d, r = A.dim, M.dim
+    d, r = len(mult), M.dim
     src = d ** m * r
     tgt = d ** (m + 1) * r
     config.guard(max(src, tgt), "a cochain space")
@@ -144,12 +232,12 @@ def coboundary_matrix(M, m):
         # a_1 . T(a_2 .. a_{m+1})
         w_base = tuple_rank(d, u[1:]) * r
         for j in range(r):
-            for y, v in M.left[u[0]].col(j).items():
+            for y, v in left[u[0]].col(j).items():
                 acc(cols[w_base + j], u_base + y, v, fld)
         # interior contractions hit T diagonally in the module index
         for i in range(1, m + 1):
             sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-            for l, v in A.mult[u[i - 1]][u[i]].items():
+            for l, v in mult[u[i - 1]][u[i]].items():
                 w = u[: i - 1] + (l,) + u[i + 1 :]
                 w_base = tuple_rank(d, w) * r
                 sv = fld.mul(sign, v)
@@ -158,7 +246,7 @@ def coboundary_matrix(M, m):
         # (-1)^{m+1} T(a_1 .. a_m) . a_{m+1}
         w_base = tuple_rank(d, u[:m]) * r
         for j in range(r):
-            for y, v in M.right[u[m]].col(j).items():
+            for y, v in right[u[m]].col(j).items():
                 acc(cols[w_base + j], u_base + y, fld.mul(sign_last, v), fld)
 
     mat = SparseMat(tgt, src, fld, cols)
@@ -190,7 +278,7 @@ def _class_subquotient(module, degree, kind):
 
 class ClassSpace:
     """H_n(A, N) (kind "homology") or H^n(A, N) (kind "cohomology") with
-    canonical class coordinates."""
+    canonical class coordinates, on the standard complex."""
 
     __slots__ = ("module", "degree", "kind", "space")
 
@@ -247,7 +335,32 @@ def class_space(module, degree, kind):
 
 
 def class_dims(module, up_to, kind):
-    return [class_space(module, n, kind).dim for n in range(up_to + 1)]
+    """dim H_n(A, N) (kind "homology") or dim H^n(A, N) ("cohomology") for
+    n = 0..up_to, by rank counting on the normalized complex.
+
+    dim H = dim Cbar - rank of the differential leaving the degree - rank
+    of the one entering it; each differential is eliminated once and its
+    rank shared by its two degrees.  No class coordinates are built, so
+    the smaller complex serves (class spaces stay on the standard
+    complex, see `ClassSpace`).  Every degree with both differentials
+    checks that their composite vanishes, in place of the B <= Z check a
+    subquotient makes, and raises InclusionViolation if it does not.
+    """
+    cx = Normalized(module)
+    d = len(cx.mult)
+    step = -1 if kind == "homology" else 1  # the degree of the differential
+    ranks = {}
+    for n in range(up_to + 1):
+        for k in (n, n - step):  # the differentials leaving and entering n
+            if k >= 0 and k + step >= 0 and k not in ranks:
+                ranks[k] = rank(differential(cx, k, kind))
+        if n + step >= 0 and n - step >= 0:
+            if not (differential(cx, n, kind) @ differential(cx, n - step, kind)).is_zero():
+                raise InclusionViolation(
+                    f"{kind} degree {n}: the composite of the normalized "
+                    f"differentials is not zero")
+    return [cx.dim * d ** n - ranks.get(n, 0) - ranks.get(n - step, 0)
+            for n in range(up_to + 1)]
 
 
 def homology_dims(N, up_to):
@@ -311,133 +424,3 @@ def central_action(cs, z):
     cols = [dict(enumerate(cs.class_of(mat.matvec(cs.representative(k)))))
             for k in range(cs.dim)]
     return SparseMat.from_columns(cs.dim, M.field, cols)
-
-
-# -- two sided bar form --------------------------------------------------
-#
-# The same homology can be computed from N (x)_{A^e} A^{(x)(n+2)}: quotient
-# N (x) A^{(x)(n+2)} by the relations moving the outer tensor factors across
-# the module slot, with the simplicial differential that multiplies adjacent
-# factors (all n+1 interior contractions, no wrap-around term).  Converting
-# back and forth is a strong independent check on the small complex above.
-
-class BarForm:
-    __slots__ = ("module", "degree", "space", "proj", "sect", "ambient_dim")
-
-    def __init__(self, module, degree, space, proj, sect, ambient_dim):
-        self.module = module
-        self.degree = degree
-        self.space = space
-        self.proj = proj
-        self.sect = sect
-        self.ambient_dim = ambient_dim
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-
-def bar_form(N, n):
-    """The degree n piece of N (x)_{A^e} A^{(x)(n+2)} as a quotient space."""
-    A = N.algebra
-    fld = N.field
-    d, r = A.dim, N.dim
-    amb = r * d ** (n + 2)
-    config.guard(amb, "a bar form space")
-
-    def pos(x, c):
-        return x * d ** (n + 2) + tuple_rank(d, c)
-
-    relations = []
-    for x in range(r):
-        for c in tuples(d, n + 2):
-            for s in range(d):
-                # (x.s; c)  -  (x; s c_0, c_1, ...)
-                rel = {}
-                for y, v in N.right[s].col(x).items():
-                    acc(rel, pos(y, c), v, fld)
-                for l, v in A.mult[s][c[0]].items():
-                    acc(rel, pos(x, (l,) + c[1:]), fld.neg(v), fld)
-                if rel:
-                    relations.append(rel)
-                # (s.x; c)  -  (x; c_0, ..., c_{n+1} s)
-                rel = {}
-                for y, v in N.left[s].col(x).items():
-                    acc(rel, pos(y, c), v, fld)
-                for l, v in A.mult[c[-1]][s].items():
-                    acc(rel, pos(x, c[:-1] + (l,)), fld.neg(v), fld)
-                if rel:
-                    relations.append(rel)
-
-    space = subquotient(
-        SparseMat.identity(amb, fld),
-        SparseMat.from_columns(amb, fld, relations),
-    )
-    proj, sect = space.projection_section()
-    return BarForm(N, n, space, proj, sect, amb)
-
-
-def bar_form_boundary(N, bf_n, bf_prev):
-    """Induced differential bf_n.space -> bf_prev.space."""
-    A = N.algebra
-    fld = N.field
-    d, r = A.dim, N.dim
-    n = bf_n.degree
-    if bf_prev.degree != n - 1:
-        raise DegreeError("bar form boundary needs consecutive degrees")
-
-    def pos(x, c):
-        return x * d ** (n + 1) + tuple_rank(d, c)
-
-    cols = []
-    for x in range(r):
-        for c in tuples(d, n + 2):
-            col = {}
-            for i in range(n + 1):
-                sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-                for l, v in A.mult[c[i]][c[i + 1]].items():
-                    tup = c[:i] + (l,) + c[i + 2 :]
-                    acc(col, pos(x, tup), fld.mul(sign, v), fld)
-            cols.append(col)
-    ambient = SparseMat(r * d ** (n + 1), bf_n.ambient_dim, fld, cols)
-    return bf_prev.proj @ ambient @ bf_n.sect
-
-
-def bar_to_standard(N, bf):
-    """Conversion bf.space -> C_n(A, N): (x; c) -> (c_last . x . c_0; c_1..c_n)."""
-    A = N.algebra
-    fld = N.field
-    d, r = A.dim, N.dim
-    n = bf.degree
-    cols = []
-    for x in range(r):
-        for c in tuples(d, n + 2):
-            col = {}
-            mid = N.act_right(N.left[c[-1]].col(x), {c[0]: fld.one})
-            for y, v in mid.items():
-                acc(col, chain_pos(d, n, y, c[1:-1]), v, fld)
-            cols.append(col)
-    conv = SparseMat(r * d ** n, bf.ambient_dim, fld, cols)
-    return conv @ bf.sect
-
-
-def standard_to_bar(N, bf):
-    """Conversion C_n(A, N) -> bf.space: (x; a) -> [x; 1, a_1..a_n, 1]."""
-    A = N.algebra
-    fld = N.field
-    d, r = A.dim, N.dim
-    n = bf.degree
-
-    def pos(x, c):
-        return x * d ** (n + 2) + tuple_rank(d, c)
-
-    cols = []
-    for x in range(r):
-        for w in tuples(d, n):
-            col = {}
-            for s, vs in A.unit.items():
-                for t, vt in A.unit.items():
-                    acc(col, pos(x, (s,) + w + (t,)), fld.mul(vs, vt), fld)
-            cols.append(col)
-    amb = SparseMat(bf.ambient_dim, r * d ** n, fld, cols)
-    return bf.proj @ amb

@@ -15,6 +15,7 @@ out as `Fraction(2, 1)` compares, hashes and prints like `2`.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -64,6 +65,52 @@ def _exponent_too_large(s):
     return len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT
 
 
+# A literal longer than the interpreter's int-string limit (the longest
+# that `int()` reads in one go) is read in halves, up to this many digits
+# in numerator and denominator together.  Such literals come from `format`
+# of values built from exponents near _MAX_EXPONENT; the bound keeps the
+# work of one literal within a fraction of a second.
+_MAX_DIGITS = 100_000
+_LONG_LITERAL = re.compile(r"([-+]?)(\d+)(?:/(\d+))?\Z")
+
+
+def _int_to_str(n):
+    """str(n) without the int-string limit: split on a power of ten."""
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    limit = sys.get_int_max_str_digits()
+    # 2**(3 * limit) < 10**limit, so str() accepts anything shorter in bits
+    if not limit or n.bit_length() < 3 * limit:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10 ** k)
+    return _int_to_str(hi) + _int_to_str(lo).zfill(k)
+
+
+def _str_to_int(s):
+    """int(s) for a string of decimal digits, without the int-string limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(s) <= limit:
+        return int(s)
+    k = len(s) // 2
+    return _str_to_int(s[:-k]) * 10 ** k + _str_to_int(s[-k:])
+
+
+def _fraction(s):
+    """Fraction(s), reading integer and a/b literals past the int-string limit."""
+    try:
+        return Fraction(s)
+    except ValueError:
+        m = _LONG_LITERAL.match(s)
+        if m is None:
+            raise
+    sign, num, den = m.groups()
+    if len(num) + len(den or "") > _MAX_DIGITS:
+        raise ParseError(f"rational literal of more than {_MAX_DIGITS} digits")
+    value = Fraction(_str_to_int(num), _str_to_int(den or "1"))
+    return -value if sign == "-" else value
+
+
 class Rationals:
     """The field Q.  Elements are `int`s, or `Fraction`s that are not integral."""
 
@@ -81,7 +128,7 @@ class Rationals:
             if _exponent_too_large(x):
                 raise ParseError(f"exponent of {x!r} exceeds {_MAX_EXPONENT} in magnitude")
             try:
-                x = Fraction(x.strip())
+                x = _fraction(x.strip())
             except (ValueError, ZeroDivisionError) as e:
                 raise ParseError(f"bad rational literal {x!r}") from e
         elif not isinstance(x, Fraction):
@@ -107,7 +154,9 @@ class Rationals:
         return q.numerator if q.denominator == 1 else q
 
     def format(self, x):
-        return str(x)
+        if x.denominator == 1:  # an int, or an integral Fraction from a sum
+            return _int_to_str(x.numerator)
+        return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
     def to_json(self):
         return {"kind": "Q"}

@@ -268,7 +268,8 @@ def rref(m):
 
 
 def rank(m):
-    return len(Echelon(m.field, m.rows_view(), m.ncols).pivots)
+    # the column rank: the columns are stored, the rows would be built
+    return len(Echelon(m.field, m.cols, m.nrows).pivots)
 
 
 def kernel_basis(m):

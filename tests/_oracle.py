@@ -6,10 +6,19 @@ the defining formulas.  It shares no code with the installed package, so an
 agreement between the two is meaningful evidence rather than a tautology.
 
 Scalars are `Fraction` over the rationals, or plain ints reduced mod p.
+
+The exception is the two sided bar form at the end: a second presentation
+of the same homology, built with the package's sparse linear algebra, that
+only the tests use.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from hochcap import config
+from hochcap.complexes import chain_pos, tuple_rank, tuples
+from hochcap.errors import DegreeError
+from hochcap.linalg import SparseMat, acc, subquotient
 
 
 # --- tiny dense linear algebra -------------------------------------------
@@ -291,3 +300,133 @@ def cohomology_dims(alg, up_to):
         cocycles = space - ranks[m]
         dims.append(cocycles - (ranks[m - 1] if m >= 1 else 0))
     return dims
+
+
+# -- two sided bar form --------------------------------------------------
+#
+# The same homology can be computed from N (x)_{A^e} A^{(x)(n+2)}: quotient
+# N (x) A^{(x)(n+2)} by the relations moving the outer tensor factors across
+# the module slot, with the simplicial differential that multiplies adjacent
+# factors (all n+1 interior contractions, no wrap-around term).  Converting
+# back and forth is a strong independent check on the standard complex.
+
+class BarForm:
+    __slots__ = ("module", "degree", "space", "proj", "sect", "ambient_dim")
+
+    def __init__(self, module, degree, space, proj, sect, ambient_dim):
+        self.module = module
+        self.degree = degree
+        self.space = space
+        self.proj = proj
+        self.sect = sect
+        self.ambient_dim = ambient_dim
+
+    @property
+    def dim(self):
+        return self.space.dim
+
+
+def bar_form(N, n):
+    """The degree n piece of N (x)_{A^e} A^{(x)(n+2)} as a quotient space."""
+    A = N.algebra
+    fld = N.field
+    d, r = A.dim, N.dim
+    amb = r * d ** (n + 2)
+    config.guard(amb, "a bar form space")
+
+    def pos(x, c):
+        return x * d ** (n + 2) + tuple_rank(d, c)
+
+    relations = []
+    for x in range(r):
+        for c in tuples(d, n + 2):
+            for s in range(d):
+                # (x.s; c)  -  (x; s c_0, c_1, ...)
+                rel = {}
+                for y, v in N.right[s].col(x).items():
+                    acc(rel, pos(y, c), v, fld)
+                for l, v in A.mult[s][c[0]].items():
+                    acc(rel, pos(x, (l,) + c[1:]), fld.neg(v), fld)
+                if rel:
+                    relations.append(rel)
+                # (s.x; c)  -  (x; c_0, ..., c_{n+1} s)
+                rel = {}
+                for y, v in N.left[s].col(x).items():
+                    acc(rel, pos(y, c), v, fld)
+                for l, v in A.mult[c[-1]][s].items():
+                    acc(rel, pos(x, c[:-1] + (l,)), fld.neg(v), fld)
+                if rel:
+                    relations.append(rel)
+
+    space = subquotient(
+        SparseMat.identity(amb, fld),
+        SparseMat.from_columns(amb, fld, relations),
+    )
+    proj, sect = space.projection_section()
+    return BarForm(N, n, space, proj, sect, amb)
+
+
+def bar_form_boundary(N, bf_n, bf_prev):
+    """Induced differential bf_n.space -> bf_prev.space."""
+    A = N.algebra
+    fld = N.field
+    d, r = A.dim, N.dim
+    n = bf_n.degree
+    if bf_prev.degree != n - 1:
+        raise DegreeError("bar form boundary needs consecutive degrees")
+
+    def pos(x, c):
+        return x * d ** (n + 1) + tuple_rank(d, c)
+
+    cols = []
+    for x in range(r):
+        for c in tuples(d, n + 2):
+            col = {}
+            for i in range(n + 1):
+                sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
+                for l, v in A.mult[c[i]][c[i + 1]].items():
+                    tup = c[:i] + (l,) + c[i + 2 :]
+                    acc(col, pos(x, tup), fld.mul(sign, v), fld)
+            cols.append(col)
+    ambient = SparseMat(r * d ** (n + 1), bf_n.ambient_dim, fld, cols)
+    return bf_prev.proj @ ambient @ bf_n.sect
+
+
+def bar_to_standard(N, bf):
+    """Conversion bf.space -> C_n(A, N): (x; c) -> (c_last . x . c_0; c_1..c_n)."""
+    A = N.algebra
+    fld = N.field
+    d, r = A.dim, N.dim
+    n = bf.degree
+    cols = []
+    for x in range(r):
+        for c in tuples(d, n + 2):
+            col = {}
+            mid = N.act_right(N.left[c[-1]].col(x), {c[0]: fld.one})
+            for y, v in mid.items():
+                acc(col, chain_pos(d, n, y, c[1:-1]), v, fld)
+            cols.append(col)
+    conv = SparseMat(r * d ** n, bf.ambient_dim, fld, cols)
+    return conv @ bf.sect
+
+
+def standard_to_bar(N, bf):
+    """Conversion C_n(A, N) -> bf.space: (x; a) -> [x; 1, a_1..a_n, 1]."""
+    A = N.algebra
+    fld = N.field
+    d, r = A.dim, N.dim
+    n = bf.degree
+
+    def pos(x, c):
+        return x * d ** (n + 2) + tuple_rank(d, c)
+
+    cols = []
+    for x in range(r):
+        for w in tuples(d, n):
+            col = {}
+            for s, vs in A.unit.items():
+                for t, vt in A.unit.items():
+                    acc(col, pos(x, (s,) + w + (t,)), fld.mul(vs, vt), fld)
+            cols.append(col)
+    amb = SparseMat(bf.ambient_dim, r * d ** n, fld, cols)
+    return bf.proj @ amb

@@ -166,6 +166,19 @@ def test_validate_malformed_input_exits_2(capsys, tmp_path, mangle):
     assert err.startswith("error:") and "alg.json" in err
 
 
+def test_values_past_the_int_string_limit_print(capsys, tmp_path):
+    # x^2 = 10**4300 x in dual_numbers' basis
+    doc = json.loads(zoo.data_path("dual_numbers").read_text())
+    doc["structure"].append([1, 1, 1, "1e4300"])
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, err) == (0, "") and out.startswith("ok:")
+    code, out, err = run(capsys, "cap", str(p), "0", "0")
+    assert (code, err) == (0, "")
+    assert "1" + "0" * 4300 + ")" in out
+
+
 def test_verify_clean(capsys):
     code, payload, _ = run_json(capsys, "verify", "dual_numbers", "--max-degree", "1")
     assert code == 0
@@ -205,6 +218,8 @@ def test_verify_json_is_deterministic(capsys):
 
 
 def test_memory_cap_trips_and_restores(capsys):
+    # 10 is below degree 1 of both complexes: 12 coordinates normalized,
+    # 16 standard
     before = config.max_coordinates()
     code, _, err = run(
         capsys, "--memory-cap", "10", "homology", "two_by_two_matrices",
@@ -212,6 +227,24 @@ def test_memory_cap_trips_and_restores(capsys):
     assert code == 3
     assert "refusing to allocate" in err
     assert config.max_coordinates() == before
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_memory_cap_between_the_two_complexes(capsys, kind):
+    # degree 6 of M_2 has 4 * 3**6 = 2916 normalized coordinates and
+    # 4 * 4**6 = 16384 standard ones; dimensions to degree 5 (b_6 or
+    # delta^5) use the first, the class spaces of the cap pairing the second
+    code, out, err = run(capsys, "--memory-cap", "5000", kind,
+                         "two_by_two_matrices", "--max-degree", "5")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, kind, "two_by_two_matrices", "--max-degree", "5")[1]
+    code, out, err = run(capsys, "--memory-cap", "2915", kind,
+                         "two_by_two_matrices", "--max-degree", "5")
+    assert (code, out) == (3, "")
+    assert "refusing to allocate 2916 coordinates" in err
+    code, out, err = run(capsys, "--memory-cap", "5000", "cap", "two_by_two_matrices", "6", "1")
+    assert (code, out) == (3, "")
+    assert "refusing to allocate 16384 coordinates" in err
 
 
 def test_memory_cap_must_be_positive(capsys):

@@ -7,15 +7,13 @@ import pytest
 from hochcap import config, zoo
 from hochcap.bimodules import coinduced, induced
 from hochcap.complexes import (
-    bar_form,
-    bar_form_boundary,
-    bar_to_standard,
     boundary_matrix,
     by_tuple,
     central_action,
     chain_pos,
     coboundary_matrix,
     cochain_dim,
+    class_space,
     cohomology,
     cohomology_dims,
     coinvariants,
@@ -24,10 +22,10 @@ from hochcap.complexes import (
     homology,
     homology_dims,
     invariants_dim,
-    standard_to_bar,
+    Normalized,
     tuple_rank,
 )
-from hochcap.errors import MemoryGuardError, NotCentral, NotInvariant
+from hochcap.errors import InclusionViolation, MemoryGuardError, NotCentral, NotInvariant
 from hochcap.linalg import SparseMat
 
 import _oracle
@@ -119,6 +117,62 @@ def test_cohomology_dimension_tables():
     for name, table in COHOMOLOGY_TABLE.items():
         reg = zoo.get(name).regular()
         assert tuple(cohomology_dims(reg, len(table) - 1)) == table, name
+
+
+# -- dimensions from the normalized complex ------------------------------
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_normalized_dims_match_class_spaces(kind):
+    # class spaces stay on the standard complex, so this compares the two
+    for name in zoo.ZOO:
+        a = zoo.get(name)
+        top = 4 if a.dim == 4 else 5
+        modules = [(a.regular(), top),
+                   (coinduced(a.regular()).module, 3),
+                   (induced(a.regular()).module, 3)]
+        for M, up_to in modules:
+            want = [class_space(M, n, kind).dim for n in range(up_to + 1)]
+            got = homology_dims(M, up_to) if kind == "homology" else cohomology_dims(M, up_to)
+            assert got == want, (name, M.label, kind)
+
+
+# k[x]/(x^m): HH_0 = m, and HH_n = m - 1 for n >= 1, or m when char k
+# divides m.  These are symmetric algebras, so HH^n has the same dimension.
+TRUNCATED_POLYNOMIALS = {"dual_numbers": 2, "f2_c2": 2, "truncated_cubic": 3}
+# split semisimple: HH_0 = HH^0 = the number of matrix blocks, 0 above
+SEMISIMPLE_BLOCKS = {"rationals": 1, "product_qq": 2, "two_by_two_matrices": 1}
+CLOSED_FORM_DEGREE = {1: 12, 2: 12, 3: 9, 4: 6}  # by algebra dimension
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+@pytest.mark.parametrize("name", sorted(TRUNCATED_POLYNOMIALS) + sorted(SEMISIMPLE_BLOCKS))
+def test_closed_form_dimensions(name, kind):
+    a = zoo.get(name)
+    top = CLOSED_FORM_DEGREE[a.dim]
+    if name in TRUNCATED_POLYNOMIALS:
+        m = TRUNCATED_POLYNOMIALS[name]
+        rest = m if a.field.characteristic and m % a.field.characteristic == 0 else m - 1
+        want = [m] + [rest] * top
+    else:
+        want = [SEMISIMPLE_BLOCKS[name]] + [0] * top
+    dims = homology_dims if kind == "homology" else cohomology_dims
+    assert dims(a.regular(), top) == want
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_corrupted_normalized_product_is_refused(kind):
+    dims = homology_dims if kind == "homology" else cohomology_dims
+    letters = len(Normalized(zoo.get("two_by_two_matrices").regular()).mult)
+    for i in range(letters):
+        for j in range(letters):
+            for l in range(letters):
+                a = zoo.get("two_by_two_matrices")  # a fresh table each time
+                reg = a.regular()
+                table = Normalized(reg).mult  # the table cached on the algebra
+                table[i][j][l] = table[i][j].get(l, 0) + 1
+                with pytest.raises(InclusionViolation, match=f"{kind} degree"):
+                    dims(reg, 3)
 
 
 def test_degree_zero_homology_is_coinvariants():
@@ -220,24 +274,24 @@ def test_bar_form_cross_check():
         a = zoo.get(name)
         reg = a.regular()
         d = a.dim
-        forms = [bar_form(reg, n) for n in range(4)]
+        forms = [_oracle.bar_form(reg, n) for n in range(4)]
         for n, bf in enumerate(forms):
             assert bf.dim == reg.dim * d ** n, (name, n)
-            to_std = bar_to_standard(reg, bf)
-            from_std = standard_to_bar(reg, bf)
+            to_std = _oracle.bar_to_standard(reg, bf)
+            from_std = _oracle.standard_to_bar(reg, bf)
             ident = SparseMat.identity(bf.dim, a.field)
             assert to_std @ from_std == SparseMat.identity(reg.dim * d ** n, a.field)
             assert from_std @ to_std == ident, (name, n)
         # conversion intertwines the differentials
         for n in (1, 2, 3):
-            db = bar_form_boundary(reg, forms[n], forms[n - 1])
-            lhs = bar_to_standard(reg, forms[n - 1]) @ db
-            rhs = boundary_matrix(reg, n) @ bar_to_standard(reg, forms[n])
+            db = _oracle.bar_form_boundary(reg, forms[n], forms[n - 1])
+            lhs = _oracle.bar_to_standard(reg, forms[n - 1]) @ db
+            rhs = boundary_matrix(reg, n) @ _oracle.bar_to_standard(reg, forms[n])
             assert lhs == rhs, (name, n)
         # and therefore computes the same homology
         for n in (1, 2):
-            zb = bar_form_boundary(reg, forms[n], forms[n - 1])
-            bb = bar_form_boundary(reg, forms[n + 1], forms[n])
+            zb = _oracle.bar_form_boundary(reg, forms[n], forms[n - 1])
+            bb = _oracle.bar_form_boundary(reg, forms[n + 1], forms[n])
             from hochcap.linalg import kernel_basis, subquotient
 
             sq = subquotient(kernel_basis(zb), bb)

@@ -246,6 +246,38 @@ def test_exponents_within_the_bound_still_parse():
     assert QQ.coerce("1e-04300") == Fraction(1, 10 ** 4300)
 
 
+def _huge_dual_numbers_doc():
+    # x^2 = 10**4300 x: a value of 4301 digits, past the int-string limit
+    doc = json.loads(zoo.data_path("dual_numbers").read_text())
+    doc["structure"].append([1, 1, 1, "1e4300"])
+    return json.dumps(doc)
+
+
+def test_values_past_the_int_string_limit_round_trip():
+    A, _ = serialize.loads(_huge_dual_numbers_doc())
+    assert A.mult[1][1] == {1: 10 ** 4300}
+    text = serialize.dumps(A)
+    assert '"1' + "0" * 4300 + '"' in text
+    B, _ = serialize.loads(text)
+    assert (B.field, B.basis, B.unit, B.mult) == (A.field, A.basis, A.unit, A.mult)
+    assert serialize.dumps(B) == text
+
+
+def test_rationals_format_past_the_int_string_limit():
+    for value in (-(10 ** 9000) - 7, Fraction(3, 10 ** 4300),
+                  Fraction(-(10 ** 5000) - 1, 7 ** 6000)):
+        assert QQ.coerce(QQ.format(value)) == value
+    for value in (0, -12, Fraction(-3, 7), Fraction(-12, 1)):
+        assert QQ.format(value) == str(value)
+
+
+def test_literal_past_the_digit_bound_is_a_parse_error():
+    with pytest.raises(ParseError, match="more than 100000 digits"):
+        QQ.coerce("1" * 100_001)
+    with pytest.raises(ParseError, match="bad rational literal"):
+        QQ.coerce("1/" + "0" * 5000)
+
+
 @pytest.mark.parametrize("p", [[2], {"p": 2}, 2.0, "2", None, True])
 def test_non_integer_p_is_a_parse_error(p):
     with pytest.raises(ParseError, match="p must be"):
