@@ -178,11 +178,11 @@ def cmd_zoo(args):
     if args.zoo_command == "list":
         payload = {
             "algebras": [
-                {"name": name, "description": zoo.DESCRIPTIONS[name]}
-                for name in zoo.ZOO
+                {"name": name, "description": description}
+                for name, description in zoo.ZOO.items()
             ]
         }
-        lines = [f"  {name:22s} {zoo.DESCRIPTIONS[name]}" for name in zoo.ZOO]
+        lines = [f"  {name:22s} {description}" for name, description in zoo.ZOO.items()]
         _emit(args, payload, lines)
         return EXIT_OK
     # zoo show
@@ -192,7 +192,7 @@ def cmd_zoo(args):
     if args.format == "json":
         print(serialize.dumps(A), end="")
         return EXIT_OK
-    print(f"{args.name}: {zoo.DESCRIPTIONS[args.name]}")
+    print(f"{args.name}: {zoo.ZOO[args.name]}")
     print(f"  field      {A.field!r}")
     print(f"  dimension  {A.dim}")
     print(f"  basis      {' '.join(A.basis)}")

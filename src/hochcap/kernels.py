@@ -1,79 +1,53 @@
 """The row-reduction kernel.
 
-These two elimination routines dominate the package's runtime; every
-rank, kernel, solve and subquotient goes through `build_rref`.  The
-output is canonical: the reduced row echelon form of a row space is
-unique, pivots are always the leftmost possible, and rows come out
-sorted by pivot column.
+This elimination loop dominates the package's runtime; every rank,
+kernel, solve and subquotient goes through `build_rref`.  The output is
+canonical: the reduced row echelon form of a row space is unique, pivots
+are always the leftmost possible, and rows come out sorted by pivot
+column.
 
-Rows are sparse dicts {column: value}.  Over Q the values entering may
-be `int`s or `Fraction`s; internally each row is scaled to a primitive
-integer vector (content 1), so an elimination step is integer arithmetic
-plus one gcd pass instead of a gcd per entry.  The values leaving are
-integer first, like `fields.Rationals`: an `int` wherever the leading
-entry divides it, a `Fraction` with denominator > 1 otherwise.  Over F_p
-the values are ints in [0, p).
+Rows are sparse dicts {column: value}.  The loop is the same over Q and
+F_p: clean the row, reduce it once against the pivot columns it touches,
+set it aside as a defect if it reduced past `pivot_limit`, and otherwise
+clear its new pivot from the basis.  Each field supplies the three row
+operations it needs:
+
+- `clean(row)`: the working form of an incoming row.  Over Q the values
+  may be `int`s or `Fraction`s, and the row is scaled to a primitive
+  integer vector (content 1), so an elimination step is integer
+  arithmetic plus one gcd pass instead of a gcd per entry.  Over F_p the
+  values are reduced into [0, p).
+- `eliminate(u, b, c)`: clear column c of u, in place, with the basis
+  row b whose pivot is c.  Over Q this is u := b[c]*u - u[c]*b made
+  primitive again.  Over F_p each new pivot row is scaled to a leading 1
+  the first time it is used, so every later step is u -= u[c]*b.
+- `emit(b, lead)`: the canonical output row, with a leading 1.  Over Q
+  the values are integer first, like `fields.Rationals`: an `int`
+  wherever the leading entry divides it, a `Fraction` with denominator
+  > 1 otherwise.  Over F_p they are ints in [0, p).
 
 `pivot_limit` caps the columns allowed to carry a pivot.  Rows whose
 reduction is supported entirely on columns >= pivot_limit are returned in
 `defects` (used by the solver: a defect means an inconsistent augmented
-system).  Defect rows over Q are reported up to a nonzero scalar, which is
-all their consumers need.
+system).  Defect rows are reported up to a nonzero scalar, which is all
+their consumers need.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def build_rref(field, rows, ncols, pivot_limit=None, stop_on_defect=False):
+def build_rref(field, rows, ncols, pivot_limit=None):
     """Reduced row echelon form of `rows`: (pivots, rows, defects).
 
     out_rows[i] is the fully reduced row with leading 1 at pivots[i].
     """
     if pivot_limit is None:
         pivot_limit = ncols
-    if field.kind == "Q":
-        return _rref_rational(rows, pivot_limit, stop_on_defect)
-    return _rref_mod_p(rows, field.p, pivot_limit, stop_on_defect)
-
-
-def _content(vals):
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
-def _axpy_int(u, a, f, row):
-    """u := a*u - f*row on integer dicts, dropping zeros."""
-    if a != 1:
-        for c in u:
-            u[c] *= a
-    for c, v in row.items():
-        w = u.get(c, 0) - f * v
-        if w:
-            u[c] = w
-        else:
-            u.pop(c, None)
-
-
-def _primitive(u):
-    g = _content(u.values())
-    if g > 1:
-        for c in u:
-            u[c] //= g
-
-
-def _rref_rational(rows, pivot_limit, stop_on_defect):
-    """Incremental rref over Q.
-
-    rows: iterable of {col: int | Fraction}; output values are ints, or
-    Fractions with denominator > 1.
-    """
+    ops = _Rationals if field.kind == "Q" else _ModP(field.p)
+    clean, eliminate = ops.clean, ops.eliminate
     pivot_of = {}          # pivot col -> index into basis
-    basis = []             # primitive integer dicts
+    basis = []             # rows in the field's working form
     col_rows = {}          # col -> set of basis indices whose row touches col
     defects = []
 
@@ -82,133 +56,122 @@ def _rref_rational(rows, pivot_limit, stop_on_defect):
             col_rows.setdefault(c, set()).add(idx)
 
     for row in rows:
-        u = {c: v for c, v in row.items() if v}
+        u = clean(row)
+        # one pass over the pivot columns present in u, ascending; a fully
+        # reduced basis row never reintroduces another pivot column
+        for c in sorted(u):
+            idx = pivot_of.get(c)
+            if idx is not None and c in u:
+                eliminate(u, basis[idx], c)
         if not u:
             continue
+        lead = min(u)
+        if lead >= pivot_limit:
+            defects.append(u)
+            continue
+
+        # clear the new pivot column from the existing basis
+        for idx in list(col_rows.get(lead, ())):
+            b = basis[idx]
+            for c in b:
+                col_rows[c].discard(idx)
+            eliminate(b, u, lead)
+            attach(idx, b)
+        pivot_of[lead] = len(basis)
+        attach(len(basis), u)
+        basis.append(u)
+
+    pivots = sorted(pivot_of)
+    return pivots, [ops.emit(basis[pivot_of[p]], p) for p in pivots], defects
+
+
+class _Rationals:
+    """Row operations over Q, on primitive integer rows."""
+
+    @staticmethod
+    def clean(row):
+        u = {c: v for c, v in row.items() if v}
         dens = [v.denominator for v in u.values() if type(v) is not int]
         if dens:
             den = lcm(*dens)
             u = {c: v.numerator * (den // v.denominator) for c, v in u.items()}
         _primitive(u)
+        return u
 
-        # one pass over the pivot columns present in u, ascending; a fully
-        # reduced basis row never reintroduces another pivot column
-        for c in sorted(u):
-            idx = pivot_of.get(c)
-            if idx is None:
-                continue
-            f = u.get(c)
-            if not f:
-                continue
-            b = basis[idx]
-            _axpy_int(u, b[c], f, b)
-            _primitive(u)
-        if not u:
-            continue
-        lead = min(u)
-        if lead >= pivot_limit:
-            defects.append(dict(u))
-            if stop_on_defect:
-                break
-            continue
+    @staticmethod
+    def eliminate(u, b, c):
+        """u := primitive part of b[c]*u - u[c]*b."""
+        a, f = b[c], u[c]
+        if a != 1:
+            for k in u:
+                u[k] *= a
+        for k, v in b.items():
+            w = u.get(k, 0) - f * v
+            if w:
+                u[k] = w
+            else:
+                u.pop(k, None)
+        _primitive(u)
 
-        # clear the new pivot column from the existing basis
-        new_idx = len(basis)
-        for idx in sorted(col_rows.get(lead, ())):
-            b = basis[idx]
-            f = b.get(lead)
-            if not f:
-                continue
-            for c in b:
-                col_rows[c].discard(idx)
-            _axpy_int(b, u[lead], f, u)
-            _primitive(b)
-            attach(idx, b)
-        basis.append(u)
-        pivot_of[lead] = new_idx
-        attach(new_idx, u)
-
-    pivots = sorted(pivot_of)
-    out = []
-    for p in pivots:
-        b = basis[pivot_of[p]]
-        lead = b[p]
-        if lead == 1:
-            out.append(dict(sorted(b.items())))
-        else:
-            out.append({c: v // lead if v % lead == 0 else Fraction(v, lead)
-                        for c, v in sorted(b.items())})
-    return pivots, out, defects
+    @staticmethod
+    def emit(b, lead):
+        a = b[lead]
+        if a == 1:
+            return dict(sorted(b.items()))
+        return {c: v // a if v % a == 0 else Fraction(v, a)
+                for c, v in sorted(b.items())}
 
 
-def _rref_mod_p(rows, p, pivot_limit, stop_on_defect):
-    """Incremental rref over F_p.  Same contract as the rational version."""
-    pivot_of = {}
-    basis = []
-    col_rows = {}
-    defects = []
+def _primitive(u):
+    """Divide the integer dict u, in place, by the gcd of its values."""
+    g = 0
+    for v in u.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for c in u:
+            u[c] //= g
 
-    def attach(idx, row):
-        for c in row:
-            col_rows.setdefault(c, set()).add(idx)
 
-    for row in rows:
+class _ModP:
+    """Row operations over F_p, on rows with values in [0, p)."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+    def clean(self, row):
+        p = self.p
         u = {}
         for c, v in row.items():
             v %= p
             if v:
                 u[c] = v
-        if not u:
-            continue
+        return u
 
-        for c in sorted(u):
-            idx = pivot_of.get(c)
-            if idx is None:
-                continue
-            f = u.get(c)
-            if not f:
-                continue
-            b = basis[idx]       # normalized: b[c] == 1
-            for c2, v2 in b.items():
-                w = (u.get(c2, 0) - f * v2) % p
-                if w:
-                    u[c2] = w
-                else:
-                    u.pop(c2, None)
-        if not u:
-            continue
-        lead = min(u)
-        if lead >= pivot_limit:
-            defects.append(dict(u))
-            if stop_on_defect:
-                break
-            continue
+    def eliminate(self, u, b, c):
+        """u := u - u[c]*b, once b is scaled to b[c] == 1."""
+        p = self.p
+        if b[c] != 1:
+            self._unit(b, c)
+        f = u[c]
+        for k, v in b.items():
+            w = (u.get(k, 0) - f * v) % p
+            if w:
+                u[k] = w
+            else:
+                u.pop(k, None)
 
-        inv = pow(u[lead], -1, p)
-        if inv != 1:
-            u = {c: (v * inv) % p for c, v in u.items()}
-        new_idx = len(basis)
-        for idx in sorted(col_rows.get(lead, ())):
-            b = basis[idx]
-            f = b.get(lead)
-            if not f:
-                continue
-            for c in b:
-                col_rows[c].discard(idx)
-            for c2, v2 in u.items():
-                w = (b.get(c2, 0) - f * v2) % p
-                if w:
-                    b[c2] = w
-                else:
-                    b.pop(c2, None)
-            attach(idx, b)
-        basis.append(u)
-        pivot_of[lead] = new_idx
-        attach(new_idx, u)
+    def emit(self, b, lead):
+        if b[lead] != 1:
+            self._unit(b, lead)
+        return dict(sorted(b.items()))
 
-    pivots = sorted(pivot_of)
-    out = []
-    for q in pivots:
-        b = basis[pivot_of[q]]
-        out.append({c: v for c, v in sorted(b.items())})
-    return pivots, out, defects
+    def _unit(self, b, lead):
+        """Scale b in place to b[lead] == 1."""
+        p = self.p
+        inv = pow(b[lead], -1, p)
+        for k in b:
+            b[k] = b[k] * inv % p

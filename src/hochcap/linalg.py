@@ -225,11 +225,9 @@ class Echelon:
 
     __slots__ = ("field", "pivots", "rows", "index", "defects")
 
-    def __init__(self, field, rows, ncols, pivot_limit=None, stop_on_defect=False):
+    def __init__(self, field, rows, ncols, pivot_limit=None):
         self.field = field
-        self.pivots, self.rows, self.defects = build_rref(
-            field, rows, ncols, pivot_limit=pivot_limit, stop_on_defect=stop_on_defect
-        )
+        self.pivots, self.rows, self.defects = build_rref(field, rows, ncols, pivot_limit)
         self.index = dict(zip(self.pivots, self.rows))
 
     def reduce(self, v, record=None):
@@ -295,8 +293,9 @@ def solve(m, b):
     """One particular solution of m x = b, or None if inconsistent.
 
     Deterministic: free variables are set to zero, so x is the solution
-    read off the rref of the augmented matrix.  b may be a dict or a
-    sequence; the result is a sparse dict.
+    read off the rref of the augmented matrix, which is None when that
+    elimination leaves any defect.  b may be a dict or a sequence; the
+    result is a sparse dict.
     """
     fld = m.field
     bvec = coerce_vector(fld, b, m.nrows)
@@ -304,7 +303,7 @@ def solve(m, b):
     rows = m.rows_view()
     for i, v in bvec.items():
         rows[i][aug] = v
-    ech = Echelon(fld, rows, aug + 1, pivot_limit=aug, stop_on_defect=True)
+    ech = Echelon(fld, rows, aug + 1, pivot_limit=aug)
     if ech.defects:
         return None
     x = {}
@@ -396,8 +395,6 @@ class SubquotientSpace:
     __slots__ = (
         "ambient_dim",
         "field",
-        "cycle_basis",
-        "boundary_basis",
         "cycles",
         "boundaries",
         "free_pivots",
@@ -411,8 +408,6 @@ class SubquotientSpace:
         fld = Z.field
         self.ambient_dim = Z.nrows
         self.field = fld
-        self.cycle_basis = Z
-        self.boundary_basis = B
         cycles = self.cycles = Echelon(fld, list(Z.cols), Z.nrows)
         boundaries = self.boundaries = Echelon(fld, list(B.cols), B.nrows)
 

@@ -5,96 +5,15 @@ separable (Q, Q x Q, 2x2 matrices), commutative non-semisimple truncated
 polynomial rings, a noncommutative hereditary algebra (upper triangular
 matrices), and a modular group algebra where the characteristic divides
 the group order.
+
+Each algebra is defined once, by its JSON description shipped in
+`data/<name>.json`; `get` parses and validates a fresh copy per call.
 """
 
-from .algebras import AlgebraPresentation
-from .fields import GF, QQ
+from . import serialize
 
-
-def rationals():
-    """Q itself."""
-    return AlgebraPresentation(
-        QQ, ["e"], [(0, 0, 0, 1)], [1], label="rationals"
-    ).validate()
-
-
-def dual_numbers():
-    """Q[x]/(x^2), basis e, x."""
-    structure = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
-    return AlgebraPresentation(
-        QQ, ["e", "x"], structure, [1, 0], label="dual_numbers"
-    ).validate()
-
-
-def truncated_cubic():
-    """Q[x]/(x^3), basis e, x, x2."""
-    structure = []
-    for i in range(3):
-        for j in range(3):
-            if i + j < 3:
-                structure.append((i, j, i + j, 1))
-    return AlgebraPresentation(
-        QQ, ["e", "x", "x2"], structure, [1, 0, 0], label="truncated_cubic"
-    ).validate()
-
-
-def product_qq():
-    """Q x Q with its orthogonal idempotents."""
-    structure = [(0, 0, 0, 1), (1, 1, 1, 1)]
-    return AlgebraPresentation(
-        QQ, ["e1", "e2"], structure, [1, 1], label="product_qq"
-    ).validate()
-
-
-def two_by_two_matrices():
-    """M_2(Q), matrix units in the order E11, E12, E21, E22."""
-    names = ["E11", "E12", "E21", "E22"]
-    pos = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    structure = []
-    for (a, b), i in pos.items():
-        for (u, v), j in pos.items():
-            if b == u:
-                structure.append((i, j, pos[(a, v)], 1))
-    return AlgebraPresentation(
-        QQ, names, structure, [1, 0, 0, 1], label="two_by_two_matrices"
-    ).validate()
-
-
-def upper_triangular():
-    """Upper triangular 2x2 matrices: e1 = E11, e2 = E22, a = E12.
-
-    This is the path algebra of the quiver 1 -> 2.
-    """
-    structure = [
-        (0, 0, 0, 1),  # e1 e1 = e1
-        (1, 1, 1, 1),  # e2 e2 = e2
-        (0, 2, 2, 1),  # e1 a = a
-        (2, 1, 2, 1),  # a e2 = a
-    ]
-    return AlgebraPresentation(
-        QQ, ["e1", "e2", "a"], structure, [1, 1, 0], label="upper_triangular"
-    ).validate()
-
-
-def f2_c2():
-    """The group algebra F_2[C_2], basis 1, g with g^2 = 1."""
-    structure = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
-    return AlgebraPresentation(
-        GF(2), ["e", "g"], structure, [1, 0], label="f2_c2"
-    ).validate()
-
-
+# name -> description, in listing order
 ZOO = {
-    "rationals": rationals,
-    "dual_numbers": dual_numbers,
-    "truncated_cubic": truncated_cubic,
-    "product_qq": product_qq,
-    "two_by_two_matrices": two_by_two_matrices,
-    "upper_triangular": upper_triangular,
-    "f2_c2": f2_c2,
-}
-
-DESCRIPTIONS = {
     "rationals": "the rationals Q",
     "dual_numbers": "Q[x]/(x^2)",
     "truncated_cubic": "Q[x]/(x^3)",
@@ -106,9 +25,8 @@ DESCRIPTIONS = {
 
 
 def get(name):
-    if name not in ZOO:
-        raise KeyError(f"unknown zoo algebra {name!r}; see `zoo list`")
-    return ZOO[name]()
+    """A fresh, validated copy of the zoo algebra `name`."""
+    return serialize.load(data_path(name))[0]
 
 
 def data_path(name):

@@ -33,11 +33,11 @@ def test_validation_catches_bad_unit():
 
 
 def test_multiply():
-    a = zoo.dual_numbers()
+    a = zoo.get("dual_numbers")
     x = {1: Fraction(1)}
     assert a.multiply(x, x) == {}
     assert a.multiply(a.unit, x) == x
-    m2 = zoo.two_by_two_matrices()
+    m2 = zoo.get("two_by_two_matrices")
     e12 = {1: Fraction(1)}
     e21 = {2: Fraction(1)}
     assert m2.multiply(e12, e21) == {0: Fraction(1)}  # E12 E21 = E11
@@ -66,14 +66,14 @@ def test_center_dims():
 
 
 def test_center_of_m2_is_scalars():
-    m2 = zoo.two_by_two_matrices()
+    m2 = zoo.get("two_by_two_matrices")
     (z,) = m2.center()
     # the canonical generator is a scalar multiple of the identity
     assert z == {0: QQ.one, 3: QQ.one}
 
 
 def test_left_right_matrices():
-    t2 = zoo.upper_triangular()
+    t2 = zoo.get("upper_triangular")
     # left multiplication by a (= E12) sends e2 to a and kills e1, a
     la = t2.left_matrix(2)
     assert la.cols[1] == {2: QQ.one}
@@ -84,7 +84,7 @@ def test_left_right_matrices():
 
 
 def test_f2_arithmetic():
-    a = zoo.f2_c2()
+    a = zoo.get("f2_c2")
     g = {1: 1}
     assert a.multiply(g, g) == {0: 1}
     s = a.multiply({0: 1, 1: 1}, {0: 1, 1: 1})

@@ -299,7 +299,7 @@ def test_bar_form_cross_check():
 
 
 def test_memory_guard_trips():
-    a = zoo.two_by_two_matrices()  # fresh instance, empty cache
+    a = zoo.get("two_by_two_matrices")  # fresh instance, empty cache
     reg = a.regular()
     config.set_max_coordinates(100)
     try:
@@ -313,7 +313,7 @@ def test_memory_guard_trips():
 def test_memory_guard_trips_on_cached_builds():
     from hochcap.cap import bar_differential, diagonal_matrix
 
-    a = zoo.two_by_two_matrices()
+    a = zoo.get("two_by_two_matrices")
     reg = a.regular()
     builders = [
         lambda: boundary_matrix(reg, 3),
