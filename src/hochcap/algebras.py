@@ -8,6 +8,7 @@ the coordinates of the unit.  Structure constants are stored sparsely:
 
 import weakref
 
+from . import config
 from .errors import ValidationError
 from .linalg import SparseMat, acc, axpy, coerce_vector, kernel_basis
 
@@ -23,6 +24,8 @@ class AlgebraPresentation:
         d = self.dim
         if d == 0:
             raise ValidationError("algebra must have positive dimension")
+        # validate() does d^3 products: refuse a huge basis before any work
+        config.guard(d ** 3, f"the structure constants of a {d}-dimensional algebra")
         self.label = label
         mult = [[{} for _ in range(d)] for _ in range(d)]
         for i, j, l, v in structure:
@@ -71,9 +74,19 @@ class AlgebraPresentation:
     # -- validation ------------------------------------------------------
 
     def validate(self):
-        """Checks associativity and the two-sided unit; raises ValidationError."""
+        """Checks the two-sided unit, then associativity; raises ValidationError.
+
+        The unit check costs d times the unit's support, the associativity
+        check d^3 products, so a wrong unit is reported first and fast.
+        """
         fld = self.field
         d = self.dim
+        for i in range(d):
+            e = {i: fld.one}
+            if self.multiply(self.unit, e) != e:
+                raise ValidationError(f"unit fails on the left of e_{i}")
+            if self.multiply(e, self.unit) != e:
+                raise ValidationError(f"unit fails on the right of e_{i}")
         for i in range(d):
             for j in range(d):
                 for k in range(d):
@@ -83,12 +96,6 @@ class AlgebraPresentation:
                         raise ValidationError(
                             f"associativity fails at (e_{i} e_{j}) e_{k}"
                         )
-        for i in range(d):
-            e = {i: fld.one}
-            if self.multiply(self.unit, e) != e:
-                raise ValidationError(f"unit fails on the left of e_{i}")
-            if self.multiply(e, self.unit) != e:
-                raise ValidationError(f"unit fails on the right of e_{i}")
         return self
 
     # -- center ------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Chain spaces grow like r * d**n, so a careless degree bound can ask for
 billions of coordinates.  Every routine that materializes a complex
-checks its largest space against the cap below before allocating.
+checks its largest space against the cap below before allocating, and
+an algebra checks its d**3 structure constants, the work of validating
+it, before it builds its product table.
 """
 
 from .errors import MemoryGuardError

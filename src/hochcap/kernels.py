@@ -6,6 +6,14 @@ canonical: the reduced row echelon form of a row space is unique, pivots
 are always the leftmost possible, and rows come out sorted by pivot
 column.
 
+Because the output does not depend on the order of the input rows, the
+rows are fed in the order that keeps fill low: leading column
+descending, then shortest first (after Faugere and Lachartre, PASCO
+2010).  A row whose leading column is not yet a pivot then becomes one
+without touching the basis, since every basis row starts to the right
+of it.  Only `defects` depend on the order: which partly reduced rows
+they are.
+
 Rows are sparse dicts {column: value}.  The loop is the same over Q and
 F_p: clean the row, reduce it once against the pivot columns it touches,
 set it aside as a defect if it reduced past `pivot_limit`, and otherwise
@@ -55,7 +63,10 @@ def build_rref(field, rows, ncols, pivot_limit=None):
         for c in row:
             col_rows.setdefault(c, set()).add(idx)
 
-    for row in rows:
+    # fill-aware order: leading column descending, then shortest first,
+    # by two stable sorts, so no key tuple is built per row (tuples cost
+    # the cap grids of the products benchmark 0.2-0.3 MB of peak RSS)
+    for row in sorted(sorted(rows, key=len), key=_lead, reverse=True):
         u = clean(row)
         # one pass over the pivot columns present in u, ascending; a fully
         # reduced basis row never reintroduces another pivot column
@@ -83,6 +94,10 @@ def build_rref(field, rows, ncols, pivot_limit=None):
 
     pivots = sorted(pivot_of)
     return pivots, [ops.emit(basis[pivot_of[p]], p) for p in pivots], defects
+
+
+def _lead(row):
+    return min(row, default=-1)
 
 
 class _Rationals:

@@ -17,6 +17,17 @@ so the work is the support plus the fill of the rows used, never the
 rank.  `kernel_basis` scatters each rref row into its free columns, and
 `Solver` keeps the transposed augmentation so a solve scatters over the
 support of the right-hand side.
+
+The cycles of a class space are the null space of a differential, and
+`Echelon.null_space` gives its canonical rref from one elimination of
+the differential's rows, with the columns relabelled c -> n-1-c.  Read
+back in the original labels, each row of that rref R ends in a 1 at a
+column q_i, and every other entry lies left of q_i.  For each column f
+that is no q_i, e_f - sum_i R[i, f] e_{q_i} is in the null space, leads
+with 1 at f, has its other entries only at q_i > f, and is zero at every
+other such f: together these vectors are a reduced row echelon basis of
+the null space, and since the rref is unique, they are the rows that
+eliminating any other basis of it would give.
 """
 
 from .errors import InclusionViolation, NotACycle
@@ -218,17 +229,46 @@ class Echelon:
     """The reduced row echelon form of a list of sparse rows.
 
     `rows[i]` is the fully reduced row with leading 1 at `pivots[i]`
-    (increasing), `index` maps each pivot column to its row, and
-    `defects` are the rows that reduced to columns >= `pivot_limit`
-    (see `kernels.build_rref`).
+    (increasing), `index` maps each pivot column to its row, `defects`
+    are the rows that reduced to columns >= `pivot_limit` (see
+    `kernels.build_rref`), and `ncols` is the dimension of the space the
+    rows live in.
     """
 
-    __slots__ = ("field", "pivots", "rows", "index", "defects")
+    __slots__ = ("field", "ncols", "pivots", "rows", "index", "defects")
 
     def __init__(self, field, rows, ncols, pivot_limit=None):
         self.field = field
+        self.ncols = ncols
         self.pivots, self.rows, self.defects = build_rref(field, rows, ncols, pivot_limit)
         self.index = dict(zip(self.pivots, self.rows))
+
+    @classmethod
+    def null_space(cls, m):
+        """The echelon of the null space of m, from one elimination.
+
+        Equal, pivots, rows, key order and value types, to the echelon of
+        `kernel_basis(m).cols`; see the module docstring for why.
+        """
+        fld, n = m.field, m.ncols
+        flipped = [dict() for _ in range(m.nrows)]
+        for j, col in enumerate(m.cols):
+            for i, v in col.items():
+                flipped[i][n - 1 - j] = v
+        pivots, rows, _ = build_rref(fld, flipped, n)
+        # row i ends at q_i = n-1-pivots[i]; walking the rows backwards
+        # lists each null space row's entries in increasing column order
+        bound = {n - 1 - p for p in pivots}
+        index = {f: {f: fld.one} for f in range(n) if f not in bound}
+        for p, row in zip(reversed(pivots), reversed(rows)):
+            q = n - 1 - p
+            for c, v in row.items():
+                if c != p:
+                    index[n - 1 - c][q] = fld.neg(v)
+        ech = cls.__new__(cls)
+        ech.field, ech.ncols, ech.defects = fld, n, []
+        ech.pivots, ech.rows, ech.index = list(index), list(index.values()), index
+        return ech
 
     def reduce(self, v, record=None):
         """Subtract from sparse v, in place, its part in the row space.
@@ -378,13 +418,17 @@ class Solver:
 class SubquotientSpace:
     """span(Z) / span(B) with canonical coordinates.
 
-    Holds the `Echelon`s of the two column spaces, `cycles` and
-    `boundaries`.  The boundary pivot set is contained in the cycle pivot
-    set; the difference (the "free" pivots, in increasing order) indexes
-    the canonical coordinates.  The canonical representative of generator
-    k is the cycle rref row at the k-th free pivot: it already has zeros
-    at every boundary pivot, so its coset coordinates are the k-th unit
-    vector.
+    Holds the `Echelon`s of the two subspaces, `cycles` and `boundaries`.
+    `cycles` is given, already eliminated: `subquotient` takes it from
+    the columns of a matrix Z, and a class space reads it off its
+    differential with `Echelon.null_space`, one elimination in place of
+    a kernel basis and a second elimination of that basis.  Both give the
+    same rows, since the rref of a subspace is unique.  The boundary
+    pivot set is contained in the cycle pivot set; the difference (the
+    "free" pivots, in increasing order) indexes the canonical
+    coordinates.  The canonical representative of generator k is the
+    cycle rref row at the k-th free pivot: it already has zeros at every
+    boundary pivot, so its coset coordinates are the k-th unit vector.
 
     Every reduction (the B <= Z inclusion check at construction, coset
     coordinates, lifts) goes through `Echelon.reduce`, which visits only
@@ -402,13 +446,13 @@ class SubquotientSpace:
         "dim",
     )
 
-    def __init__(self, Z, B):
-        if Z.nrows != B.nrows:
+    def __init__(self, cycles, B):
+        if cycles.ncols != B.nrows:
             raise ValueError("cycle and boundary matrices live in different spaces")
-        fld = Z.field
-        self.ambient_dim = Z.nrows
+        fld = cycles.field
+        self.ambient_dim = B.nrows
         self.field = fld
-        cycles = self.cycles = Echelon(fld, list(Z.cols), Z.nrows)
+        self.cycles = cycles
         boundaries = self.boundaries = Echelon(fld, list(B.cols), B.nrows)
 
         for p, row in zip(boundaries.pivots, boundaries.rows):
@@ -479,4 +523,4 @@ class SubquotientSpace:
 
 def subquotient(Z, B):
     """Quotient of column spaces span(Z)/span(B); raises if not nested."""
-    return SubquotientSpace(Z, B)
+    return SubquotientSpace(Echelon(Z.field, list(Z.cols), Z.nrows), B)

@@ -7,18 +7,18 @@ agreement between the two is meaningful evidence rather than a tautology.
 
 Scalars are `Fraction` over the rationals, or plain ints reduced mod p.
 
-The exception is the two sided bar form at the end: a second presentation
-of the same homology, built with the package's sparse linear algebra, that
-only the tests use.
+The exceptions, at the end, are built with the package's sparse linear
+algebra and only the tests use them: the two-elimination class space, and
+the two sided bar form, a second presentation of the same homology.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from hochcap import config
-from hochcap.complexes import chain_pos, tuple_rank, tuples
+from hochcap.complexes import chain_pos, differential, tuple_rank, tuples
 from hochcap.errors import DegreeError
-from hochcap.linalg import SparseMat, acc, subquotient
+from hochcap.linalg import SparseMat, acc, kernel_basis, subquotient
 
 
 # --- tiny dense linear algebra -------------------------------------------
@@ -300,6 +300,27 @@ def cohomology_dims(alg, up_to):
         cocycles = space - ranks[m]
         dims.append(cocycles - (ranks[m - 1] if m >= 1 else 0))
     return dims
+
+
+# -- the two-elimination class space -------------------------------------
+#
+# Z / B as class spaces built it before `Echelon.null_space`: a kernel
+# basis of the outgoing differential (one elimination), eliminated again
+# by `subquotient` to put the cycles in canonical form.
+
+
+def two_elimination_class_space(module, degree, kind):
+    fld = module.field
+    step = -1 if kind == "homology" else 1
+    if degree + step < 0:
+        Z = SparseMat.identity(module.dim, fld)
+    else:
+        Z = kernel_basis(differential(module, degree, kind))
+    if degree - step < 0:
+        B = SparseMat.zero(module.dim, 0, fld)
+    else:
+        B = differential(module, degree - step, kind)
+    return subquotient(Z, B)
 
 
 # -- two sided bar form --------------------------------------------------

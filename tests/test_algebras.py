@@ -1,10 +1,12 @@
+import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from hochcap import zoo
+from hochcap import serialize, zoo
 from hochcap.algebras import AlgebraPresentation
-from hochcap.errors import ValidationError
+from hochcap.errors import MemoryGuardError, ValidationError
 from hochcap.fields import GF, QQ
 
 
@@ -30,6 +32,29 @@ def test_validation_catches_bad_unit():
     bad = AlgebraPresentation(QQ, ["e", "x"], [(0, 0, 0, 1)], [1, 0])
     with pytest.raises(ValidationError, match="unit"):
         bad.validate()
+
+
+def test_validation_reports_the_unit_first():
+    # the nonassociative algebra above with x as its claimed unit fails
+    # both checks; the cheap one, the unit, is reported
+    structure = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (0, 2, 2, 1), (2, 0, 2, 1),
+                 (1, 2, 0, 1)]
+    bad = AlgebraPresentation(QQ, ["e", "x", "y"], structure, [0, 1, 0])
+    with pytest.raises(ValidationError, match="unit fails"):
+        bad.validate()
+
+
+def test_huge_algebra_refused_before_work():
+    # validate() would do d^3 = 10^12 products; the guard refuses first
+    d = 10 ** 4
+    basis, unit = [f"e{i}" for i in range(d)], ["1"] + ["0"] * (d - 1)
+    start = time.perf_counter()
+    with pytest.raises(MemoryGuardError, match="10000-dimensional algebra"):
+        AlgebraPresentation(QQ, basis, [], unit)
+    assert time.perf_counter() - start < 0.01
+    text = json.dumps({"field": {"kind": "Q"}, "basis": basis, "unit": unit, "structure": []})
+    with pytest.raises(MemoryGuardError, match="refusing to allocate 1000000000000 "):
+        serialize.loads(text)
 
 
 def test_multiply():

@@ -218,8 +218,9 @@ def test_verify_json_is_deterministic(capsys):
 
 
 def test_memory_cap_trips_and_restores(capsys):
-    # 10 is below degree 1 of both complexes: 12 coordinates normalized,
-    # 16 standard
+    # 10 is below degree 1 of both complexes (12 coordinates normalized,
+    # 16 standard), and below the 4**3 = 64 structure constants, so the
+    # algebra itself is refused at load
     before = config.max_coordinates()
     code, _, err = run(
         capsys, "--memory-cap", "10", "homology", "two_by_two_matrices",
@@ -245,6 +246,20 @@ def test_memory_cap_between_the_two_complexes(capsys, kind):
     code, out, err = run(capsys, "--memory-cap", "5000", "cap", "two_by_two_matrices", "6", "1")
     assert (code, out) == (3, "")
     assert "refusing to allocate 16384 coordinates" in err
+
+
+def test_huge_algebra_file_exits_3(capsys, tmp_path):
+    d = 300  # d^3 = 27,000,000 structure constants, over the default cap
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"field": {"kind": "Q"}, "basis": [f"e{i}" for i in range(d)],
+                             "unit": ["0"] * d, "structure": []}))
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out) == (3, "")
+    assert "refusing to allocate 27000000 coordinates" in err
+    # under a raised cap the wrong unit is refused without the d^3 loop
+    code, out, err = run(capsys, "--memory-cap", str(d ** 3), "validate", str(p))
+    assert (code, out) == (2, "")
+    assert "unit fails" in err
 
 
 def test_memory_cap_must_be_positive(capsys):

@@ -313,6 +313,47 @@ def test_kernel_basis_properties(p, data):
         assert not any(free[j] in other for i, other in enumerate(k.cols) if i != j)
 
 
+def _same_echelon(got, want):
+    assert got.ncols == want.ncols
+    assert got.pivots == want.pivots
+    assert [[(c, type(v), v) for c, v in r.items()] for r in got.rows] == [
+        [(c, type(v), v) for c, v in r.items()] for r in want.rows
+    ]
+    assert list(got.index.items()) == list(want.index.items())
+    assert got.defects == want.defects == []
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_null_space_echelon_is_the_kernel_basis_rref(p, data):
+    # one elimination of the column-reversed rows gives the rref that
+    # eliminating the kernel basis a second time gives
+    field = _field(p)
+    nrows, ncols = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 8))
+    cols = data.draw(sparse_columns(field, p, nrows, ncols)) if nrows else [{}] * ncols
+    m = SparseMat.from_columns(nrows, field, cols)
+    got = Echelon.null_space(m)
+    _same_echelon(got, Echelon(field, kernel_basis(m).cols, m.ncols))
+    assert all(m.matvec(row) == {} for row in got.rows)
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@pytest.mark.parametrize("shape", ["zero", "full rank", "no rows"])
+def test_null_space_echelon_edge_cases(p, shape):
+    field = _field(p)
+    if shape == "zero":
+        m = SparseMat.zero(3, 4, field)
+    elif shape == "full rank":
+        m = SparseMat.identity(4, field) + SparseMat.from_columns(
+            4, field, [{}, {0: field.coerce(2)}, {1: field.coerce(3)}, {0: field.one}])
+    else:
+        m = SparseMat.zero(0, 5, field)
+    got = Echelon.null_space(m)
+    _same_echelon(got, Echelon(field, kernel_basis(m).cols, m.ncols))
+    assert len(got.pivots) == m.ncols - rank(m)
+
+
 @pytest.mark.parametrize("p", [None] + PRIMES)
 @settings(max_examples=60)
 @given(data=st.data())
