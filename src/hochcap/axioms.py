@@ -28,7 +28,7 @@ from .bimodules import (
 )
 from .cap import CapPairing
 from .complexes import central_action, degree_zero_cocycle
-from .errors import NotExact
+from .errors import DegreeError, NotExact
 from .les import (
     connecting_cohomology,
     connecting_homology,
@@ -335,6 +335,8 @@ def algebra_suite(A, n_max=3, seed=11, checks=None, progress=None, name=None):
     unknown = checks - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if n_max < 0:
+        raise DegreeError("the largest degree must be nonnegative")
     name = name or A.label or "algebra"
     out = []
 

@@ -19,6 +19,10 @@ the same product are provided and tested against one another:
   * chain map lifts of the cocycle, either written down in closed form
     or solved degree by degree from the lifting equations.
 
+The bar differential b' is the Hochschild boundary b with a zero left
+action, so it comes out of the same face loop as the differentials in
+`complexes`.
+
 Descent to classes is governed by
 
     b(xi cap T) = (-1)^m (b xi) cap T + (-1)^{m+1} xi cap (dT)
@@ -30,6 +34,7 @@ import random
 
 from .bimodules import tensor_over_algebra
 from .complexes import (
+    _faces,
     boundary_matrix,
     coboundary_matrix,
     cohomology,
@@ -46,7 +51,12 @@ from .linalg import Solver, SparseMat, acc, axpy
 # -- bar resolution differentials ---------------------------------------
 
 def bar_differential(A, n):
-    """d_n : A^{(x)(n+2)} -> A^{(x)(n+1)}, alternating sum of contractions."""
+    """d_n : A^{(x)(n+2)} -> A^{(x)(n+1)}, alternating sum of contractions.
+
+    This is b', the Hochschild boundary without its last face: b_{n+1}
+    on A (x) A^{(x)(n+1)} with A acting by right multiplication and a
+    zero left action.
+    """
     if n < 1:
         raise DegreeError("bar differential starts in degree 1")
     fld = A.field
@@ -56,16 +66,8 @@ def bar_differential(A, n):
     cached = A._cache.get(key)
     if cached is not None:
         return cached
-    cols = []
-    for c in tuples(d, n + 2):
-        col = {}
-        for k in range(n + 1):
-            sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
-            for l, v in A.mult[c[k]][c[k + 1]].items():
-                tup = c[:k] + (l,) + c[k + 2 :]
-                acc(col, tuple_rank(d, tup), fld.mul(sign, v), fld)
-        cols.append(col)
-    mat = SparseMat(d ** (n + 1), d ** (n + 2), fld, cols)
+    zero = [SparseMat.zero(d, d, fld)] * d
+    mat = _faces(zero, [A.right_matrix(a) for a in range(d)], A.mult, fld, d, n + 1)
     A._cache[key] = mat
     return mat
 
@@ -140,7 +142,7 @@ def _tv_insert_unit(A, vec, pos):
 def _tv_faces(A, vec, first, count):
     """sum_k (-1)^k (contract slots first+k, first+k+1) for k < count.
 
-    With first = 0 and count = n + 2 this is the bar differential d_n;
+    With first = 0 and count = n + 1 this is the bar differential d_n;
     on the realization of Bar_i (x)_A Bar_j, d (x) 1 is the first i+1
     faces and 1 (x) d the next j+1, with signs counted from the seam.
     """

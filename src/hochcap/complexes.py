@@ -15,7 +15,12 @@ Boundary of (x; a_1..a_n):
     + sum_{i=1}^{n-1} (-1)^i (x; a_1.. a_i a_{i+1} ..a_n)
     + (-1)^n (a_n.x; a_1..a_{n-1})
 
-and the dual formula for the cochain differential.  Homology and
+For finite dimensional M the cochains C^m(A, M) are the dual of the
+chains C_m(A, M*), M* = Hom_k(M, k), whose left action is the transposed
+right action of M and whose right action is the transposed left one:
+delta_m is the transpose of b_{m+1} on M*, with the dual chain (j; w)
+read as the cochain rank(w)*r + j.  One face loop (`_faces`) assembles
+both, and the bar differential of `cap` too.  Homology and
 cohomology are presented as subquotients with canonical coordinates, so
 equal classes get equal coordinate tuples no matter how they were found.
 The cycles are the null space of the outgoing differential, whose
@@ -30,8 +35,8 @@ coordinates.  Class spaces, and everything built on them (cap products,
 connecting maps, the identity checks), stay on the standard complex,
 because their coordinates are promised canonical there and no simple
 chain map carries normalized chain classes back.  Both complexes come
-out of the same two assembly loops, which run over an alphabet: the
-letters allowed in the tensor slots and their product table.
+out of the same face loop, which runs over an alphabet: the letters
+allowed in the tensor slots and their product table.
 """
 
 from itertools import product
@@ -113,7 +118,7 @@ def from_tuples(M, n, kind, grouped):
 # quasi-isomorphisms (Loday, Cyclic Homology, 1.1), and the spaces have
 # r (d-1)^n coordinates instead of r d^n.  In either complex a tensor slot
 # holds a basis element e_i, i != k, of A, and an interior product is read
-# through pi: A -> Abar, so the same assembly loops build both.
+# through pi: A -> Abar, so the same face loop builds both.
 
 
 def _normalized_mult(A):
@@ -182,12 +187,49 @@ def _alphabet(M):
     return M.left, M.right, M.algebra.mult
 
 
+def _faces(left, right, mult, fld, r, n):
+    """The matrix of b_n on N (x) L^{(x)n}, N of dimension r, L the
+    letters of `mult`, left[a] and right[a] the actions of letter a on N.
+
+    The faces of a tuple are found once, from its rank, and applied to
+    every module index; a column sums its terms in the face formula's order.
+    """
+    d = len(mult)
+    block, rest = d ** n, d ** (n - 1)
+    signs = (fld.one, fld.neg(fld.one))
+    sign_n = signs[n % 2]
+    # interior face i: the letter products times (-1)^i, and the place
+    # value of the contracted letter in the target tuple
+    tables = [[[[(l, fld.mul(sign, v)) for l, v in entry.items()] for entry in row]
+               for row in mult] for sign in signs]
+    interior = [(tables[i % 2], d ** (n - i - 1)) for i in range(1, n)]
+    cols = [None] * (r * block)
+    for k, w in enumerate(tuples(d, n)):
+        terms = []
+        for i, (table, low) in enumerate(interior, 1):
+            base = k // (low * d * d) * low * d + k % low
+            terms += [(base + l * low, v) for l, v in table[w[i - 1]][w[i]]]
+        first = right[w[0]].cols
+        last = left[w[-1]].cols
+        tail, head = k % rest, k // d  # the ranks of w[1:] and w[:-1]
+        for x in range(r):
+            col = {}
+            for y, v in first[x].items():
+                acc(col, y * rest + tail, v, fld)
+            base = x * rest
+            for t, v in terms:
+                acc(col, base + t, v, fld)
+            for y, v in last[x].items():
+                acc(col, y * rest + head, fld.mul(sign_n, v), fld)
+            cols[x * block + k] = col
+    return SparseMat(r * rest, r * block, fld, cols)
+
+
 def boundary_matrix(N, n):
     """Matrix of b_n : C_n(A, N) -> C_{n-1}(A, N).  Requires n >= 1."""
     if n < 1:
         raise DegreeError("boundary starts in degree 1")
     left, right, mult = _alphabet(N)
-    fld = N.field
     d, r = len(mult), N.dim
     src = r * d ** n
     tgt = r * d ** (n - 1)
@@ -196,24 +238,7 @@ def boundary_matrix(N, n):
     cached = N._cache.get(key)
     if cached is not None:
         return cached
-
-    sign_n = fld.one if n % 2 == 0 else fld.neg(fld.one)
-    cols = []
-    for x in range(r):
-        for w in tuples(d, n):
-            col = {}
-            for y, v in right[w[0]].col(x).items():
-                acc(col, chain_pos(d, n - 1, y, w[1:]), v, fld)
-            for i in range(1, n):
-                sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-                for l, v in mult[w[i - 1]][w[i]].items():
-                    tup = w[: i - 1] + (l,) + w[i + 1 :]
-                    acc(col, chain_pos(d, n - 1, x, tup), fld.mul(sign, v), fld)
-            for y, v in left[w[-1]].col(x).items():
-                acc(col, chain_pos(d, n - 1, y, w[:-1]), fld.mul(sign_n, v), fld)
-            cols.append(col)
-
-    mat = SparseMat(tgt, src, fld, cols)
+    mat = _faces(left, right, mult, N.field, r, n)
     N._cache[key] = mat
     return mat
 
@@ -232,31 +257,16 @@ def coboundary_matrix(M, m):
     cached = M._cache.get(key)
     if cached is not None:
         return cached
-
-    sign_last = fld.one if (m + 1) % 2 == 0 else fld.neg(fld.one)
+    # b_{m+1} on M*, whose chain (j; w) is the cochain rank(w)*r + j
+    dual = _faces([a.transpose() for a in right], [a.transpose() for a in left],
+                  mult, fld, r, m + 1).cols
+    block, rest = d ** (m + 1), d ** m
     cols = [dict() for _ in range(src)]
-    for u in tuples(d, m + 1):
-        u_base = tuple_rank(d, u) * r
-        # a_1 . T(a_2 .. a_{m+1})
-        w_base = tuple_rank(d, u[1:]) * r
-        for j in range(r):
-            for y, v in left[u[0]].col(j).items():
-                acc(cols[w_base + j], u_base + y, v, fld)
-        # interior contractions hit T diagonally in the module index
-        for i in range(1, m + 1):
-            sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-            for l, v in mult[u[i - 1]][u[i]].items():
-                w = u[: i - 1] + (l,) + u[i + 1 :]
-                w_base = tuple_rank(d, w) * r
-                sv = fld.mul(sign, v)
-                for j in range(r):
-                    acc(cols[w_base + j], u_base + j, sv, fld)
-        # (-1)^{m+1} T(a_1 .. a_m) . a_{m+1}
-        w_base = tuple_rank(d, u[:m]) * r
-        for j in range(r):
-            for y, v in right[u[m]].col(j).items():
-                acc(cols[w_base + j], u_base + y, fld.mul(sign_last, v), fld)
-
+    target = [cols[w * r + j] for j in range(r) for w in range(rest)]
+    for row in range(tgt):
+        u, y = divmod(row, r)
+        for idx, v in dual[y * block + u].items():
+            target[idx][row] = v
     mat = SparseMat(tgt, src, fld, cols)
     M._cache[key] = mat
     return mat
@@ -360,6 +370,8 @@ def class_dims(module, up_to, kind):
     checks that their composite vanishes, in place of the B <= Z check a
     subquotient makes, and raises InclusionViolation if it does not.
     """
+    if up_to < 0:
+        raise DegreeError(f"the largest {kind} degree must be nonnegative")
     cx = Normalized(module)
     d = len(cx.mult)
     step = -1 if kind == "homology" else 1  # the degree of the differential

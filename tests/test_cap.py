@@ -6,7 +6,9 @@ from hochcap import zoo
 from hochcap.bimodules import coinduced, tensor_over_algebra
 from hochcap.cap import (
     CapPairing,
+    _tv_faces,
     _tv_insert_unit,
+    bar_differential,
     cap_chain,
     cap_chain_regular,
     cap_via_lift,
@@ -72,6 +74,18 @@ def test_diagonal_matrix_matches_symbolic_form():
                 sym = _tv_insert_unit(a, {c: a.field.one}, i)
                 want = {tuple_rank(d, t): v for t, v in sym.items()}
                 assert mat.col(col) == want, (i, j, c)
+
+
+def test_bar_differential_matches_symbolic_faces():
+    for name in zoo.ZOO:
+        a = zoo.get(name)
+        d = a.dim
+        for n in range(1, 3 if d == 4 else 4):
+            mat = bar_differential(a, n)
+            for col, c in enumerate(tuples(d, n + 2)):
+                sym = _tv_faces(a, {c: a.field.one}, 0, n + 1)
+                want = {tuple_rank(d, t): v for t, v in sym.items()}
+                assert mat.col(col) == want, (name, n, c)
 
 
 def test_cap_chain_hand_example():

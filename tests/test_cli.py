@@ -262,6 +262,13 @@ def test_huge_algebra_file_exits_3(capsys, tmp_path):
     assert "unit fails" in err
 
 
+@pytest.mark.parametrize("command", ["homology", "cohomology", "verify"])
+def test_negative_max_degree_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "dual_numbers", "--max-degree", "-1")
+    assert (code, out) == (2, "")
+    assert "degree must be nonnegative" in err
+
+
 def test_memory_cap_must_be_positive(capsys):
     code, _, err = run(capsys, "--memory-cap", "-1", "homology", "dual_numbers")
     assert code == 2 and "positive" in err

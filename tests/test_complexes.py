@@ -107,6 +107,27 @@ def test_coboundary_matches_dense_oracle():
                     assert got == want, (name, m, i, j)
 
 
+@pytest.mark.parametrize(
+    "name", ["upper_triangular", "two_by_two_matrices", "dual_numbers", "f2_c2"])
+@pytest.mark.parametrize("build", [coinduced, induced])
+def test_differentials_match_dense_oracle_off_the_regular_bimodule(name, build):
+    # the two actions differ here, so a side swapped in the dual module
+    # that builds the coboundary fails
+    alg = _oracle.ALGEBRAS[name]()
+    p = alg["p"]
+    N = build(zoo.get(name).regular()).module
+    left = [m.to_dense() for m in N.left]
+    right = [m.to_dense() for m in N.right]
+    for m in (0, 1):
+        pairs = [(coboundary_matrix(N, m),
+                  _oracle.cochain_differential_dense(alg, left, right, N.dim, m)),
+                 (boundary_matrix(N, m + 1),
+                  _oracle.chain_boundary_dense(alg, left, right, N.dim, m + 1))]
+        for mine, ref in pairs:
+            want = ref if p is None else [[v % p for v in row] for row in ref]
+            assert mine.to_dense() == want, (name, m)
+
+
 def test_homology_dimension_tables():
     for name, table in HOMOLOGY_TABLE.items():
         reg = zoo.get(name).regular()
