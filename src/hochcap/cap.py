@@ -19,9 +19,13 @@ the same product are provided and tested against one another:
   * chain map lifts of the cocycle, either written down in closed form
     or solved degree by degree from the lifting equations.
 
-The bar differential b' is the Hochschild boundary b with a zero left
-action, so it comes out of the same face loop as the differentials in
-`complexes`.
+The bar resolution has one coordinate system: A^{(x)k} keyed by tuple
+rank, as in `complexes`.  The bar differential b' is the Hochschild
+boundary b with a zero left action, so it comes out of the same face
+loop as the differentials there.  Every other operator on it acts on a
+block of consecutive slots and is one call to `linalg.on_slots`: d (x) 1
+and 1 (x) d on the split terms, the outer products of the lifting
+equations and the insertion of the unit.
 
 Descent to classes is governed by
 
@@ -45,7 +49,7 @@ from .complexes import (
 )
 from . import config
 from .errors import DegreeError, LiftFailed
-from .linalg import Solver, SparseMat, acc, axpy
+from .linalg import Solver, SparseMat, acc, axpy, on_slots
 
 
 # -- bar resolution differentials ---------------------------------------
@@ -103,58 +107,14 @@ def diagonal_matrix(A, i, j):
     cached = A._cache.get(key)
     if cached is not None:
         return cached
-    cols = []
-    for c in tuples(d, n + 2):
-        col = {}
-        for s, v in A.unit.items():
-            tup = c[: i + 1] + (s,) + c[i + 1 :]
-            acc(col, tuple_rank(d, tup), v, fld)
-        cols.append(col)
+    ins = SparseMat(d, 1, fld, [A.unit])
+    cols = [on_slots(ins, {g: fld.one}, d ** (j + 1)) for g in range(d ** (n + 2))]
     mat = SparseMat(d ** (n + 3), d ** (n + 2), fld, cols)
     A._cache[key] = mat
     return mat
 
 
-# The diagonal identities are checked symbolically on vectors keyed by
-# basis tuples; this avoids materializing the rather large matrices of
-# the partial differentials on A^{(x)(i+j+4)}.
-
-def _tv_mult_slot(A, vec, k):
-    """Contract slots k, k+1 of every tuple in a tuple-keyed vector."""
-    fld = A.field
-    out = {}
-    for c, coeff in vec.items():
-        for l, v in A.mult[c[k]][c[k + 1]].items():
-            tup = c[:k] + (l,) + c[k + 2 :]
-            acc(out, tup, fld.mul(coeff, v), fld)
-    return out
-
-
-def _tv_insert_unit(A, vec, pos):
-    fld = A.field
-    out = {}
-    for c, coeff in vec.items():
-        for s, v in A.unit.items():
-            acc(out, c[: pos + 1] + (s,) + c[pos + 1 :], fld.mul(coeff, v), fld)
-    return out
-
-
-def _tv_faces(A, vec, first, count):
-    """sum_k (-1)^k (contract slots first+k, first+k+1) for k < count.
-
-    With first = 0 and count = n + 1 this is the bar differential d_n;
-    on the realization of Bar_i (x)_A Bar_j, d (x) 1 is the first i+1
-    faces and 1 (x) d the next j+1, with signs counted from the seam.
-    """
-    fld = A.field
-    out = {}
-    for k in range(count):
-        sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
-        axpy(out, sign, _tv_mult_slot(A, vec, first + k), fld)
-    return out
-
-
-def check_diagonal_identities(A, max_total, insert=None):
+def check_diagonal_identities(A, max_total, unit=None):
     """Verify the two compatibility equations of the comultiplication.
 
     For every i + j <= max_total, on each free generator of the bar
@@ -166,36 +126,40 @@ def check_diagonal_identities(A, max_total, insert=None):
     of D_{0,0} recovers the augmentation.  Returns the list of failing
     instances, ("split", i, j, generator) ordered by total degree, then
     generator, then i, followed by ("augment", 0, 0, generator); empty
-    means every identity holds.  `insert` may override the
-    comultiplication (vector in, position argument as in
-    `_tv_insert_unit`) so a wrong candidate can be shown to fail.
+    means every identity holds.  `unit` (a sparse element of A, the unit
+    by default) is what the comultiplication inserts, so a wrong
+    candidate can be shown to fail.  The bar differentials d_1 ..
+    d_{max_total+1} are fetched before any check, so the memory cap
+    refuses a bound that is too large before work starts.
     """
-    if insert is None:
-        insert = _tv_insert_unit
+    if max_total < 0:
+        raise DegreeError("diagonal identities need a nonnegative total degree")
     fld = A.field
     d = A.dim
+    ins = SparseMat(d, 1, fld, [A.unit if unit is None else unit])
+    bar = [None] + [bar_differential(A, n) for n in range(1, max_total + 2)]
     failures = []
     for total in range(max_total + 1):
-        for c in tuples(d, total + 3):
-            gen = {c: fld.one}
-            boundary = _tv_faces(A, gen, 0, total + 2)
+        for g, c in enumerate(tuples(d, total + 3)):
+            gen = {g: fld.one}
+            boundary = bar[total + 1].cols[g]
             # D_{i,j+1} of this split is D_{i+1,j} of the one before
-            below = insert(A, gen, 0)
+            below = on_slots(ins, gen, d ** (total + 2))
             for i in range(total + 1):
                 j = total - i
-                above = insert(A, gen, i + 1)
-                lhs = insert(A, boundary, i)
-                rhs = _tv_faces(A, above, 0, i + 2)
+                low = d ** (j + 1)
+                above = on_slots(ins, gen, low)
+                lhs = on_slots(ins, boundary, low)
+                rhs = on_slots(bar[i + 1], above, low)
                 sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-                axpy(rhs, sign, _tv_faces(A, below, i + 1, j + 2), fld)
+                axpy(rhs, sign, on_slots(bar[j + 1], below, 1), fld)
                 if lhs != rhs:
                     failures.append(("split", i, j, c))
                 below = above
-    for c in tuples(d, 2):
-        gen = {c: fld.one}
-        lhs = _tv_mult_slot(A, _tv_mult_slot(A, insert(A, gen, 0), 0), 0)
-        rhs = _tv_mult_slot(A, gen, 0)
-        if lhs != rhs:
+    aug = augmentation_matrix(A)
+    for g, c in enumerate(tuples(d, 2)):
+        lhs = on_slots(aug, on_slots(aug, on_slots(ins, {g: fld.one}, d), d), 1)
+        if lhs != aug.cols[g]:
             failures.append(("augment", 0, 0, c))
     return failures
 
@@ -351,30 +315,6 @@ class ChainMapLift:
         return f"<ChainMapLift m={self.m} depth={self.depth} over {self.algebra!r}>"
 
 
-def _first_slot_left_mult(A, s, vec, width):
-    """e_s . (first tensor factor) on a vector over A^{(x)width}."""
-    fld = A.field
-    d = A.dim
-    block = d ** (width - 1)
-    out = {}
-    for u, coeff in vec.items():
-        c0, rest = divmod(u, block)
-        for l, v in A.mult[s][c0].items():
-            acc(out, l * block + rest, fld.mul(coeff, v), fld)
-    return out
-
-
-def _last_slot_right_mult(A, vec, s, width):
-    fld = A.field
-    d = A.dim
-    out = {}
-    for u, coeff in vec.items():
-        head, c = divmod(u, d)
-        for l, v in A.mult[c][s].items():
-            acc(out, head * d + l, fld.mul(coeff, v), fld)
-    return out
-
-
 def _lift_rhs(A, prev_values, w, width):
     """prev applied to the bar boundary of the generator 1 (x) w (x) 1.
 
@@ -384,15 +324,14 @@ def _lift_rhs(A, prev_values, w, width):
     """
     fld = A.field
     q = len(w)
-    out = {}
     # face 0: 1 . w_0 sends the generator to w_0-decorated w[1:]
-    axpy(out, fld.one, _first_slot_left_mult(A, w[0], prev_values[w[1:]], width), fld)
+    out = on_slots(A.left_matrix(w[0]), prev_values[w[1:]], A.dim ** (width - 1))
     for k in range(1, q):
         sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
         for l, v in A.mult[w[k - 1]][w[k]].items():
             axpy(out, fld.mul(sign, v), prev_values[w[:k - 1] + (l,) + w[k + 1 :]], fld)
     sign = fld.one if q % 2 == 0 else fld.neg(fld.one)
-    axpy(out, sign, _last_slot_right_mult(A, prev_values[w[:-1]], w[-1], width), fld)
+    axpy(out, sign, on_slots(A.right_matrix(w[-1]), prev_values[w[:-1]], 1), fld)
     return out
 
 

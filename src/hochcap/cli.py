@@ -24,7 +24,7 @@ from . import axioms, config, serialize, zoo
 from .bimodules import coinduced, induced
 from .cap import CapPairing
 from .complexes import class_dims
-from .errors import HochcapError, MemoryGuardError, ParseError, ValidationError
+from .errors import HochcapError, MemoryGuardError, ParseError
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -277,9 +277,6 @@ def main(argv=None):
     except MemoryGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MEMORY
-    except (ParseError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except HochcapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -42,13 +42,13 @@ allowed in the tensor slots and their product table.
 from itertools import product
 
 from . import config
-from .bimodules import commutator_subspace, invariants_subspace, kron
+from .bimodules import commutator_subspace, invariants_subspace
 from .errors import DegreeError, InclusionViolation, NotCentral, NotInvariant
 # kernel_basis is not called here; perfbench/test_perfbench.py checks that
 # the tracer rewraps this binding
 from .linalg import (  # noqa: F401
-    Echelon, SparseMat, SubquotientSpace, acc, axpy, coerce_vector, kernel_basis, rank,
-    subquotient)
+    Echelon, SparseMat, SubquotientSpace, acc, axpy, coerce_vector, kernel_basis, on_slots,
+    rank, subquotient)
 
 
 def tuples(d, n):
@@ -444,9 +444,7 @@ def central_action(cs, z):
         what = "chain" if chains else "cochain"
         raise NotCentral(f"{what} action is only defined for central elements")
     mat = M.left_action(z)
-    if cs.degree:
-        ident = SparseMat.identity(M.algebra.dim ** cs.degree, M.field)
-        mat = kron(mat, ident) if chains else kron(ident, mat)
-    cols = [dict(enumerate(cs.class_of(mat.matvec(cs.representative(k)))))
+    low = M.algebra.dim ** cs.degree if chains else 1
+    cols = [dict(enumerate(cs.class_of(on_slots(mat, cs.representative(k), low))))
             for k in range(cs.dim)]
     return SparseMat.from_columns(cs.dim, M.field, cols)

@@ -10,6 +10,10 @@ the direction in which differentials are assembled (image of each basis
 vector).  Vectors are sparse dicts {index: value}; the empty dict is the
 zero vector.
 
+`on_slots` applies 1 (x) M (x) 1 to a vector over a tensor power keyed
+by tuple rank, which is how every slot operator of the bar resolution
+(contractions, outer multiplications, unit insertions) acts.
+
 Every elimination produces one `Echelon`: the canonical rref rows from
 `kernels.build_rref` with an index from pivot column to row.  Reducing a
 vector against it walks only the pivot columns in the vector's support,
@@ -205,6 +209,23 @@ def axpy(u, f, row, field):
             u[c] = s
         else:
             u.pop(c, None)
+
+
+def on_slots(mat, vec, low):
+    """1 (x) mat (x) 1 applied to a sparse vector over a tensor power.
+
+    Keys are tuple ranks.  mat acts on a block of consecutive slots,
+    `low` is the dimension of the slots right of that block, and the
+    slots left of it are whatever the quotient leaves.
+    """
+    fld = mat.field
+    out = {}
+    for u, coeff in vec.items():
+        hi, lo = divmod(u, low)
+        x, y = divmod(hi, mat.ncols)
+        for t, v in mat.cols[y].items():
+            acc(out, (x * mat.nrows + t) * low + lo, fld.mul(coeff, v), fld)
+    return out
 
 
 def coerce_vector(field, v, n=None):

@@ -6,8 +6,6 @@ from hochcap import zoo
 from hochcap.bimodules import coinduced, tensor_over_algebra
 from hochcap.cap import (
     CapPairing,
-    _tv_faces,
-    _tv_insert_unit,
     bar_differential,
     cap_chain,
     cap_chain_regular,
@@ -33,6 +31,8 @@ from hochcap.complexes import (
 )
 from hochcap.errors import DegreeError, LiftFailed
 
+import _oracle
+
 
 def rand_vec(rng, fld, dim, k=4):
     out = {}
@@ -52,40 +52,41 @@ def test_diagonal_identities_hold():
 
 def test_diagonal_identities_reject_wrong_insertion():
     a = zoo.get("dual_numbers")
-
-    def bad_insert(alg, vec, pos):
-        # inserting a non-unit element cannot satisfy the equations
-        fld = alg.field
-        out = {}
-        for c, coeff in vec.items():
-            out[c[: pos + 1] + (1,) + c[pos + 1 :]] = coeff
-        return out
-
-    assert check_diagonal_identities(a, 1, insert=bad_insert) != []
+    # inserting a non-unit element cannot satisfy the equations
+    assert check_diagonal_identities(a, 1, unit={1: a.field.one}) != []
 
 
-def test_diagonal_matrix_matches_symbolic_form():
-    a = zoo.get("dual_numbers")
-    d = a.dim
-    for i in range(3):
-        for j in range(3 - i):
-            mat = diagonal_matrix(a, i, j)
-            for col, c in enumerate(tuples(d, i + j + 2)):
-                sym = _tv_insert_unit(a, {c: a.field.one}, i)
-                want = {tuple_rank(d, t): v for t, v in sym.items()}
-                assert mat.col(col) == want, (i, j, c)
+def test_diagonal_identities_reject_a_negative_bound():
+    with pytest.raises(DegreeError):
+        check_diagonal_identities(zoo.get("dual_numbers"), -1)
 
 
-def test_bar_differential_matches_symbolic_faces():
-    for name in zoo.ZOO:
+def test_diagonal_matrix_matches_tuple_insertion():
+    for name in ("dual_numbers", "upper_triangular"):
         a = zoo.get(name)
         d = a.dim
-        for n in range(1, 3 if d == 4 else 4):
-            mat = bar_differential(a, n)
-            for col, c in enumerate(tuples(d, n + 2)):
-                sym = _tv_faces(a, {c: a.field.one}, 0, n + 1)
-                want = {tuple_rank(d, t): v for t, v in sym.items()}
-                assert mat.col(col) == want, (name, n, c)
+        for i in range(3):
+            for j in range(3 - i):
+                mat = diagonal_matrix(a, i, j)
+                for col, c in enumerate(tuples(d, i + j + 2)):
+                    want = {tuple_rank(d, c[: i + 1] + (s,) + c[i + 1 :]): v
+                            for s, v in a.unit.items()}
+                    assert mat.col(col) == want, (name, i, j, c)
+
+
+@pytest.mark.parametrize("name", sorted(_oracle.ALGEBRAS))
+def test_bar_differential_matches_dense_oracle(name):
+    # b' is b on A (x) A^{(x)(n+1)} with right multiplication and a zero
+    # left action
+    alg = _oracle.ALGEBRAS[name]()
+    p, d = alg["p"], alg["d"]
+    a = zoo.get(name)
+    _, right = _oracle.regular_actions(alg)
+    zero_left = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for n in range(1, 3 if d == 4 else 4):
+        ref = _oracle.chain_boundary_dense(alg, zero_left, right, d, n + 1)
+        want = ref if p is None else [[v % p for v in row] for row in ref]
+        assert bar_differential(a, n).to_dense() == want, (name, n)
 
 
 def test_cap_chain_hand_example():

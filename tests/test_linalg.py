@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochcap import QQ, GF, SparseMat, Solver, kernel_basis, rank, rref, solve, subquotient
+from hochcap.bimodules import kron
 from hochcap.errors import InclusionViolation, NotACycle, ParseError
 from hochcap.fields import field_from_json
-from hochcap.linalg import Echelon, axpy
+from hochcap.linalg import Echelon, axpy, on_slots
 
 from _oracle import dense_rank
 
@@ -465,3 +466,18 @@ def test_reduce_cost_is_support_plus_fill_not_rank(support):
     assert v.lookups + ech.index.lookups <= 3 * (support + fill)
     assert rec == {q: 3 for q in hit}
     assert v == {q + 1: (-3 * (q // 2 % 100 + 1)) % 101 for q in hit}
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_on_slots_is_the_kronecker_product(p, data):
+    # 1 (x) mat (x) 1 on I_a (x) mat (x) I_low, keyed by tuple rank
+    field = _field(p)
+    a, low = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    mat = SparseMat.from_columns(nrows, field, data.draw(sparse_columns(field, p, nrows, ncols)))
+    n = a * ncols * low
+    vec = data.draw(sparse_columns(field, p, n, 1))[0]
+    big = kron(kron(SparseMat.identity(a, field), mat), SparseMat.identity(low, field))
+    assert on_slots(mat, vec, low) == big.matvec(vec)
