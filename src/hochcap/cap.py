@@ -22,10 +22,11 @@ the same product are provided and tested against one another:
 The bar resolution has one coordinate system: A^{(x)k} keyed by tuple
 rank, as in `complexes`.  The bar differential b' is the Hochschild
 boundary b with a zero left action, so it comes out of the same face
-loop as the differentials there.  Every other operator on it acts on a
-block of consecutive slots and is one call to `linalg.on_slots`: d (x) 1
-and 1 (x) d on the split terms, the outer products of the lifting
-equations and the insertion of the unit.
+loop as the differentials there.  The operators of the comultiplication
+act on a block of consecutive slots, each one call to `linalg.on_slots`.
+A lift layer is a matrix indexed by generator rank, and the right-hand
+side of its lifting equation is (-1)^m delta_P(t_{i-1}) for all
+generators at once (see `ChainMapLift`).
 
 Descent to classes is governed by
 
@@ -48,7 +49,7 @@ from .complexes import (
     tuples,
 )
 from . import config
-from .errors import DegreeError, LiftFailed
+from .errors import DegreeError, LiftFailed, WrongModule
 from .linalg import Solver, SparseMat, acc, axpy, on_slots
 
 
@@ -166,18 +167,6 @@ def check_diagonal_identities(A, max_total, unit=None):
 
 # -- the chain level product ---------------------------------------------
 
-def _cochain_value(T, r, d, w):
-    """T(e_w) as a sparse vector of a module of dimension r over an
-    algebra of dimension d."""
-    base = tuple_rank(d, w) * r
-    out = {}
-    for j in range(r):
-        v = T.get(base + j)
-        if v:
-            out[j] = v
-    return out
-
-
 def cap_chain(N, n, xi, M, m, T, tens=None):
     """xi cap T in C_{n-m}(A, N (x)_A M); `tens` realizes the target.
 
@@ -188,21 +177,21 @@ def cap_chain(N, n, xi, M, m, T, tens=None):
         raise DegreeError(f"cap needs 0 <= m <= n, got n={n}, m={m}")
     fld = N.field
     d = N.algebra.dim
+    r = M.dim
     out = {}
-    k = n - m
+    block = d ** (n - m)
     for idx, coeff in xi.items():
         x, wrank = divmod(idx, d ** n)
-        w = tuple_digits(d, n, wrank)
-        tvec = _cochain_value(T, M.dim, d, w[:m])
+        head, tail = divmod(wrank, block)  # the ranks of w[:m] and w[m:]
+        tvec = {j: T[head * r + j] for j in range(r) if T.get(head * r + j)}
         if not tvec:
             continue
         if tens is None:
             pvec = N.act_right({x: fld.one}, tvec)
         else:
             pvec = tens.project_pure({x: fld.one}, tvec)
-        tail = tuple_rank(d, w[m:])
         for q, v in pvec.items():
-            acc(out, q * d ** k + tail, fld.mul(coeff, v), fld)
+            acc(out, q * block + tail, fld.mul(coeff, v), fld)
     return out
 
 
@@ -281,9 +270,10 @@ def unit_cocycle(A):
 class ChainMapLift:
     """A degree -m map of the bar resolution into itself lifting a cochain.
 
-    Determined by its values on the free generators 1 (x) w (x) 1; the
-    value in degree i on a generator indexed by a tuple w of length m+i
-    is a vector in A^{(x)(i+2)} (integer tuple-rank coordinates).
+    Determined by its values on the free generators 1 (x) w (x) 1, w a
+    tuple of length m+i in degree i.  Layer i, `values[i]`, is a
+    `SparseMat` with d^(i+2) rows and d^(m+i) columns: column rank(w)
+    holds the value on w in A^{(x)(i+2)}, both sides keyed by tuple rank.
     Everything else follows by two sided linearity.
 
     The lifting property used throughout is
@@ -294,7 +284,10 @@ class ChainMapLift:
     closed form lift actually satisfies: it comes from applying
     (t (x) 1) to the compatibility equation of the comultiplication,
     whose second term carries the sign (-1)^m.  Any two lifts in this
-    sense produce the same class when capped against a cycle.
+    sense produce the same class when capped against a cycle.  Read as
+    an (m+i-1)-cochain with values in P = A^{(x)(i+1)}, A acting on the
+    two outer slots, t_{i-1} d_{m+i} is its Hochschild coboundary
+    delta_P t_{i-1} (see `_coboundary`).
     """
 
     __slots__ = ("algebra", "m", "values")
@@ -309,30 +302,68 @@ class ChainMapLift:
         return len(self.values) - 1
 
     def value(self, i, w):
-        return self.values[i][w]
+        return self.values[i].cols[tuple_rank(self.algebra.dim, w)]
 
     def __repr__(self):
         return f"<ChainMapLift m={self.m} depth={self.depth} over {self.algebra!r}>"
 
 
-def _lift_rhs(A, prev_values, w, width):
-    """prev applied to the bar boundary of the generator 1 (x) w (x) 1.
+def _interior_faces(A, n):
+    """The interior faces of the bar boundary of the generators of length
+    n: b_n on k (x) A^{(x)n} with zero actions, so the outer faces vanish."""
+    key = ("interior", n)
+    faces = A._cache.get(key)
+    if faces is None:
+        zero = [SparseMat.zero(1, 1, A.field)] * A.dim
+        faces = A._cache[key] = _faces(zero, zero, A.mult, A.field, 1, n)
+    return faces
 
-    The two outer faces land on generators decorated with an algebra
-    element on one side, which is where two sided linearity enters:
-    the decoration becomes an outer multiplication of the stored value.
+
+def _coboundary(A, t, n, sign, out=None):
+    """Add sign * delta_P t to `out` (a fresh layer by default) and return
+    it; t is a layer on the generators of length n-1, out one on those of
+    length n, read as cochains with values in P.
+
+    Column rank(w) of delta_P t is t applied to the bar boundary of
+    1 (x) w (x) 1.  The interior faces are t composed with
+    `_interior_faces`.  The two outer faces land on generators decorated
+    with an algebra element on one side, which is where two sided
+    linearity enters: the first letter multiplies the first slot of the
+    value from the left, the last letter its last slot from the right,
+    with sign (-1)^n.  Both come out of one pass over the entries of t.
     """
     fld = A.field
-    q = len(w)
-    # face 0: 1 . w_0 sends the generator to w_0-decorated w[1:]
-    out = on_slots(A.left_matrix(w[0]), prev_values[w[1:]], A.dim ** (width - 1))
-    for k in range(1, q):
-        sign = fld.one if k % 2 == 0 else fld.neg(fld.one)
-        for l, v in A.mult[w[k - 1]][w[k]].items():
-            axpy(out, fld.mul(sign, v), prev_values[w[:k - 1] + (l,) + w[k + 1 :]], fld)
-    sign = fld.one if q % 2 == 0 else fld.neg(fld.one)
-    axpy(out, sign, on_slots(A.right_matrix(w[-1]), prev_values[w[:-1]], 1), fld)
+    d = A.dim
+    gens, low = t.ncols, t.nrows // d
+    if out is None:
+        out = SparseMat.zero(t.nrows, gens * d, fld)
+    cols, mult, mul = out.cols, A.mult, fld.mul
+    for col, faces in zip(cols, _interior_faces(A, n).cols):
+        for k, c in faces.items():
+            axpy(col, mul(sign, c), t.cols[k], fld)
+    sign_n = sign if n % 2 == 0 else fld.neg(sign)
+    for u, col in enumerate(t.cols):
+        for idx, v in col.items():
+            first, rest = divmod(idx, low)
+            head, last = divmod(idx, d)
+            v, v_n = mul(sign, v), mul(sign_n, v)
+            for a in range(d):
+                for l, c in mult[a][first].items():
+                    acc(cols[a * gens + u], l * low + rest, mul(v, c), fld)
+                for l, c in mult[last][a].items():
+                    acc(cols[u * d + a], head * d + l, mul(v_n, c), fld)
     return out
+
+
+def _cochain_layer(A, T, m):
+    """An m-cochain with regular coefficients as a d x d^m matrix."""
+    d = A.dim
+    cols = [dict() for _ in range(d ** m)]
+    for idx, v in T.items():
+        if v:
+            g, j = divmod(idx, d)
+            cols[g][j] = v
+    return SparseMat(d, d ** m, A.field, cols)
 
 
 def explicit_lift(A, T, m, up_to):
@@ -347,34 +378,25 @@ def explicit_lift(A, T, m, up_to):
         raise DegreeError("lift degrees must be nonnegative")
     fld = A.field
     d = A.dim
+    tcols = _cochain_layer(A, T, m).cols
     values = []
     for i in range(up_to + 1):
-        layer = {}
-        for w in tuples(d, m + i):
-            tvec = _cochain_value(T, d, d, w[:m])
-            vec = {}
-            mid = tuple_rank(d, w[m:])
-            for j, tv in tvec.items():
-                for s, sv in A.unit.items():
-                    idx = (j * d ** i + mid) * d + s
-                    acc(vec, idx, fld.mul(tv, sv), fld)
-            layer[w] = vec
-        values.append(layer)
+        block = d ** i
+        cols = []
+        for g in range(d ** (m + i)):
+            head, mid = divmod(g, block)  # the ranks of w[:m] and w[m:]
+            cols.append({(j * block + mid) * d + s: fld.mul(tv, sv)
+                         for j, tv in tcols[head].items() for s, sv in A.unit.items()})
+        values.append(SparseMat(d ** (i + 2), d ** (m + i), fld, cols))
     return ChainMapLift(A, m, values)
 
 
-def _aug_solver(A):
-    s = A._cache.get("aug_solver")
-    if s is None:
-        s = A._cache["aug_solver"] = Solver(augmentation_matrix(A))
-    return s
-
-
-def _bar_solver(A, i):
-    key = ("bar_solver", i)
+def _solver(A, i):
+    """The cached `Solver` of d_i, d_0 being the augmentation."""
+    key = ("solver", i)
     s = A._cache.get(key)
     if s is None:
-        s = A._cache[key] = Solver(bar_differential(A, i))
+        s = A._cache[key] = Solver(bar_differential(A, i) if i else augmentation_matrix(A))
     return s
 
 
@@ -390,12 +412,15 @@ def _random_sparse(rng, dim, fld, entries=2):
 def solve_lift(A, T, m, up_to, seed=None):
     """Lift T degree by degree through the lifting equations.
 
-    Base step: solve d_0(v) = T(w) for each generator.  Induction:
-    solve d_i(v) = (-1)^m (previous layer applied to the boundary of
-    the generator).  Solutions are the deterministic ones of `Solver`;
-    a seed perturbs every layer by a homotopy, producing a genuinely
-    different but still valid lift (lifts of the same cocycle are
-    unique only up to homotopy, and seeded runs exercise that).
+    Base step: solve d_0 t_0 = T.  Induction: solve
+    d_i t_i = (-1)^m delta_P t_{i-1}, every generator of the layer at
+    once.  Solutions are the deterministic ones of `Solver`; a seed
+    perturbs every layer by a homotopy H, t_i + d_{i+1} H_i +
+    (-1)^m delta_P H_{i-1}, producing a genuinely different but still
+    valid lift (lifts of the same cocycle are unique only up to
+    homotopy, and seeded runs exercise that).  The bar differentials
+    are fetched before any solve, so the memory cap refuses a depth that
+    is too large before work starts.
 
     Raises LiftFailed when some equation has no solution, which happens
     exactly when T fails to be a cocycle deep enough for the requested
@@ -406,80 +431,53 @@ def solve_lift(A, T, m, up_to, seed=None):
     fld = A.field
     d = A.dim
     sign_m = fld.one if m % 2 == 0 else fld.neg(fld.one)
-    values = []
-    layer0 = {}
-    for w in tuples(d, m):
-        sol = _aug_solver(A).solve(_cochain_value(T, d, d, w))
-        if sol is None:  # cannot happen: d_0 is onto
-            raise LiftFailed(f"augmentation not solvable at {w}")
-        layer0[w] = sol
-    values.append(layer0)
+    top = up_to + 1 if seed is not None else up_to
+    bar = [None] + [bar_differential(A, i) for i in range(1, top + 1)]
+    values = [_solver(A, 0).solve_matrix(_cochain_layer(A, T, m))]
     for i in range(1, up_to + 1):
-        layer = {}
-        solver = _bar_solver(A, i)
-        for w in tuples(d, m + i):
-            rhs = {}
-            axpy(rhs, sign_m, _lift_rhs(A, values[i - 1], w, i + 1), fld)
-            sol = solver.solve(rhs)
-            if sol is None:
-                raise LiftFailed(
-                    f"no chain map extends the given cochain to degree {i}; "
-                    f"it is not a cocycle"
-                )
-            layer[w] = sol
+        layer = _solver(A, i).solve_matrix(_coboundary(A, values[i - 1], m + i, sign_m))
+        if layer is None:
+            raise LiftFailed(f"no chain map extends the given cochain to degree {i}; "
+                             "it is not a cocycle")
         values.append(layer)
 
     if seed is not None:
         rng = random.Random(seed)
-        hvalues = []
-        for i in range(up_to + 1):
-            hlayer = {
-                w: _random_sparse(rng, d ** (i + 3), fld)
-                for w in tuples(d, m + i)
-            }
-            hvalues.append(hlayer)
-        perturbed = []
-        for i in range(up_to + 1):
-            dmat = bar_differential(A, i + 1)
-            layer = {}
-            for w in tuples(d, m + i):
-                vec = dict(values[i][w])
-                axpy(vec, fld.one, dmat.matvec(hvalues[i][w]), fld)
-                if i > 0:
-                    # the sign keeps the twisted lifting property intact
-                    axpy(vec, sign_m, _lift_rhs(A, hvalues[i - 1], w, i + 2), fld)
-                layer[w] = vec
-            perturbed.append(layer)
-        values = perturbed
+        homotopy = [
+            SparseMat(d ** (i + 3), d ** (m + i), fld,
+                      [_random_sparse(rng, d ** (i + 3), fld) for _ in range(d ** (m + i))])
+            for i in range(up_to + 1)
+        ]
+        for i, h in enumerate(homotopy):
+            step = bar[i + 1] @ h
+            if i > 0:
+                # the sign keeps the twisted lifting property intact
+                _coboundary(A, homotopy[i - 1], m + i, sign_m, step)
+            for col, add in zip(values[i].cols, step.cols):
+                axpy(col, fld.one, add, fld)
     return ChainMapLift(A, m, values)
 
 
 def coboundary_lift(A, S, m, up_to):
     """A lift of dS whose layers vanish in every positive degree.
 
-    S is an (m-1)-cochain.  Solve d_0 . shat = (value of S) on the
-    generators one degree down, then take the degree zero layer to be
-    shat composed with the boundary; all higher layers can be zero.
+    S is an (m-1)-cochain.  Solve d_0 shat = S on the generators one
+    degree down, then take the degree zero layer to be shat composed
+    with the boundary, delta_P shat; all higher layers can be zero.
     """
     if m < 1:
         raise DegreeError("a coboundary lift needs m >= 1")
     fld = A.field
     d = A.dim
-    shat = {}
-    for w in tuples(d, m - 1):
-        sol = _aug_solver(A).solve(_cochain_value(S, d, d, w))
-        if sol is None:  # d_0 is onto
-            raise LiftFailed(f"augmentation not solvable at {w}")
-        shat[w] = sol
-    layer0 = {w: _lift_rhs(A, shat, w, 2) for w in tuples(d, m)}
-    values = [layer0]
-    for i in range(1, up_to + 1):
-        values.append({w: {} for w in tuples(d, m + i)})
+    shat = _solver(A, 0).solve_matrix(_cochain_layer(A, S, m - 1))
+    values = [_coboundary(A, shat, m, fld.one)]
+    values += [SparseMat.zero(d ** (i + 2), d ** (m + i), fld) for i in range(1, up_to + 1)]
     return ChainMapLift(A, m, values)
 
 
 def verify_lift(A, T, m, lift):
-    """Check the base identity and the twisted lifting property.
+    """Check the base identity and the twisted lifting property, one
+    matrix identity per layer.
 
     Raises LiftFailed at the first broken generator; returns the number
     of generators checked.
@@ -487,30 +485,27 @@ def verify_lift(A, T, m, lift):
     fld = A.field
     d = A.dim
     sign_m = fld.one if m % 2 == 0 else fld.neg(fld.one)
-    checked = 0
-    aug = augmentation_matrix(A)
-    for w in tuples(d, m):
-        if aug.matvec(lift.value(0, w)) != _cochain_value(T, d, d, w):
-            raise LiftFailed(f"degree 0 value at {w} does not project to T")
-        checked += 1
-    for i in range(1, lift.depth + 1):
-        dmat = bar_differential(A, i)
-        for w in tuples(d, m + i):
-            lhs = dmat.matvec(lift.value(i, w))
-            rhs = {}
-            axpy(rhs, sign_m, _lift_rhs(A, lift.values[i - 1], w, i + 1), fld)
-            if lhs != rhs:
-                raise LiftFailed(f"lifting property fails in degree {i} at {w}")
-            checked += 1
-    return checked
+    for i, layer in enumerate(lift.values):
+        if i == 0:
+            lhs, rhs = augmentation_matrix(A) @ layer, _cochain_layer(A, T, m)
+        else:
+            lhs = bar_differential(A, i) @ layer
+            rhs = _coboundary(A, lift.values[i - 1], m + i, sign_m)
+        for g, (got, want) in enumerate(zip(lhs.cols, rhs.cols, strict=True)):
+            if got != want:
+                w = tuple_digits(d, m + i, g)
+                raise LiftFailed(f"lifting property fails in degree {i} at {w}" if i
+                                 else f"degree 0 value at {w} does not project to T")
+    return sum(layer.ncols for layer in lift.values)
 
 
 def cap_via_lift(N, n, xi, lift):
     """xi cap T computed as (id tensor t_{n-m}) followed by reduction.
 
-    N must carry the regular actions (this route to the product exists
-    for coefficients in the algebra itself).  The reduction sends a
-    decorated generator x (x) (c_0, ..., c_{k+1}) of the bar form to
+    N must be the regular bimodule of the lift's algebra (this route to
+    the product exists for coefficients in the algebra itself); anything
+    else raises WrongModule.  The reduction sends a decorated generator
+    x (x) (c_0, ..., c_{k+1}) of the bar form to
     (c_{k+1} . x . c_0; c_1, ..., c_k).
     """
     m = lift.m
@@ -520,14 +515,18 @@ def cap_via_lift(N, n, xi, lift):
     if i > lift.depth:
         raise DegreeError(f"lift only computed to depth {lift.depth}, need {i}")
     A = N.algebra
+    if lift.algebra is not A:
+        raise WrongModule("the lift and the module are over different algebras")
+    if not A.is_regular(N):
+        raise WrongModule(f"cap_via_lift needs the regular bimodule, got {N!r}")
     fld = N.field
     d = A.dim
     block = d ** (i + 1)
+    layer = lift.values[i].cols
     out = {}
     for idx, coeff in xi.items():
-        x, wrank = divmod(idx, d ** n)
-        w = tuple_digits(d, n, wrank)
-        for u, v in lift.value(i, w).items():
+        x, g = divmod(idx, d ** n)
+        for u, v in layer[g].items():
             c0, rest = divmod(u, block)
             mid, clast = divmod(rest, d)
             y = A.multiply(A.multiply({clast: fld.one}, {x: fld.one}), {c0: fld.one})

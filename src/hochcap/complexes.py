@@ -257,9 +257,13 @@ def coboundary_matrix(M, m):
     cached = M._cache.get(key)
     if cached is not None:
         return cached
-    # b_{m+1} on M*, whose chain (j; w) is the cochain rank(w)*r + j
-    dual = _faces([a.transpose() for a in right], [a.transpose() for a in left],
-                  mult, fld, r, m + 1).cols
+    # b_{m+1} on M*, whose chain (j; w) is the cochain rank(w)*r + j; the
+    # actions of M* are cached on the module with its differentials
+    actions = M._cache.get("dual")
+    if actions is None:
+        actions = M._cache["dual"] = ([a.transpose() for a in right],
+                                      [a.transpose() for a in left])
+    dual = _faces(*actions, mult, fld, r, m + 1).cols
     block, rest = d ** (m + 1), d ** m
     cols = [dict() for _ in range(src)]
     target = [cols[w * r + j] for j in range(r) for w in range(rest)]

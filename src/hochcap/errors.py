@@ -45,5 +45,9 @@ class Unsolvable(HochcapError):
     """Linear system has no solution."""
 
 
+class WrongModule(HochcapError):
+    """Module is not one the operation accepts (another algebra's, say)."""
+
+
 class MemoryGuardError(HochcapError):
     """A chain space would exceed the configured coordinate budget."""

@@ -185,7 +185,7 @@ def test_criterion_7_lift_equivalence():
             lift = coboundary_lift(A, S, m, 2)
             verify_lift(A, T, m, lift)
             for layer in lift.values[1:]:
-                assert all(not v for v in layer.values())
+                assert all(not c for c in layer.cols)
             hs = homology(reg, m)
             h0 = homology(reg, 0)
             for k in range(hs.dim):

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from hochcap import zoo
+from hochcap import config, linalg, zoo
 from hochcap.bimodules import coinduced, tensor_over_algebra
 from hochcap.cap import (
     CapPairing,
@@ -29,7 +30,7 @@ from hochcap.complexes import (
     tuple_rank,
     tuples,
 )
-from hochcap.errors import DegreeError, LiftFailed
+from hochcap.errors import DegreeError, HochcapError, LiftFailed, MemoryGuardError
 
 import _oracle
 
@@ -303,10 +304,112 @@ def test_coboundary_lift_gives_boundaries():
             lift = coboundary_lift(a, S, m, 2)
             verify_lift(a, T, m, lift)
             for i in (1, 2):
-                assert all(not v for v in lift.values[i].values())
+                assert all(not c for c in lift.values[i].cols)
             # n = m: the product of any cycle with dS is a boundary
             hs = homology(reg, m)
             h0 = homology(reg, 0)
             for k in range(hs.dim):
                 out = cap_via_lift(reg, m, hs.representative(k), lift)
                 assert h0.space.is_boundary(out), (name, m, k)
+
+
+# sha256 of every lift value, generator by generator, for the cases of
+# `_lift_cases`; frozen from the tuple-keyed implementation, so a change of
+# layer storage cannot change a single value
+LIFT_DIGESTS = {
+    "rationals": "b3db20595b10f5d7c20eb5314a79b66386101b356215a4b03bdaf5756546ad71",
+    "dual_numbers": "ae215c438219a30f7dd5466bae2cda93b7cd06cd1f686125a54981ef88567228",
+    "truncated_cubic": "17f5a45e16467f03a5ae17cbd6af4a4798f2301021e7b394faa862ae14e1f318",
+    "product_qq": "c8fcc98b57e8567fc1901379ccc39d66eff530f08053e14a3dee963dbb100dd8",
+    "two_by_two_matrices": "17c92d3950735ce252cdcef0946c60baf1f357ef96bfbc0438215fc8103957f3",
+    "upper_triangular": "a83ed470d30edbeac4c89625dfcf411e63b29efd86a50124cc02e1d590e8eedc",
+    "f2_c2": "c0aaf11b473aee7dec8a92b4330f9ef3250fa789a5baae89f920b8e76972350f",
+}
+
+
+def _lift_digest(lift):
+    h = hashlib.sha256()
+    for i in range(lift.depth + 1):
+        for w in tuples(lift.algebra.dim, lift.m + i):
+            entries = sorted((k, str(v)) for k, v in lift.value(i, w).items())
+            h.update(repr((i, w, entries)).encode())
+    return h.hexdigest()
+
+
+def _lift_cases(name):
+    """(label, lift) for m <= 2 at depth 2: the closed form, the solved
+    lift unseeded and seeded, and the coboundary lift."""
+    a = zoo.get(name)
+    reg = a.regular()
+    fld = a.field
+    rng = random.Random(f"lift/{name}")
+    for m in range(3):
+        cs = cohomology(reg, m)
+        T = cs.lift((fld.one,) * cs.dim)
+        S = rand_vec(rng, fld, cochain_dim(reg, m - 1)) if m else {}
+        if m:
+            linalg.axpy(T, fld.one, coboundary_matrix(reg, m - 1).matvec(S), fld)
+        yield f"explicit:{m}", explicit_lift(a, T, m, 2)
+        yield f"solve:{m}", solve_lift(a, T, m, 2)
+        yield f"solve:{m}:7", solve_lift(a, T, m, 2, seed=7)
+        if m:
+            yield f"coboundary:{m}", coboundary_lift(a, S, m, 2)
+
+
+@pytest.mark.parametrize("name", list(zoo.ZOO))
+def test_lift_values_are_frozen(name):
+    got = hashlib.sha256()
+    for label, lift in _lift_cases(name):
+        got.update(f"{label}={_lift_digest(lift)};".encode())
+    assert got.hexdigest() == LIFT_DIGESTS[name]
+
+
+def test_verify_lift_names_the_degree_of_a_forged_entry():
+    a = zoo.get("dual_numbers")
+    reg = a.regular()
+    fld = a.field
+    T = cohomology(reg, 1).representative(0)
+    lift = explicit_lift(a, T, 1, 3)
+    assert verify_lift(a, T, 1, lift) > 0
+    col = lift.value(2, (1, 0, 1))
+    col[0] = fld.add(col.get(0, fld.zero), fld.one)  # d_2 e_0 = e_0 is not zero
+    with pytest.raises(LiftFailed, match="degree 2"):
+        verify_lift(a, T, 1, lift)
+
+
+def test_seeded_lift_is_refused_before_any_solve(monkeypatch):
+    # d_1..d_4 fit under the cap, the seeded homotopy's d_5 (3^7) does not
+    T = dict(zoo.get("truncated_cubic").unit)
+    calls = []
+    solve = linalg.Solver.solve
+
+    def counted(self, b):
+        calls.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(linalg.Solver, "solve", counted)
+    config.set_max_coordinates(3 ** 7 - 1)
+    try:
+        assert solve_lift(zoo.get("truncated_cubic"), T, 0, 4).depth == 4
+        calls.clear()
+        with pytest.raises(MemoryGuardError):
+            solve_lift(zoo.get("truncated_cubic"), T, 0, 4, seed=1)
+    finally:
+        config.set_max_coordinates(None)
+    assert calls == []
+
+
+def test_cap_via_lift_refuses_other_modules():
+    a = zoo.get("truncated_cubic")
+    reg = a.regular()
+    fld = a.field
+    T = cohomology(reg, 1).representative(0)
+    lift = explicit_lift(a, T, 1, 1)
+    xi = homology(reg, 2).representative(0)
+    assert cap_via_lift(reg, 2, xi, lift) == cap_chain_regular(reg, 2, xi, 1, T)
+    dual = coinduced(reg).module
+    with pytest.raises(HochcapError, match="regular"):
+        cap_via_lift(dual, 2, {3 * 9: fld.one}, lift)
+    other = zoo.get("truncated_cubic").regular()
+    with pytest.raises(HochcapError, match="algebra"):
+        cap_via_lift(other, 2, xi, lift)
