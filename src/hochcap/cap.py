@@ -171,28 +171,23 @@ def cap_chain(N, n, xi, M, m, T, tens=None):
     """xi cap T in C_{n-m}(A, N (x)_A M); `tens` realizes the target.
 
     Without `tens`, M must be the regular bimodule and the target is
-    collapsed through N (x)_A A = N: x (x) a becomes x.a.
+    collapsed through N (x)_A A = N: x (x) a becomes x.a.  The cocycle
+    becomes one matrix E_T, whose column (x, rank(w)) is x (x) T(w) in
+    the target, and E_T acts on the module slot and the leading m tensor
+    slots of xi at once.
     """
     if not 0 <= m <= n:
         raise DegreeError(f"cap needs 0 <= m <= n, got n={n}, m={m}")
     fld = N.field
-    d = N.algebra.dim
-    r = M.dim
-    out = {}
-    block = d ** (n - m)
-    for idx, coeff in xi.items():
-        x, wrank = divmod(idx, d ** n)
-        head, tail = divmod(wrank, block)  # the ranks of w[:m] and w[m:]
-        tvec = {j: T[head * r + j] for j in range(r) if T.get(head * r + j)}
-        if not tvec:
-            continue
-        if tens is None:
-            pvec = N.act_right({x: fld.one}, tvec)
-        else:
-            pvec = tens.project_pure({x: fld.one}, tvec)
-        for q, v in pvec.items():
-            acc(out, q * block + tail, fld.mul(coeff, v), fld)
-    return out
+    d, r = N.algebra.dim, M.dim
+    heads = d ** m
+    E = SparseMat.zero(N.dim if tens is None else tens.module.dim, N.dim * heads, fld)
+    for idx, v in T.items():
+        w, j = divmod(idx, r)
+        for x in range(N.dim):
+            pure = N.right[j].cols[x] if tens is None else tens.projection.cols[x * r + j]
+            axpy(E.cols[x * heads + w], v, pure, fld)
+    return on_slots(E, xi, d ** (n - m))
 
 
 def cap_chain_regular(N, n, xi, m, T):

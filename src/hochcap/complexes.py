@@ -5,9 +5,9 @@ element (x; a_1, ..., a_n) is x*d**n + sum(a_i * d**(n-i)), i.e. module
 index major, tuple in lexicographic order.  Cochains in degree m are
 maps A^{(x)m} -> M stored tuple major: the coordinate of the elementary
 cochain sending the basis tuple w to basis vector j is rank(w)*r + j.
-`by_tuple` and `from_tuples` convert either layout to and from
-{tuple rank: {module index: value}}, so code that acts on the module
-slot is written once for both kinds.
+In both layouts a linear map on the module slot is one `linalg.on_slots`
+call, whose `low` (`module_slot`) is d**n for chains and 1 for cochains,
+so code that acts on the module slot is written once for both kinds.
 
 Boundary of (x; a_1..a_n):
 
@@ -83,30 +83,11 @@ def cochain_dim(M, m):
     return M.algebra.dim ** m * M.dim
 
 
-def by_tuple(M, n, kind, vec):
-    """A degree n chain (kind "homology") or cochain ("cohomology") of M
-    grouped as {tuple rank: {module index: value}}."""
-    out = {}
-    if kind == "homology":
-        block = M.algebra.dim ** n
-        for idx, v in vec.items():
-            x, w = divmod(idx, block)
-            out.setdefault(w, {})[x] = v
-    else:
-        r = M.dim
-        for idx, v in vec.items():
-            w, x = divmod(idx, r)
-            out.setdefault(w, {})[x] = v
-    return out
-
-
-def from_tuples(M, n, kind, grouped):
-    """Inverse of `by_tuple`: the degree n (co)chain of M with these entries."""
-    if kind == "homology":
-        block = M.algebra.dim ** n
-        return {x * block + w: v for w, vec in grouped.items() for x, v in vec.items()}
-    r = M.dim
-    return {w * r + x: v for w, vec in grouped.items() for x, v in vec.items()}
+def module_slot(M, n, kind):
+    """The `low` of `linalg.on_slots` that puts a matrix on the module slot
+    of a degree n chain of M (kind "homology", stored module index major)
+    or cochain ("cohomology", stored tuple major)."""
+    return M.algebra.dim ** n if kind == "homology" else 1
 
 
 # -- the normalized complex ----------------------------------------------
@@ -378,6 +359,11 @@ def class_dims(module, up_to, kind):
         raise DegreeError(f"the largest {kind} degree must be nonnegative")
     cx = Normalized(module)
     d = len(cx.mult)
+    # refuse before any work the largest space either kind builds: Cbar_{up_to+1}
+    # (b_{up_to+1} or delta^{up_to}), or Cbar_0 when Abar has no letters
+    what = "chain" if kind == "homology" else "cochain"
+    config.guard(cx.dim * max(d, 1) ** (up_to + 1),
+                 f"degree {up_to + 1} of the normalized {what} complex")
     step = -1 if kind == "homology" else 1  # the degree of the differential
     ranks = {}
     for n in range(up_to + 1):
@@ -421,12 +407,9 @@ def degree_zero_cocycle(M, vec):
     a.m = m.a for every a, i.e. iff m is an invariant.  Raises
     NotInvariant otherwise.
     """
-    fld = M.field
-    v = coerce_vector(fld, vec, M.dim)
+    v = coerce_vector(M.field, vec, M.dim)
     for s in range(M.algebra.dim):
-        lhs = M.act_left({s: fld.one}, v)
-        rhs = M.act_right(v, {s: fld.one})
-        if lhs != rhs:
+        if M.left[s].matvec(v) != M.right[s].matvec(v):
             raise NotInvariant(
                 f"basis element {s} does not commute with the given vector"
             )
@@ -439,16 +422,21 @@ def invariants_dim(M):
 
 # -- action of the center ----------------------------------------------
 
+def on_classes(src, tgt, mat):
+    """The matrix that `mat`, acting on the module slot of the (co)chains
+    of `src`, induces from its canonical class coordinates to those of
+    `tgt`: column k is the class of the image of representative k."""
+    low = module_slot(src.module, src.degree, src.kind)
+    fld = tgt.module.field
+    cols = [coerce_vector(fld, tgt.class_of(on_slots(mat, src.representative(k), low)))
+            for k in range(src.dim)]
+    return SparseMat.from_columns(tgt.dim, fld, cols)
+
+
 def central_action(cs, z):
     """Matrix of the action of central z on the canonical coordinates of a
     class space.  z acts through the module slot of each (co)chain."""
-    M = cs.module
-    chains = cs.kind == "homology"
-    if not M.algebra.is_central(z):
-        what = "chain" if chains else "cochain"
+    if not cs.module.algebra.is_central(z):
+        what = "chain" if cs.kind == "homology" else "cochain"
         raise NotCentral(f"{what} action is only defined for central elements")
-    mat = M.left_action(z)
-    low = M.algebra.dim ** cs.degree if chains else 1
-    cols = [dict(enumerate(cs.class_of(on_slots(mat, cs.representative(k), low))))
-            for k in range(cs.dim)]
-    return SparseMat.from_columns(cs.dim, M.field, cols)
+    return on_classes(cs, cs, cs.module.left_action(z))

@@ -5,16 +5,16 @@ bimodules induces a long exact sequence in homology, whose connecting
 map goes down one degree, and one in cohomology, whose connecting map
 goes up one degree.  Every operation here is written once and takes
 `kind` ("homology" or "cohomology"), the same word `ClassSpace` carries:
-a bimodule map acts on the module slot of a (co)chain one basis tuple at
-a time, and `complexes.by_tuple` hides that chains are stored module
-index major and cochains tuple major.
+a bimodule map acts on the module slot of a (co)chain by one call to
+`linalg.on_slots`, and `complexes.module_slot` hides that chains are
+stored module index major and cochains tuple major.
 
 The connecting map is computed exactly on canonical class coordinates:
-lift a representative through g one tuple at a time, apply the
-(co)differential of the middle term, pull back through f.  `Solver`
-makes the per-tuple solves cheap and deterministic; an optional seed
-shifts the lift by something in the image of f, which must not change
-the answer, and tests use that to confirm choice independence.
+lift a representative through g, apply the (co)differential of the
+middle term, pull back through f.  A pullback is two slot operators, the
+`conditions` and the `section` of a `Solver`; an optional seed shifts
+the lift by something in the image of f, which must not change the
+answer, and tests use that to confirm choice independence.
 
 The names ending in `_homology` and `_cohomology` are one-line
 delegates, kept because callers and the benchmark's tracer
@@ -29,9 +29,9 @@ from .bimodules import (
     make_ses,
     tensor_over_algebra,
 )
-from .complexes import by_tuple, chain_dim, class_space, differential, from_tuples
+from .complexes import chain_dim, class_space, differential, module_slot, on_classes
 from .errors import Unsolvable
-from .linalg import Solver, SparseMat, axpy, coerce_vector, rank
+from .linalg import Solver, SparseMat, axpy, coerce_vector, on_slots, rank
 
 
 def _degrees(kind):
@@ -41,33 +41,24 @@ def _degrees(kind):
 
 def map_coefficients(mor, vec, n, kind):
     """Apply a bimodule map to the module slot of a degree n (co)chain."""
-    grouped = by_tuple(mor.source, n, kind, vec)
-    images = {w: mor.matrix.matvec(col) for w, col in grouped.items()}
-    return from_tuples(mor.target, n, kind, images)
+    return on_slots(mor.matrix, vec, module_slot(mor.source, n, kind))
 
 
 def _preimage(mor, vec, n, kind):
-    """Some degree n (co)chain that `map_coefficients` sends to vec."""
+    """The degree n (co)chain that `map_coefficients` sends to vec, with
+    the free variables of every module slot zero."""
     solver = Solver(mor.matrix)
-    out = {}
-    for w, col in by_tuple(mor.target, n, kind, vec).items():
-        sol = solver.solve(col)
-        if sol is None:
-            raise Unsolvable("not in the image of the map on the module slot")
-        out[w] = sol
-    return from_tuples(mor.source, n, kind, out)
+    low = module_slot(mor.target, n, kind)
+    if on_slots(solver.conditions, vec, low):
+        raise Unsolvable("not in the image of the map on the module slot")
+    return on_slots(solver.section, vec, low)
 
 
 def pushforward(mor, n, kind):
     """Matrix of H_n(mor) or H^n(mor) on canonical class coordinates."""
     src = class_space(mor.source, n, kind)
     tgt = class_space(mor.target, n, kind)
-    fld = mor.source.field
-    cols = [
-        coerce_vector(fld, tgt.class_of(map_coefficients(mor, src.representative(k), n, kind)))
-        for k in range(src.dim)
-    ]
-    return SparseMat.from_columns(tgt.dim, fld, cols)
+    return on_classes(src, tgt, mor.matrix)
 
 
 def connecting(ses, n, kind, seed=None):

@@ -19,8 +19,9 @@ Every elimination produces one `Echelon`: the canonical rref rows from
 vector against it walks only the pivot columns in the vector's support,
 so the work is the support plus the fill of the rows used, never the
 rank.  `kernel_basis` scatters each rref row into its free columns, and
-`Solver` keeps the transposed augmentation so a solve scatters over the
-support of the right-hand side.
+`Solver` keeps the augmentation part of one elimination as two matrices,
+a section and the conditions for a solution to exist, so a solve, of one
+right-hand side or of a whole matrix of them, is two products.
 
 The cycles of a class space are the null space of a differential, and
 `Echelon.null_space` gives its canonical rref from one elimination of
@@ -378,59 +379,47 @@ def solve(m, b):
 class Solver:
     """Factors a matrix once for repeated exact solves against it.
 
-    Row-reduces [m | I] and keeps only the augmentation part, transposed:
-    `_by_row[i]` lists (k, c), meaning b_i enters the k-th solution
-    coordinate (the value at `pivots[k]`) with coefficient c, or for
-    k >= rank the (k - rank)-th consistency condition.  A solve scatters
-    over the support of b.  Free variables are zero, matching `solve`.
+    Row-reduces [m | I] and keeps only the augmentation part, as two
+    matrices with one column per row of m: `section` (ncols x nrows)
+    sends b to the solution whose free variables are zero, matching
+    `solve`, and `conditions` (one row per defect) is zero on b exactly
+    when b is in the column space of m.  A solve is two products, of one
+    right-hand side or of a whole matrix of them.
     """
 
     def __init__(self, m):
         self.m = m
-        self.field = m.field
+        self.field = fld = m.field
         aug = m.ncols
         rows = m.rows_view()
         for i in range(m.nrows):
-            rows[i][aug + i] = m.field.one
-        ech = Echelon(m.field, rows, aug + m.nrows, pivot_limit=aug)
-        self.pivots = ech.pivots
-        # defect rows are supported on the augmentation only: combinations
-        # of the original rows that vanish, i.e. the consistency conditions
-        by_row = {}
-        for k, row in enumerate(ech.rows + ech.defects):
-            for c, v in row.items():
-                if c >= aug:
-                    by_row.setdefault(c - aug, []).append((k, v))
-        self._by_row = by_row
+            rows[i][aug + i] = fld.one
+        ech = Echelon(fld, rows, aug + m.nrows, pivot_limit=aug)
+        # column i of either matrix holds the entries at aug + i: of each
+        # row, under its pivot, and of each defect row, which is supported
+        # on the augmentation only (a combination of the rows of m that
+        # vanishes, i.e. a consistency condition), under its position
+        sect, cond = [dict() for _ in range(m.nrows)], [dict() for _ in range(m.nrows)]
+        for cols, part in ((sect, zip(ech.pivots, ech.rows)), (cond, enumerate(ech.defects))):
+            for k, row in part:
+                for c, v in row.items():
+                    if c >= aug:
+                        cols[c - aug][k] = v
+        self.section = SparseMat(aug, m.nrows, fld, sect)
+        self.conditions = SparseMat(len(ech.defects), m.nrows, fld, cond)
 
     def solve(self, b):
-        fld = self.field
-        bvec = b if isinstance(b, dict) else coerce_vector(fld, b, self.m.nrows)
-        zero, add, mul = fld.zero, fld.add, fld.mul
-        by_row = self._by_row
-        sums = {}
-        for i, w in bvec.items():
-            for k, v in by_row.get(i, ()):
-                sums[k] = add(sums.get(k, zero), mul(v, w))
-        pivots = self.pivots
-        x = {}
-        for k in sorted(sums):
-            v = sums[k]
-            if v != zero:
-                if k >= len(pivots):
-                    return None
-                x[pivots[k]] = v
-        return x
+        """One solution of m x = b (a dict or a sequence), or None."""
+        bvec = coerce_vector(self.field, b, self.m.nrows)
+        if self.conditions.matvec(bvec):
+            return None
+        return self.section.matvec(bvec)
 
     def solve_matrix(self, rhs):
-        """Solve m X = rhs column by column; None if any column fails."""
-        cols = []
-        for j in range(rhs.ncols):
-            x = self.solve(rhs.cols[j])
-            if x is None:
-                return None
-            cols.append(x)
-        return SparseMat.from_columns(self.m.ncols, self.field, cols)
+        """Solve m X = rhs for every column at once; None if any column fails."""
+        if not (self.conditions @ rhs).is_zero():
+            return None
+        return self.section @ rhs
 
 
 # -- subquotients ------------------------------------------------------

@@ -154,6 +154,15 @@ def alg_f2_dual():
     return {"d": 2, "p": 2, "c": c, "unit": [1, 0]}
 
 
+def group_algebra(p, n):
+    # F_p[C_n], basis g^0 .. g^{n-1} with g^i g^j = g^{(i+j) mod n}
+    c = _c_zero(n)
+    for i in range(n):
+        for j in range(n):
+            c[i][j][(i + j) % n] = 1
+    return {"d": n, "p": p, "c": c, "unit": [1] + [0] * (n - 1)}
+
+
 ALGEBRAS = {
     "rationals": alg_rationals,
     "dual_numbers": alg_dual_numbers,

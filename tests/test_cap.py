@@ -379,18 +379,20 @@ def test_verify_lift_names_the_degree_of_a_forged_entry():
 
 def test_seeded_lift_is_refused_before_any_solve(monkeypatch):
     # d_1..d_4 fit under the cap, the seeded homotopy's d_5 (3^7) does not
+    # every layer is one solve_matrix, so those are the calls to count
     T = dict(zoo.get("truncated_cubic").unit)
     calls = []
-    solve = linalg.Solver.solve
+    solve_matrix = linalg.Solver.solve_matrix
 
-    def counted(self, b):
-        calls.append(b)
-        return solve(self, b)
+    def counted(self, rhs):
+        calls.append(rhs)
+        return solve_matrix(self, rhs)
 
-    monkeypatch.setattr(linalg.Solver, "solve", counted)
+    monkeypatch.setattr(linalg.Solver, "solve_matrix", counted)
     config.set_max_coordinates(3 ** 7 - 1)
     try:
         assert solve_lift(zoo.get("truncated_cubic"), T, 0, 4).depth == 4
+        assert len(calls) == 5
         calls.clear()
         with pytest.raises(MemoryGuardError):
             solve_lift(zoo.get("truncated_cubic"), T, 0, 4, seed=1)

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from hochcap import config, zoo
+from hochcap import GF, config, zoo
+from hochcap.algebras import AlgebraPresentation
 from hochcap.bimodules import coinduced, induced
 from hochcap.complexes import (
     boundary_matrix,
-    by_tuple,
     central_action,
     chain_pos,
     coboundary_matrix,
@@ -18,15 +18,15 @@ from hochcap.complexes import (
     cohomology_dims,
     coinvariants,
     degree_zero_cocycle,
-    from_tuples,
     homology,
     homology_dims,
     invariants_dim,
+    module_slot,
     Normalized,
     tuple_rank,
 )
 from hochcap.errors import InclusionViolation, MemoryGuardError, NotCentral, NotInvariant
-from hochcap.linalg import SparseMat
+from hochcap.linalg import SparseMat, on_slots
 
 import _oracle
 
@@ -286,27 +286,34 @@ def test_central_action_rejects_non_central():
 
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
-def test_by_tuple_reads_both_layouts(kind):
+def test_module_slot_reads_both_layouts(kind):
     # truncated_cubic: d = 3; its coinduced module has r = 9, so the two
-    # layouts put (x; w) at different coordinates
+    # layouts put (x; w) at different coordinates, and a 4 x 9 matrix on
+    # the module slot changes the dimension, so the target layout shows too
     M = coinduced(zoo.get("truncated_cubic").regular()).module
     d, r, n = M.algebra.dim, M.dim, 2
     rng = random.Random(kind)
+    mat = SparseMat.from_dense(M.field, [[rng.randint(-2, 2) for _ in range(r)]
+                                         for _ in range(4)])
     entries = {}
     for _ in range(20):
         x, w = rng.randrange(r), tuple(rng.randrange(d) for _ in range(n))
         entries[x, w] = rng.randint(1, 9)
-    if kind == "homology":
-        vec = {chain_pos(d, n, x, w): v for (x, w), v in entries.items()}
-    else:
-        vec = {tuple_rank(d, w) * r + x: v for (x, w), v in entries.items()}
+
+    def pos(x, w, dim):
+        if kind == "homology":
+            return chain_pos(d, n, x, w)
+        return tuple_rank(d, w) * dim + x
+
+    vec = {pos(x, w, r): v for (x, w), v in entries.items()}
     assert max(vec) < cochain_dim(M, n)
-    grouped = by_tuple(M, n, kind, vec)
-    assert grouped == {
-        tuple_rank(d, w): {y: v for (y, u), v in entries.items() if u == w}
-        for (_, w) in entries
-    }
-    assert from_tuples(M, n, kind, grouped) == vec
+    want = {}
+    for (x, w), v in entries.items():
+        for t, c in mat.cols[x].items():
+            k = pos(t, w, 4)
+            want[k] = want.get(k, 0) + v * c
+    assert on_slots(mat, vec, module_slot(M, n, kind)) == {
+        k: v for k, v in want.items() if v}
 
 
 def test_coinduced_cohomology_vanishes():
@@ -387,6 +394,84 @@ def test_memory_guard_trips_on_cached_builds():
     finally:
         config.set_max_coordinates(None)
     assert config.max_coordinates() == 1 << 24
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its first argument."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_dimension_queries_are_refused_before_any_elimination(monkeypatch, kind):
+    # normalized M_2 has 4 * 3**n coordinates in degree n: 8,748 in degree
+    # 7 and 26,244 in degree 8, so to degree 7 the largest space is over a
+    # 10,000 cap, and a refusal made on reaching it would come after seven
+    # eliminations
+    from hochcap import linalg
+
+    dims = homology_dims if kind == "homology" else cohomology_dims
+    reg = zoo.get("two_by_two_matrices").regular()
+    calls = _counting(monkeypatch, linalg, "build_rref")
+    what = "chain" if kind == "homology" else "cochain"
+    config.set_max_coordinates(10_000)
+    try:
+        assert len(dims(reg, 6)) == 7
+        assert calls
+        calls.clear()
+        with pytest.raises(MemoryGuardError,
+                           match=f"26244 coordinates for degree 8 of the normalized {what}"):
+            dims(reg, 7)
+    finally:
+        config.set_max_coordinates(None)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,kind,up_to", [
+    ("two_by_two_matrices", "homology", 5),
+    ("two_by_two_matrices", "cohomology", 4),
+    ("truncated_cubic", "homology", 7),
+    ("truncated_cubic", "cohomology", 0),
+    ("dual_numbers", "cohomology", 6),
+    ("upper_triangular", "homology", 3),
+    ("rationals", "homology", 3),
+    ("rationals", "cohomology", 2),
+])
+def test_dimension_guard_predicts_the_largest_space(monkeypatch, name, kind, up_to):
+    # the first size the guard is asked about is the prediction, and no
+    # space built later may be larger
+    dims = homology_dims if kind == "homology" else cohomology_dims
+    reg = zoo.get(name).regular()
+    asked = _counting(monkeypatch, config, "guard")
+    assert len(dims(reg, up_to)) == up_to + 1
+    assert len(asked) > 1 and asked[0] == max(asked)
+
+
+@pytest.mark.parametrize("p,n,top", [(2, 2, 10), (3, 3, 8), (2, 4, 5), (5, 5, 3),
+                                     (2, 3, 8), (3, 2, 10)])
+def test_group_algebra_of_a_cyclic_group(p, n, top):
+    # F_p[C_n] is commutative, so HH_k = HH^k; it is k[x]/(x^n - 1), with
+    # HH of dimension n in every degree when p | n (x^n - 1 = (x - 1)^n
+    # is inseparable) and n in degree 0 only when p does not divide n
+    # (the algebra is separable)
+    alg = _oracle.group_algebra(p, n)
+    c = alg["c"]
+    A = AlgebraPresentation(
+        GF(p), [f"g{i}" for i in range(n)],
+        [(i, j, l, c[i][j][l]) for i in range(n) for j in range(n) for l in range(n)
+         if c[i][j][l]],
+        alg["unit"]).validate()
+    reg = A.regular()
+    want = [n] * (top + 1) if n % p == 0 else [n] + [0] * top
+    assert homology_dims(reg, top) == want
+    assert cohomology_dims(reg, top) == want
 
 
 def test_caches_are_freed_by_reference_counting():

@@ -375,6 +375,39 @@ def test_solver_agrees_with_solve(p, data):
         assert m.matvec(x) == b
 
 
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_solve_matrix_is_solve_column_by_column(p, data):
+    # each column of rhs is in the column space of m or drawn at random,
+    # so some draws have every column solvable and some do not
+    m = data.draw(sparse_matrices(p))
+    field = m.field
+    ncols = data.draw(st.integers(0, 4))
+    images = [m.matvec(x) for x in data.draw(sparse_columns(field, p, m.ncols, ncols))]
+    others = data.draw(sparse_columns(field, p, m.nrows, ncols))
+    cols = [c if data.draw(st.booleans()) else o for c, o in zip(images, others)]
+    want = [solve(m, c) for c in cols]
+    got = Solver(m).solve_matrix(SparseMat.from_columns(m.nrows, field, cols))
+    if any(x is None for x in want):
+        assert got is None
+    else:
+        assert (got.nrows, got.ncols) == (m.ncols, ncols)
+        assert got.cols == want
+
+
+def test_solver_refuses_a_right_hand_side_outside_its_space():
+    sv = Solver(SparseMat.identity(2, QQ))
+    for b in ({5: 1}, {-1: 1}, {2: 1}):
+        with pytest.raises(ValueError, match="out of range"):
+            sv.solve(b)
+        with pytest.raises(ValueError, match="out of range"):
+            solve(sv.m, b)
+    assert sv.solve({1: 3}) == {1: 3}
+    with pytest.raises(ValueError, match="shape mismatch"):
+        sv.solve_matrix(SparseMat.identity(3, QQ))
+
+
 def _full_scan_coords(sq, v):
     """Coset coordinates by scanning every pivot of B, then of Z."""
     fld = sq.field
