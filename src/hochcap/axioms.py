@@ -9,6 +9,10 @@ invariants.  Each check below verifies one of these on concrete class
 bases and returns a list of result rows; `run_suite` assembles the
 standard instances for one or more named algebras.
 
+Each statement is an identity of matrices on class coordinates, C_b
+being the cap matrix of cochain class b (`CapPairing.matrix`); a case
+is one column a of it, so counts and witnesses name the pair (a, b).
+
 A connecting-map check is only meaningful when tensoring keeps the
 short exact sequence exact.  When it does not, the check reports a
 skip carrying the exactness diagnostic instead of silently passing.
@@ -35,7 +39,7 @@ from .les import (
     tensor_ses_with,
     tensor_with_ses,
 )
-from .linalg import SparseMat, axpy, coerce_vector, rank
+from .linalg import SparseMat, axpy, rank
 
 # Exponent offsets added to the predicted signs (-1)^m and (-1)^(m+1).
 # Zero is the correct value; the test suite perturbs these to prove that
@@ -89,23 +93,6 @@ def _row(check, instance, degrees, cases, noun):
     return CheckResult(check, instance, degrees, "pass", f"{count} {noun}")
 
 
-def _unit_coords(dim, k, fld):
-    return tuple(fld.one if i == k else fld.zero for i in range(dim))
-
-
-def _dense(fld, vec, dim):
-    out = [fld.zero] * dim
-    for i, v in vec.items():
-        out[i] = v
-    return out
-
-
-def _scaled(fld, coords, sign_exp):
-    if sign_exp % 2 == 0:
-        return coerce_vector(fld, coords)
-    return {i: fld.neg(v) for i, v in coerce_vector(fld, coords).items()}
-
-
 def check_center_linearity(A, n_max=3):
     """z.(gamma cap eps) = (z.gamma) cap eps = gamma cap (z.eps) for central z."""
     N = A.regular()
@@ -117,23 +104,23 @@ def check_center_linearity(A, n_max=3):
     return rows
 
 
+def _caps(pairing):
+    """C_b, the cap matrix of each basis cochain class b."""
+    return [pairing.matrix({b: pairing.module.field.one}) for b in range(pairing.cochains.dim)]
+
+
 def _center_cases(A, pairing):
-    fld = A.field
+    """z C_b = C_b z = the cap matrix of z.e_b, column a by column a."""
     hs, cs, tgt = pairing.chains, pairing.cochains, pairing.target
+    caps = _caps(pairing)
     for z in A.center():
         zh = central_action(hs, z)
         zc = central_action(cs, z)
         zt = central_action(tgt, z)
+        squares = [(zt @ C, C @ zh, pairing.matrix(zc.col(b))) for b, C in enumerate(caps)]
         for a in range(hs.dim):
-            ga = _unit_coords(hs.dim, a, fld)
-            zga = _dense(fld, zh.matvec({a: fld.one}), hs.dim)
-            for b in range(cs.dim):
-                eb = _unit_coords(cs.dim, b, fld)
-                zeb = _dense(fld, zc.matvec({b: fld.one}), cs.dim)
-                base = pairing.of_classes(ga, eb)
-                want = zt.matvec(coerce_vector(fld, base))
-                left = coerce_vector(fld, pairing.of_classes(zga, eb))
-                right = coerce_vector(fld, pairing.of_classes(ga, zeb))
+            for b, (want, left, right) in enumerate(squares):
+                want, left, right = want.cols[a], left.cols[a], right.cols[a]
                 ok = left == want and right == want
                 yield None if ok else (z, a, b, left, right, want)
 
@@ -195,21 +182,17 @@ def _check_connecting(kind, N, M, n_max, instance):
 
 
 def _connecting_cases(homology, pair3, pair1, conn, delta_t, sign_exp):
-    """delta_t(ga cap eb) against sign * (conn ga) cap eb, or against
-    sign * ga cap (conn eb) for the cohomology check."""
+    """delta_t C3_b against sign * C1_b conn, or against sign * the cap
+    matrix of conn e_b for the cohomology check, column a by column a."""
     fld = conn.field
-    images = [_dense(fld, conn.col(k), conn.nrows) for k in range(conn.ncols)]
-    hs, cs = pair3.chains, pair3.cochains
-    for a in range(hs.dim):
-        ga = _unit_coords(hs.dim, a, fld)
-        for b in range(cs.dim):
-            eb = _unit_coords(cs.dim, b, fld)
-            lhs = delta_t.matvec(coerce_vector(fld, pair3.of_classes(ga, eb)))
-            if homology:
-                rhs = pair1.of_classes(images[a], eb)
-            else:
-                rhs = pair1.of_classes(ga, images[b])
-            rhs = _scaled(fld, rhs, sign_exp)
+    sign = fld.one if sign_exp % 2 == 0 else fld.neg(fld.one)
+    squares = []
+    for b, C3 in enumerate(_caps(pair3)):
+        rhs = pair1.matrix({b: fld.one}) @ conn if homology else pair1.matrix(conn.col(b))
+        squares.append((delta_t @ C3, rhs.scale(sign)))
+    for a in range(pair3.chains.dim):
+        for b, (lhs, rhs) in enumerate(squares):
+            lhs, rhs = lhs.cols[a], rhs.cols[a]
             yield None if lhs == rhs else (a, b, lhs, rhs)
 
 
@@ -232,17 +215,14 @@ def _degree_zero_cases(N, M, tens, pairing, shifts, rng):
     A = N.algebra
     fld = N.field
     hs, cs = pairing.chains, pairing.cochains
+    caps = _caps(pairing)
     for a in range(hs.dim):
-        ga = _unit_coords(hs.dim, a, fld)
-        x = hs.lift(ga)
-        for b in range(cs.dim):
-            eb = _unit_coords(cs.dim, b, fld)
-            y = degree_zero_cocycle(M, cs.lift(eb))
-            cap = coerce_vector(fld, pairing.of_classes(ga, eb))
+        x = hs.representative(a)
+        for b, C in enumerate(caps):
+            y = degree_zero_cocycle(M, cs.representative(b))
+            cap = C.cols[a]
             for _ in range(shifts + 1):
-                bottom = coerce_vector(
-                    fld, pairing.target.class_of(tens.project_pure(x, y))
-                )
+                bottom = pairing.target.classes([tens.project_pure(x, y)]).cols[0]
                 yield None if bottom == cap else (a, b, bottom, cap)
                 # replace x by x + a.w - w.a for random a and w
                 s = rng.randrange(A.dim)
@@ -264,30 +244,19 @@ def check_dimension_shift(A, deg_max=3):
     co = coinduced(M)
     for m in range(deg_max + 1):
         conn = connecting_cohomology(co.ses, m)
-        ok = rank(conn) == conn.nrows
-        rows.append(
-            CheckResult(
-                "dimension-shift",
-                f"{A.label} coinduced",
-                (m,),
-                "pass" if ok else "fail",
-                f"rank {rank(conn)} of {conn.nrows}x{conn.ncols}",
-            )
-        )
+        rows.append(_shift_row(A, "coinduced", m, conn, conn.nrows))
     ind = induced(M)
     for j in range(1, deg_max + 2):
         delta = connecting_homology(ind.ses, j)
-        ok = rank(delta) == delta.ncols
-        rows.append(
-            CheckResult(
-                "dimension-shift",
-                f"{A.label} induced",
-                (j,),
-                "pass" if ok else "fail",
-                f"rank {rank(delta)} of {delta.nrows}x{delta.ncols}",
-            )
-        )
+        rows.append(_shift_row(A, "induced", j, delta, delta.ncols))
     return rows
+
+
+def _shift_row(A, name, degree, conn, full):
+    """A pass when conn has rank `full`, its number of rows or of columns."""
+    r = rank(conn)
+    return CheckResult("dimension-shift", f"{A.label} {name}", (degree,),
+                       "pass" if r == full else "fail", f"rank {r} of {conn.nrows}x{conn.ncols}")
 
 
 def _square_zero_torsion(A):

@@ -96,12 +96,13 @@ class Bimodule:
 
 
 class BimoduleMorphism:
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_solver")
 
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._solver = None
 
     def validate(self):
         if self.source.algebra is not self.target.algebra:
@@ -118,6 +119,12 @@ class BimoduleMorphism:
 
     def apply(self, x):
         return self.matrix.matvec(coerce_vector(self.source.field, x, self.source.dim))
+
+    def solver(self):
+        """The `Solver` of the matrix, factored on first use and kept."""
+        if self._solver is None:
+            self._solver = Solver(self.matrix)
+        return self._solver
 
 
 # -- subspaces ---------------------------------------------------------

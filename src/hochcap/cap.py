@@ -26,7 +26,9 @@ loop as the differentials there.  The operators of the comultiplication
 act on a block of consecutive slots, each one call to `linalg.on_slots`.
 A lift layer is a matrix indexed by generator rank, and the right-hand
 side of its lifting equation is (-1)^m delta_P(t_{i-1}) for all
-generators at once (see `ChainMapLift`).
+generators at once (see `ChainMapLift`).  On classes, the product with
+one cochain class is a matrix, `CapPairing.matrix`: E_T applied to the
+representative of every chain class, read off by `complexes.on_classes`.
 
 Descent to classes is governed by
 
@@ -44,6 +46,7 @@ from .complexes import (
     coboundary_matrix,
     cohomology,
     homology,
+    on_classes,
     tuple_digits,
     tuple_rank,
     tuples,
@@ -167,27 +170,30 @@ def check_diagonal_identities(A, max_total, unit=None):
 
 # -- the chain level product ---------------------------------------------
 
-def cap_chain(N, n, xi, M, m, T, tens=None):
-    """xi cap T in C_{n-m}(A, N (x)_A M); `tens` realizes the target.
+def _evaluation(N, M, m, T, tens):
+    """E_T: the m-cochain T of M as one matrix, whose column
+    (x, rank(w)) is x (x) T(w) in the target of the product.
 
     Without `tens`, M must be the regular bimodule and the target is
-    collapsed through N (x)_A A = N: x (x) a becomes x.a.  The cocycle
-    becomes one matrix E_T, whose column (x, rank(w)) is x (x) T(w) in
-    the target, and E_T acts on the module slot and the leading m tensor
-    slots of xi at once.
+    collapsed through N (x)_A A = N: x (x) a becomes x.a.
     """
-    if not 0 <= m <= n:
-        raise DegreeError(f"cap needs 0 <= m <= n, got n={n}, m={m}")
     fld = N.field
-    d, r = N.algebra.dim, M.dim
-    heads = d ** m
+    r, heads = M.dim, N.algebra.dim ** m
     E = SparseMat.zero(N.dim if tens is None else tens.module.dim, N.dim * heads, fld)
     for idx, v in T.items():
         w, j = divmod(idx, r)
         for x in range(N.dim):
             pure = N.right[j].cols[x] if tens is None else tens.projection.cols[x * r + j]
             axpy(E.cols[x * heads + w], v, pure, fld)
-    return on_slots(E, xi, d ** (n - m))
+    return E
+
+
+def cap_chain(N, n, xi, M, m, T, tens=None):
+    """xi cap T in C_{n-m}(A, N (x)_A M), `tens` realizing the target:
+    E_T acts on the module slot and the leading m tensor slots of xi."""
+    if not 0 <= m <= n:
+        raise DegreeError(f"cap needs 0 <= m <= n, got n={n}, m={m}")
+    return on_slots(_evaluation(N, M, m, T, tens), xi, N.algebra.dim ** (n - m))
 
 
 def cap_chain_regular(N, n, xi, m, T):
@@ -244,15 +250,20 @@ class CapPairing:
             target_module = self.tens.module
         self.target = homology(target_module, n - m)
 
-    def chain_cap(self, xi, T):
+    def matrix(self, ccoords):
+        """The matrix of [xi] -> [xi] cap [T] on class coordinates, [T]
+        given by its coordinates (a dict or a sequence)."""
         n, m = self.chains.degree, self.cochains.degree
-        return cap_chain(self.module, n, xi, self.coefficients, m, T, self.tens)
+        E = _evaluation(self.module, self.coefficients, m, self.cochains.lift(ccoords), self.tens)
+        return on_classes(self.chains, self.target, E, self.module.algebra.dim ** (n - m))
 
     def of_classes(self, hcoords, ccoords):
         """Coordinates of [xi] cap [T] in the target homology."""
         xi = self.chains.lift(hcoords)
         T = self.cochains.lift(ccoords)
-        return self.target.class_of(self.chain_cap(xi, T))
+        n, m = self.chains.degree, self.cochains.degree
+        return self.target.class_of(
+            cap_chain(self.module, n, xi, self.coefficients, m, T, self.tens))
 
 
 def unit_cocycle(A):

@@ -104,15 +104,10 @@ def cmd_cap(args):
     N = A.regular()
     pairing = CapPairing(N, args.n, N, args.m)
     fld = A.field
-    products = []
-    for a in range(pairing.chains.dim):
-        row = []
-        for b in range(pairing.cochains.dim):
-            ga = [fld.one if i == a else fld.zero for i in range(pairing.chains.dim)]
-            eb = [fld.one if i == b else fld.zero for i in range(pairing.cochains.dim)]
-            coords = pairing.of_classes(ga, eb)
-            row.append([fld.format(c) for c in coords])
-        products.append(row)
+    # products[a][b] is column a of the cap matrix of cochain class b
+    caps = [pairing.matrix({b: fld.one}) for b in range(pairing.cochains.dim)]
+    products = [[[fld.format(C.cols[a].get(i, fld.zero)) for i in range(pairing.target.dim)]
+                 for C in caps] for a in range(pairing.chains.dim)]
     payload = {
         "algebra": A.label,
         "n": args.n,

@@ -37,6 +37,10 @@ because their coordinates are promised canonical there and no simple
 chain map carries normalized chain classes back.  Both complexes come
 out of the same face loop, which runs over an alphabet: the letters
 allowed in the tensor slots and their product table.
+
+Every map between class spaces (pushforwards, the central action,
+connecting maps, the cap product with a class) is a `SparseMat` on
+canonical coordinates, read off by one `ClassSpace.classes`.
 """
 
 from itertools import product
@@ -270,18 +274,14 @@ def _class_subquotient(module, degree, kind):
     Z is the null space of the differential leaving the degree (of the
     zero map in homological degree 0), eliminated once by
     `Echelon.null_space`; B is the image of the one entering it (nothing
-    in cohomological degree 0).
+    in cohomological degree 0).  The one touching degree + 1 is fetched
+    first: its guard covers the larger space, so a refusal precedes work.
     """
-    fld = module.field
     step = -1 if kind == "homology" else 1  # the degree of the differential
-    if degree + step < 0:
-        out = SparseMat.zero(0, module.dim, fld)
-    else:
-        out = differential(module, degree, kind)
-    if degree - step < 0:
-        B = SparseMat.zero(module.dim, 0, fld)
-    else:
-        B = differential(module, degree - step, kind)
+    mats = {k: differential(module, k, kind)
+            for k in sorted({degree, degree - step}, reverse=True) if k >= 0 and k + step >= 0}
+    out = mats.get(degree) or SparseMat.zero(0, module.dim, module.field)
+    B = mats.get(degree - step) or SparseMat.zero(module.dim, 0, module.field)
     return SubquotientSpace(Echelon.null_space(out), B)
 
 
@@ -304,6 +304,12 @@ class ClassSpace:
     def class_of(self, vec):
         """Canonical coordinates of the class of a (co)cycle (dense tuple)."""
         return self.space.coset_reduce(vec)
+
+    def classes(self, vecs):
+        """The matrix whose column k is the canonical coordinates of the
+        class of the (co)cycle vecs[k]."""
+        return SparseMat(self.dim, len(vecs), self.module.field,
+                         [self.space.coordinates(v) for v in vecs])
 
     def representative(self, k):
         return self.space.representative(k)
@@ -422,15 +428,11 @@ def invariants_dim(M):
 
 # -- action of the center ----------------------------------------------
 
-def on_classes(src, tgt, mat):
-    """The matrix that `mat`, acting on the module slot of the (co)chains
-    of `src`, induces from its canonical class coordinates to those of
-    `tgt`: column k is the class of the image of representative k."""
-    low = module_slot(src.module, src.degree, src.kind)
-    fld = tgt.module.field
-    cols = [coerce_vector(fld, tgt.class_of(on_slots(mat, src.representative(k), low)))
-            for k in range(src.dim)]
-    return SparseMat.from_columns(tgt.dim, fld, cols)
+def on_classes(src, tgt, mat, low):
+    """The matrix that `on_slots(mat, ., low)` induces from the class
+    coordinates of `src` to those of `tgt`: column k is the class of the
+    image of representative k."""
+    return tgt.classes([on_slots(mat, src.representative(k), low) for k in range(src.dim)])
 
 
 def central_action(cs, z):
@@ -439,4 +441,5 @@ def central_action(cs, z):
     if not cs.module.algebra.is_central(z):
         what = "chain" if cs.kind == "homology" else "cochain"
         raise NotCentral(f"{what} action is only defined for central elements")
-    return on_classes(cs, cs, cs.module.left_action(z))
+    low = module_slot(cs.module, cs.degree, cs.kind)
+    return on_classes(cs, cs, cs.module.left_action(z), low)

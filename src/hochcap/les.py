@@ -12,9 +12,10 @@ stored module index major and cochains tuple major.
 The connecting map is computed exactly on canonical class coordinates:
 lift a representative through g, apply the (co)differential of the
 middle term, pull back through f.  A pullback is two slot operators, the
-`conditions` and the `section` of a `Solver`; an optional seed shifts
-the lift by something in the image of f, which must not change the
-answer, and tests use that to confirm choice independence.
+`conditions` and the `section` of the morphism's `Solver`, factored
+once per morphism.  An optional seed shifts the lift by something in
+the image of f, which must not change the answer, and tests use that to
+confirm choice independence.
 
 The names ending in `_homology` and `_cohomology` are one-line
 delegates, kept because callers and the benchmark's tracer
@@ -31,7 +32,7 @@ from .bimodules import (
 )
 from .complexes import chain_dim, class_space, differential, module_slot, on_classes
 from .errors import Unsolvable
-from .linalg import Solver, SparseMat, axpy, coerce_vector, on_slots, rank
+from .linalg import SparseMat, axpy, on_slots, rank
 
 
 def _degrees(kind):
@@ -47,7 +48,7 @@ def map_coefficients(mor, vec, n, kind):
 def _preimage(mor, vec, n, kind):
     """The degree n (co)chain that `map_coefficients` sends to vec, with
     the free variables of every module slot zero."""
-    solver = Solver(mor.matrix)
+    solver = mor.solver()
     low = module_slot(mor.target, n, kind)
     if on_slots(solver.conditions, vec, low):
         raise Unsolvable("not in the image of the map on the module slot")
@@ -58,7 +59,7 @@ def pushforward(mor, n, kind):
     """Matrix of H_n(mor) or H^n(mor) on canonical class coordinates."""
     src = class_space(mor.source, n, kind)
     tgt = class_space(mor.target, n, kind)
-    return on_classes(src, tgt, mor.matrix)
+    return on_classes(src, tgt, mor.matrix, module_slot(mor.source, n, kind))
 
 
 def connecting(ses, n, kind, seed=None):
@@ -76,7 +77,7 @@ def connecting(ses, n, kind, seed=None):
     tgt = class_space(ses.left, n + step, kind)
     fld = ses.left.field
     rng = random.Random(seed) if seed is not None else None
-    cols = []
+    images = []
     for k in range(src.dim):
         lift = _preimage(ses.g, src.representative(k), n, kind)
         if rng is not None:
@@ -87,8 +88,8 @@ def connecting(ses, n, kind, seed=None):
             }
             axpy(lift, fld.one, map_coefficients(ses.f, noise, n, kind), fld)
         image = differential(ses.middle, n, kind).matvec(lift)
-        cols.append(coerce_vector(fld, tgt.class_of(_preimage(ses.f, image, n + step, kind))))
-    return SparseMat.from_columns(tgt.dim, fld, cols)
+        images.append(_preimage(ses.f, image, n + step, kind))
+    return tgt.classes(images)
 
 
 def pushforward_homology(mor, n):

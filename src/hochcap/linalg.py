@@ -480,10 +480,15 @@ class SubquotientSpace:
 
         Raises NotACycle when v is not in the cycle space.
         """
-        coords = [self.field.zero] * self.dim
-        for k, f in self._coords(coerce_vector(self.field, v, self.ambient_dim)):
-            coords[k] = f
-        return tuple(coords)
+        coords = self.coordinates(v)
+        return tuple(coords.get(k, self.field.zero) for k in range(self.dim))
+
+    def coordinates(self, v):
+        """Canonical coordinates of [v] as a sparse dict, keys increasing.
+
+        Raises NotACycle when v is not in the cycle space.
+        """
+        return dict(sorted(self._coords(coerce_vector(self.field, v, self.ambient_dim))))
 
     def _coords(self, u):
         """The nonzero (k, coordinate) pairs of [u]; consumes the clean dict u."""
@@ -503,22 +508,21 @@ class SubquotientSpace:
         return dict(self.cycles.index[self.free_pivots[k]])
 
     def lift(self, coords):
-        """Ambient representative of the class with the given coordinates."""
+        """Ambient representative of the class with the given coordinates
+        (a dict or a sequence)."""
         fld = self.field
         out = {}
-        for k, c in enumerate(coords):
-            c = fld.coerce(c)
-            if c:
-                axpy(out, c, self.cycles.index[self.free_pivots[k]], fld)
+        for k, c in coerce_vector(fld, coords, self.dim).items():
+            axpy(out, c, self.cycles.index[self.free_pivots[k]], fld)
         return out
 
     def projection_section(self):
         """(proj, sect): the quotient map from the ambient space onto the
         canonical coordinates, and its splitting by the representatives."""
         fld = self.field
-        proj = SparseMat.from_columns(self.dim, fld, [
-            dict(sorted(self._coords({t: fld.one}))) for t in range(self.ambient_dim)
-        ])
+        proj = SparseMat.from_columns(
+            self.dim, fld, [self.coordinates({t: fld.one}) for t in range(self.ambient_dim)]
+        )
         sect = SparseMat.from_columns(
             self.ambient_dim, fld, [self.representative(k) for k in range(self.dim)]
         )

@@ -8,14 +8,17 @@ agreement between the two is meaningful evidence rather than a tautology.
 Scalars are `Fraction` over the rationals, or plain ints reduced mod p.
 
 The exceptions, at the end, are built with the package's sparse linear
-algebra and only the tests use them: the two-elimination class space, and
-the two sided bar form, a second presentation of the same homology.
+algebra and only the tests use them: the two-elimination class space, the
+two sided bar form, a second presentation of the same homology, and the
+tensor product of two algebras, whose Hochschild groups the Kunneth
+formula predicts from the factors'.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from hochcap import config
+from hochcap.algebras import AlgebraPresentation
 from hochcap.complexes import chain_pos, differential, tuple_rank, tuples
 from hochcap.errors import DegreeError
 from hochcap.linalg import SparseMat, acc, kernel_basis, subquotient
@@ -460,3 +463,21 @@ def standard_to_bar(N, bf):
             cols.append(col)
     amb = SparseMat(bf.ambient_dim, r * d ** n, fld, cols)
     return bf.proj @ amb
+
+
+# -- tensor products of algebras -------------------------------------------
+
+def tensor(A, B):
+    """A (x) B over their common field, validated.
+
+    The basis element a_i (x) b_j has index i * dim B + j, the product is
+    (a (x) b)(a' (x) b') = aa' (x) bb' and the unit is 1 (x) 1.
+    """
+    fld, d = A.field, B.dim
+    structure = [(i * d + j, k * d + l, p * d + q, fld.mul(u, v))
+                 for i in range(A.dim) for k in range(A.dim) for p, u in A.mult[i][k].items()
+                 for j in range(d) for l in range(d) for q, v in B.mult[j][l].items()]
+    unit = {i * d + j: fld.mul(u, v) for i, u in A.unit.items() for j, v in B.unit.items()}
+    basis = [f"{a}*{b}" for a in A.basis for b in B.basis]
+    return AlgebraPresentation(fld, basis, structure, unit,
+                               label=f"{A.label} (x) {B.label}").validate()

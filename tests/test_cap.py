@@ -31,6 +31,7 @@ from hochcap.complexes import (
     tuples,
 )
 from hochcap.errors import DegreeError, HochcapError, LiftFailed, MemoryGuardError
+from hochcap.linalg import coerce_vector
 
 import _oracle
 
@@ -198,7 +199,7 @@ def test_cap_class_invariant_under_representative_choice():
     assert hs.dim >= 1 and cs.dim >= 1
     xi = hs.lift((fld.one,) * hs.dim)
     T = cs.lift((fld.one,) * cs.dim)
-    base = pairing.target.class_of(pairing.chain_cap(xi, T))
+    base = pairing.target.class_of(cap_chain(reg, 2, xi, reg, 1, T))
     for _ in range(5):
         eta = rand_vec(rng, fld, chain_dim(reg, 3))
         S = rand_vec(rng, fld, cochain_dim(reg, 0))
@@ -216,7 +217,7 @@ def test_cap_class_invariant_under_representative_choice():
                 T2.pop(i, None)
             else:
                 T2[i] = s
-        assert pairing.target.class_of(pairing.chain_cap(xi2, T2)) == base
+        assert pairing.target.class_of(cap_chain(reg, 2, xi2, reg, 1, T2)) == base
 
 
 def test_explicit_lift_is_chain_map():
@@ -415,3 +416,74 @@ def test_cap_via_lift_refuses_other_modules():
     other = zoo.get("truncated_cubic").regular()
     with pytest.raises(HochcapError, match="algebra"):
         cap_via_lift(other, 2, xi, lift)
+
+
+def _check_cap_matrix(pairing, rng):
+    """Column a of the cap matrix of c is the class of e_a cap c, for the
+    basis cochain classes and seeded random ones, as dicts and as tuples,
+    and the matrix is linear in the chain class too."""
+    fld = pairing.module.field
+    hd, cd = pairing.chains.dim, pairing.cochains.dim
+    classes = [{b: fld.one} for b in range(cd)]
+    classes += [{b: fld.coerce(rng.randint(-3, 3)) for b in range(cd)} for _ in range(2)]
+    for c in classes:
+        for coords in (c, tuple(fld.coerce(c.get(b, fld.zero)) for b in range(cd))):
+            mat = pairing.matrix(coords)
+            assert (mat.nrows, mat.ncols) == (pairing.target.dim, hd)
+            for a in range(hd):
+                e_a = tuple(fld.one if i == a else fld.zero for i in range(hd))
+                want = coerce_vector(fld, pairing.of_classes(e_a, coords))
+                assert mat.cols[a] == want and list(mat.cols[a]) == sorted(want)
+            h = [fld.coerce(rng.randint(-3, 3)) for _ in range(hd)]
+            assert mat.matvec(coerce_vector(fld, h)) == coerce_vector(
+                fld, pairing.of_classes(h, coords))
+
+
+@pytest.mark.parametrize("name", list(zoo.ZOO))
+def test_cap_matrix_columns_are_of_classes(name):
+    reg = zoo.get(name).regular()
+    rng = random.Random(f"matrix/{name}")
+    for n in range(4):
+        for m in range(n + 1):
+            _check_cap_matrix(CapPairing(reg, n, reg, m), rng)
+
+
+@pytest.mark.parametrize("coinduced_left", [True, False])
+@pytest.mark.parametrize("name", ["dual_numbers", "truncated_cubic", "upper_triangular", "f2_c2"])
+def test_cap_matrix_with_a_tensor_target(name, coinduced_left):
+    # coinduced (x) regular has chain classes in degree 0 only, regular
+    # (x) coinduced cochain classes in degree 0 only; both realize the
+    # target as a tensor product
+    reg = zoo.get(name).regular()
+    co = coinduced(reg).module
+    N, M = (co, reg) if coinduced_left else (reg, co)
+    tens = tensor_over_algebra(N, M)
+    rng = random.Random(f"matrix/{name}/{coinduced_left}")
+    for n in range(4):
+        for m in range(n + 1):
+            _check_cap_matrix(CapPairing(N, n, M, m, tens), rng)
+
+
+@pytest.mark.parametrize("name,n,m", [
+    ("truncated_cubic", 4, 2),
+    ("two_by_two_matrices", 3, 1),
+    ("f2_c2", 6, 6),
+    ("upper_triangular", 3, 0),
+    ("dual_numbers", 0, 0),
+    ("product_qq", 5, 2),
+])
+def test_cap_guard_is_asked_about_the_largest_space_first(monkeypatch, name, n, m):
+    # every class space fetches the differential touching its degree + 1
+    # first, so the first size the guard sees is the largest the pairing
+    # builds, and a refusal comes before any assembly
+    reg = zoo.get(name).regular()
+    asked = []
+    guard = config.guard
+
+    def recording(ncoords, what=""):
+        asked.append(ncoords)
+        guard(ncoords, what)
+
+    monkeypatch.setattr(config, "guard", recording)
+    CapPairing(reg, n, reg, m)
+    assert len(asked) > 1 and asked[0] == max(asked)

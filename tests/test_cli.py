@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hochcap import axioms, config, serialize, zoo
+from hochcap import axioms, complexes, config, serialize, zoo
 from hochcap.bimodules import Bimodule
 from hochcap.cli import main
 from hochcap.complexes import homology_dims
@@ -234,7 +234,8 @@ def test_memory_cap_trips_and_restores(capsys):
 def test_memory_cap_between_the_two_complexes(capsys, kind):
     # degree 6 of M_2 has 4 * 3**6 = 2916 normalized coordinates and
     # 4 * 4**6 = 16384 standard ones; dimensions to degree 5 (b_6 or
-    # delta^5) use the first, the class spaces of the cap pairing the second
+    # delta^5) use the first, the class spaces of the cap pairing the
+    # second, and H_6 asks first for b_7, with 4 * 4**7 = 65536
     code, out, err = run(capsys, "--memory-cap", "5000", kind,
                          "two_by_two_matrices", "--max-degree", "5")
     assert (code, err) == (0, "")
@@ -245,7 +246,19 @@ def test_memory_cap_between_the_two_complexes(capsys, kind):
     assert "refusing to allocate 2916 coordinates" in err
     code, out, err = run(capsys, "--memory-cap", "5000", "cap", "two_by_two_matrices", "6", "1")
     assert (code, out) == (3, "")
-    assert "refusing to allocate 16384 coordinates" in err
+    assert "refusing to allocate 65536 coordinates" in err
+
+
+def test_cap_is_refused_before_any_assembly(capsys, monkeypatch):
+    # H_7 of M_2 asks first for b_8, with 4 * 4**8 = 262144 coordinates,
+    # so under a cap of 100000 nothing is assembled, not even b_7
+    faces = []
+    inner = complexes._faces
+    monkeypatch.setattr(complexes, "_faces", lambda *args: faces.append(args) or inner(*args))
+    code, out, err = run(capsys, "--memory-cap", "100000", "cap", "two_by_two_matrices", "7", "1")
+    assert (code, out) == (3, "")
+    assert "refusing to allocate 262144 coordinates for a chain space" in err
+    assert faces == []
 
 
 def test_huge_algebra_file_exits_3(capsys, tmp_path):

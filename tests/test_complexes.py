@@ -474,6 +474,31 @@ def test_group_algebra_of_a_cyclic_group(p, n, top):
     assert cohomology_dims(reg, top) == want
 
 
+def test_class_lift_reads_sparse_and_dense_coordinates():
+    # a dict is read by key, not enumerated, and an index past the
+    # dimension is an error rather than some other representative
+    hs = homology(zoo.get("truncated_cubic").regular(), 1)
+    assert hs.dim == 2
+    assert hs.lift({1: 1}) == hs.lift((0, 1)) == hs.representative(1)
+    assert hs.lift({0: 2, 1: -1}) == hs.lift((2, -1))
+    for coords in ((0, 0, 5), {2: 1}, {-1: 1}):
+        with pytest.raises(ValueError, match="out of range"):
+            hs.lift(coords)
+
+
+def test_classes_is_class_of_column_by_column():
+    N = zoo.get("truncated_cubic").regular()
+    rng = random.Random(5)
+    for kind in ("homology", "cohomology"):
+        cs = class_space(N, 2, kind)
+        vecs = [cs.lift([rng.randint(-3, 3) for _ in range(cs.dim)]) for _ in range(4)]
+        mat = cs.classes(vecs)
+        assert (mat.nrows, mat.ncols) == (cs.dim, 4)
+        for v, col in zip(vecs, mat.cols):
+            assert tuple(col.get(k, 0) for k in range(cs.dim)) == cs.class_of(v)
+            assert list(col) == sorted(col)
+
+
 def test_caches_are_freed_by_reference_counting():
     # nothing a computation caches points back at its algebra or module,
     # so dropping the module frees it and its caches at once, without

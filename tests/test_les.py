@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hochcap import zoo
+from hochcap import linalg, zoo
 from hochcap.bimodules import (
     Bimodule,
     BimoduleMorphism,
@@ -12,7 +12,7 @@ from hochcap.bimodules import (
     make_ses,
     split_ses,
 )
-from hochcap.complexes import chain_dim, homology, homology_dims
+from hochcap.complexes import chain_dim, class_space, homology, homology_dims
 from hochcap.errors import NotExact, Unsolvable
 from hochcap.les import (
     _preimage,
@@ -236,3 +236,26 @@ def test_preimage_round_trip(label, kind, n, data):
     image = map_coefficients(ses.f, vec, n, kind)
     assert _preimage(ses.f, image, n, kind) == vec
     assert map_coefficients(ses.f, _preimage(ses.f, image, n, kind), n, kind) == image
+
+
+@pytest.mark.parametrize("kind,build", [("homology", induced), ("cohomology", coinduced)])
+def test_connecting_factors_each_coefficient_map_once(monkeypatch, kind, build):
+    # the Solver of f and of g is kept on the morphism: one connecting map
+    # factors each at most once, whatever the number of classes, and a
+    # repeat factors nothing
+    ses = build(zoo.get("truncated_cubic").regular()).ses
+    assert class_space(ses.right, 2, kind).dim >= 2
+    factored = []
+    init = linalg.Solver.__init__
+
+    def counted(self, m):
+        factored.append(m)
+        init(self, m)
+
+    monkeypatch.setattr(linalg.Solver, "__init__", counted)
+    first = connecting(ses, 2, kind)
+    assert 1 <= len(factored) <= 2
+    factored.clear()
+    assert connecting(ses, 2, kind) == first
+    assert connecting(ses, 2, kind, seed=5) == first
+    assert factored == []
