@@ -9,8 +9,9 @@ the coordinates of the unit.  Structure constants are stored sparsely:
 import weakref
 
 from . import config
+from .bimodules import Bimodule, invariants_subspace
 from .errors import ValidationError
-from .linalg import SparseMat, acc, axpy, coerce_vector, kernel_basis
+from .linalg import SparseMat, acc, axpy, coerce_vector
 
 
 class AlgebraPresentation:
@@ -51,25 +52,15 @@ class AlgebraPresentation:
 
     def left_matrix(self, i):
         """Matrix of y -> e_i * y on the algebra itself."""
-        key = ("L", i)
-        if key not in self._cache:
-            m = SparseMat(self.dim, self.dim, self.field)
-            for j in range(self.dim):
-                for l, v in self.mult[i][j].items():
-                    m.cols[j][l] = v
-            self._cache[key] = m
-        return self._cache[key]
+        d, mult = self.dim, self.mult
+        return config.cached(self, ("L", i), lambda: SparseMat(
+            d, d, self.field, [dict(mult[i][j]) for j in range(d)]))
 
     def right_matrix(self, i):
         """Matrix of y -> y * e_i."""
-        key = ("R", i)
-        if key not in self._cache:
-            m = SparseMat(self.dim, self.dim, self.field)
-            for j in range(self.dim):
-                for l, v in self.mult[j][i].items():
-                    m.cols[j][l] = v
-            self._cache[key] = m
-        return self._cache[key]
+        d, mult = self.dim, self.mult
+        return config.cached(self, ("R", i), lambda: SparseMat(
+            d, d, self.field, [dict(mult[j][i]) for j in range(d)]))
 
     # -- validation ------------------------------------------------------
 
@@ -101,22 +92,10 @@ class AlgebraPresentation:
     # -- center ------------------------------------------------------------
 
     def center(self):
-        """Canonical basis of Z(A) as a list of sparse dicts.
-
-        Kernel of the stacked system (left mult by e_i) - (right mult
-        by e_i) over all i.
-        """
-        if "center" not in self._cache:
-            d = self.dim
-            stacked = SparseMat(d * d, d, self.field)
-            for i in range(d):
-                diff = self.left_matrix(i) - self.right_matrix(i)
-                for j in range(d):
-                    for l, v in diff.cols[j].items():
-                        stacked.cols[j][i * d + l] = v
-            k = kernel_basis(stacked)
-            self._cache["center"] = [dict(k.cols[j]) for j in range(k.ncols)]
-        return [dict(c) for c in self._cache["center"]]
+        """Canonical basis of Z(A) = H^0(A, A), the invariants of the
+        regular bimodule, as a list of sparse dicts."""
+        basis = config.cached(self, "center", lambda: invariants_subspace(self.regular()).cols)
+        return [dict(c) for c in basis]
 
     def is_central(self, z):
         z = coerce_vector(self.field, z, self.dim)
@@ -138,8 +117,6 @@ class AlgebraPresentation:
         ref = self._cache.get("regular")
         bm = ref() if ref is not None else None
         if bm is None:
-            from .bimodules import Bimodule
-
             left = tuple(self.left_matrix(i) for i in range(self.dim))
             right = tuple(self.right_matrix(i) for i in range(self.dim))
             bm = Bimodule(self, self.dim, left, right, label="regular")

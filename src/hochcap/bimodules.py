@@ -9,6 +9,7 @@ modules A (x) V with their multiplication map onto V, direct sums, and
 short exact sequences of bimodules.
 """
 
+from . import config
 from .errors import NotExact, ValidationError
 from .linalg import (
     Echelon,
@@ -37,6 +38,12 @@ class Bimodule:
     @property
     def field(self):
         return self.algebra.field
+
+    @property
+    def mult(self):
+        """The product table of the algebra, which labels the tensor slots
+        of the module's (co)chains (see `complexes.Normalized`)."""
+        return self.algebra.mult
 
     def validate(self):
         """Both actions are unital algebra actions and commute."""
@@ -96,13 +103,13 @@ class Bimodule:
 
 
 class BimoduleMorphism:
-    __slots__ = ("source", "target", "matrix", "_solver")
+    __slots__ = ("source", "target", "matrix", "_cache")
 
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-        self._solver = None
+        self._cache = {}
 
     def validate(self):
         if self.source.algebra is not self.target.algebra:
@@ -117,14 +124,9 @@ class BimoduleMorphism:
                 raise ValidationError(f"morphism fails right action of e_{i}")
         return self
 
-    def apply(self, x):
-        return self.matrix.matvec(coerce_vector(self.source.field, x, self.source.dim))
-
     def solver(self):
         """The `Solver` of the matrix, factored on first use and kept."""
-        if self._solver is None:
-            self._solver = Solver(self.matrix)
-        return self._solver
+        return config.cached(self, "solver", lambda: Solver(self.matrix))
 
 
 # -- subspaces ---------------------------------------------------------
@@ -193,7 +195,7 @@ class ShortExactSeq:
         return f"<ShortExactSeq {self.label or ''} dims {self.left.dim},{self.middle.dim},{self.right.dim}>"
 
 
-def make_ses(f, g, label=None, validate_modules=False):
+def make_ses(f, g, label=None):
     """Assemble and check a short exact sequence from two morphisms.
 
     Raises NotExact with a diagnostic if f is not injective, g is not
@@ -204,10 +206,6 @@ def make_ses(f, g, label=None, validate_modules=False):
     g.validate()
     if f.target is not g.source:
         raise ValidationError("morphisms do not share the middle bimodule")
-    if validate_modules:
-        f.source.validate()
-        f.target.validate()
-        g.target.validate()
     rf = rank(f.matrix)
     rg = rank(g.matrix)
     if rf != f.source.dim:

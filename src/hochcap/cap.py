@@ -43,9 +43,8 @@ from .bimodules import tensor_over_algebra
 from .complexes import (
     _faces,
     boundary_matrix,
+    class_space,
     coboundary_matrix,
-    cohomology,
-    homology,
     on_classes,
     tuple_digits,
     tuple_rank,
@@ -67,30 +66,18 @@ def bar_differential(A, n):
     """
     if n < 1:
         raise DegreeError("bar differential starts in degree 1")
-    fld = A.field
     d = A.dim
     config.guard(d ** (n + 2), "a bar resolution term")
-    key = ("bar_d", n)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
-    zero = [SparseMat.zero(d, d, fld)] * d
-    mat = _faces(zero, [A.right_matrix(a) for a in range(d)], A.mult, fld, d, n + 1)
-    A._cache[key] = mat
-    return mat
+    return config.cached(A, ("bar_d", n), lambda: _faces(
+        [SparseMat.zero(d, d, A.field)] * d, [A.right_matrix(a) for a in range(d)],
+        A.mult, A.field, d, n + 1))
 
 
 def augmentation_matrix(A):
     """d_0 : A (x) A -> A, plain multiplication."""
-    cached = A._cache.get("bar_aug")
-    if cached is not None:
-        return cached
-    fld = A.field
     d = A.dim
-    cols = [dict(A.mult[i][j]) for i in range(d) for j in range(d)]
-    mat = SparseMat(d, d * d, fld, cols)
-    A._cache["bar_aug"] = mat
-    return mat
+    return config.cached(A, "bar_aug", lambda: SparseMat(
+        d, d * d, A.field, [dict(A.mult[i][j]) for i in range(d) for j in range(d)]))
 
 
 def diagonal_matrix(A, i, j):
@@ -107,15 +94,10 @@ def diagonal_matrix(A, i, j):
     d = A.dim
     n = i + j
     config.guard(d ** (n + 3), "a split bar term")
-    key = ("diagonal", i, j)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
     ins = SparseMat(d, 1, fld, [A.unit])
-    cols = [on_slots(ins, {g: fld.one}, d ** (j + 1)) for g in range(d ** (n + 2))]
-    mat = SparseMat(d ** (n + 3), d ** (n + 2), fld, cols)
-    A._cache[key] = mat
-    return mat
+    return config.cached(A, ("diagonal", i, j), lambda: SparseMat(
+        d ** (n + 3), d ** (n + 2), fld,
+        [on_slots(ins, {g: fld.one}, d ** (j + 1)) for g in range(d ** (n + 2))]))
 
 
 def check_diagonal_identities(A, max_total, unit=None):
@@ -230,7 +212,10 @@ class CapPairing:
     """The product on canonical class coordinates, one degree pair at a time.
 
     When M is the regular bimodule the target is collapsed to N itself;
-    otherwise a tensor product realization is built (or supplied).
+    otherwise a tensor product realization is built (or supplied).  The
+    three class spaces are fetched in decreasing order of their largest
+    space, dim * d**(degree + 1) for each (see `_class_subquotient`), so
+    the memory cap refuses the pairing before any assembly.
     """
 
     __slots__ = ("module", "coefficients", "chains", "cochains", "target", "tens")
@@ -240,15 +225,17 @@ class CapPairing:
             raise DegreeError(f"cap needs 0 <= m <= n, got n={n}, m={m}")
         self.module = N
         self.coefficients = M
-        self.chains = homology(N, n)
-        self.cochains = cohomology(M, m)
         if tens is None and N.algebra.is_regular(M):
             self.tens = None
             target_module = N
         else:
             self.tens = tens if tens is not None else tensor_over_algebra(N, M)
             target_module = self.tens.module
-        self.target = homology(target_module, n - m)
+        wanted = ((N, n, "homology"), (M, m, "cohomology"), (target_module, n - m, "homology"))
+        d = N.algebra.dim
+        spaces = {w: class_space(*w) for w in sorted(
+            wanted, key=lambda w: w[0].dim * d ** (w[1] + 1), reverse=True)}
+        self.chains, self.cochains, self.target = (spaces[w] for w in wanted)
 
     def matrix(self, ccoords):
         """The matrix of [xi] -> [xi] cap [T] on class coordinates, [T]
@@ -317,12 +304,8 @@ class ChainMapLift:
 def _interior_faces(A, n):
     """The interior faces of the bar boundary of the generators of length
     n: b_n on k (x) A^{(x)n} with zero actions, so the outer faces vanish."""
-    key = ("interior", n)
-    faces = A._cache.get(key)
-    if faces is None:
-        zero = [SparseMat.zero(1, 1, A.field)] * A.dim
-        faces = A._cache[key] = _faces(zero, zero, A.mult, A.field, 1, n)
-    return faces
+    zero = [SparseMat.zero(1, 1, A.field)] * A.dim
+    return config.cached(A, ("interior", n), lambda: _faces(zero, zero, A.mult, A.field, 1, n))
 
 
 def _coboundary(A, t, n, sign, out=None):
@@ -399,11 +382,8 @@ def explicit_lift(A, T, m, up_to):
 
 def _solver(A, i):
     """The cached `Solver` of d_i, d_0 being the augmentation."""
-    key = ("solver", i)
-    s = A._cache.get(key)
-    if s is None:
-        s = A._cache[key] = Solver(bar_differential(A, i) if i else augmentation_matrix(A))
-    return s
+    return config.cached(A, ("solver", i), lambda: Solver(
+        bar_differential(A, i) if i else augmentation_matrix(A)))
 
 
 def _random_sparse(rng, dim, fld, entries=2):

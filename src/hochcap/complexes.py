@@ -35,8 +35,10 @@ coordinates.  Class spaces, and everything built on them (cap products,
 connecting maps, the identity checks), stay on the standard complex,
 because their coordinates are promised canonical there and no simple
 chain map carries normalized chain classes back.  Both complexes come
-out of the same face loop, which runs over an alphabet: the letters
-allowed in the tensor slots and their product table.
+out of the same face loop, which reads the letters of the tensor slots
+off the first argument of the differential: a bimodule and a
+`Normalized` each expose the letters' actions on the module slot
+(`left`, `right`) and their product table (`mult`).
 
 Every map between class spaces (pushforwards, the central action,
 connecting maps, the cap product with a class) is a `SparseMat` on
@@ -116,8 +118,7 @@ def _normalized_mult(A):
     so no change of basis is needed.  Cached on the algebra: the table
     holds only scalars.
     """
-    cached = A._cache.get("normalized")
-    if cached is None:
+    def build():
         fld = A.field
         k = min(A.unit)
         letters = [i for i in range(A.dim) if i != k]
@@ -136,8 +137,8 @@ def _normalized_mult(A):
                         acc(prod, pos[l], v, fld)
                 row.append(prod)
             mult.append(row)
-        cached = A._cache["normalized"] = (letters, mult)
-    return cached
+        return letters, mult
+    return config.cached(A, "normalized", build)
 
 
 class Normalized:
@@ -145,7 +146,8 @@ class Normalized:
     as the first argument of `boundary_matrix` and `coboundary_matrix`.
 
     `left`/`right` are the module's actions of the letters of Abar and
-    `mult` their product table through pi.  The matrices are cached in
+    `mult` their product table through pi, where a bimodule has those of
+    every basis element and the algebra's table.  The matrices are cached in
     the object's own `_cache`: build one per query and drop it, so
     nothing cached on the module depends on it.
     """
@@ -159,17 +161,6 @@ class Normalized:
         self.left = [module.left[i] for i in letters]
         self.right = [module.right[i] for i in letters]
         self._cache = {}
-
-
-def _alphabet(M):
-    """(left, right, mult) for the tensor slots of M's complex: the actions
-    of each letter on the module slot and the product table of the
-    letters, keyed by letter position.  The standard complex runs over
-    every basis element with the algebra's own multiplication;
-    `Normalized` supplies the letters of A/k.1."""
-    if isinstance(M, Normalized):
-        return M.left, M.right, M.mult
-    return M.left, M.right, M.algebra.mult
 
 
 def _faces(left, right, mult, fld, r, n):
@@ -214,51 +205,38 @@ def boundary_matrix(N, n):
     """Matrix of b_n : C_n(A, N) -> C_{n-1}(A, N).  Requires n >= 1."""
     if n < 1:
         raise DegreeError("boundary starts in degree 1")
-    left, right, mult = _alphabet(N)
-    d, r = len(mult), N.dim
-    src = r * d ** n
-    tgt = r * d ** (n - 1)
-    config.guard(max(src, tgt), "a chain space")
-    key = ("boundary", n)
-    cached = N._cache.get(key)
-    if cached is not None:
-        return cached
-    mat = _faces(left, right, mult, N.field, r, n)
-    N._cache[key] = mat
-    return mat
+    d, r = len(N.mult), N.dim
+    config.guard(r * max(d ** n, d ** (n - 1)), "a chain space")
+    return config.cached(N, ("boundary", n),
+                         lambda: _faces(N.left, N.right, N.mult, N.field, r, n))
 
 
 def coboundary_matrix(M, m):
     """Matrix of delta_m : C^m(A, M) -> C^{m+1}(A, M).  Requires m >= 0."""
     if m < 0:
         raise DegreeError("cochains start in degree 0")
-    left, right, mult = _alphabet(M)
+    d = len(M.mult)
+    config.guard(max(d ** m, d ** (m + 1)) * M.dim, "a cochain space")
+    return config.cached(M, ("coboundary", m), lambda: _dual_faces(M, m))
+
+
+def _dual_faces(M, m):
+    """delta_m as b_{m+1} on M*, whose chain (j; w) is the cochain
+    rank(w)*r + j; the actions of M* are cached on the module with its
+    differentials."""
     fld = M.field
-    d, r = len(mult), M.dim
-    src = d ** m * r
-    tgt = d ** (m + 1) * r
-    config.guard(max(src, tgt), "a cochain space")
-    key = ("coboundary", m)
-    cached = M._cache.get(key)
-    if cached is not None:
-        return cached
-    # b_{m+1} on M*, whose chain (j; w) is the cochain rank(w)*r + j; the
-    # actions of M* are cached on the module with its differentials
-    actions = M._cache.get("dual")
-    if actions is None:
-        actions = M._cache["dual"] = ([a.transpose() for a in right],
-                                      [a.transpose() for a in left])
-    dual = _faces(*actions, mult, fld, r, m + 1).cols
+    d, r = len(M.mult), M.dim
+    actions = config.cached(M, "dual", lambda: ([a.transpose() for a in M.right],
+                                                [a.transpose() for a in M.left]))
+    dual = _faces(*actions, M.mult, fld, r, m + 1).cols
     block, rest = d ** (m + 1), d ** m
-    cols = [dict() for _ in range(src)]
+    cols = [dict() for _ in range(rest * r)]
     target = [cols[w * r + j] for j in range(r) for w in range(rest)]
-    for row in range(tgt):
+    for row in range(block * r):
         u, y = divmod(row, r)
         for idx, v in dual[y * block + u].items():
             target[idx][row] = v
-    mat = SparseMat(tgt, src, fld, cols)
-    M._cache[key] = mat
-    return mat
+    return SparseMat(block * r, rest * r, fld, cols)
 
 
 def differential(M, n, kind):
@@ -328,10 +306,8 @@ def _class_space(module, degree, kind):
     # cached matrix alive until the cyclic garbage collector ran
     if degree < 0:
         raise DegreeError(f"{kind} degree must be nonnegative")
-    key = (kind, degree)
-    space = module._cache.get(key)
-    if space is None:
-        space = module._cache[key] = _class_subquotient(module, degree, kind)
+    space = config.cached(module, (kind, degree),
+                          lambda: _class_subquotient(module, degree, kind))
     return ClassSpace(module, degree, kind, space)
 
 

@@ -1,10 +1,18 @@
-"""Runtime limits.
+"""The two policies for a derived object: refuse it, then build it once.
 
-Chain spaces grow like r * d**n, so a careless degree bound can ask for
-billions of coordinates.  Every routine that materializes a complex
-checks its largest space against the cap below before allocating, and
-an algebra checks its d**3 structure constants, the work of validating
-it, before it builds its product table.
+Refuse: chain spaces grow like r * d**n, so a careless degree bound can
+ask for billions of coordinates.  Every routine that materializes a
+complex checks its largest space against the cap below (`guard`) before
+allocating, and an algebra checks its d**3 structure constants, the
+work of validating it, before it builds its product table.  The check
+comes before the cache lookup too, so a lowered cap refuses an object
+that was built under a higher one.
+
+Build once: a differential, bar term, solver, product table or class
+space is built on first use and kept in the `_cache` dict of its owner
+(an algebra, a bimodule, a `complexes.Normalized` or a morphism), all
+through `cached`.  Nothing kept there points back at its owner, so
+dropping the owner frees its cache by reference counting.
 """
 
 from .errors import MemoryGuardError
@@ -34,3 +42,11 @@ def guard(ncoords, what=""):
             f"(cap is {_max_coordinates}; raise it with set_max_coordinates "
             f"or --memory-cap)"
         )
+
+
+def cached(owner, key, build):
+    """owner._cache[key], built by build() on first use."""
+    cache = owner._cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]

@@ -487,3 +487,33 @@ def test_cap_guard_is_asked_about_the_largest_space_first(monkeypatch, name, n, 
     monkeypatch.setattr(config, "guard", recording)
     CapPairing(reg, n, reg, m)
     assert len(asked) > 1 and asked[0] == max(asked)
+
+
+def test_cap_pairing_fetches_its_largest_class_space_first(monkeypatch):
+    # the cochain module Hom(A, A) of truncated_cubic has 9 coordinates, so
+    # H^3 asks for delta^3 on 9 * 3**4 = 729, more than b_4 on the regular
+    # chains (3 * 3**4 = 243): under a cap of 500 nothing is assembled
+    from hochcap import complexes
+
+    reg = zoo.get("truncated_cubic").regular()
+    E = coinduced(reg).module
+    asked, faces = [], []
+    guard, inner = config.guard, complexes._faces
+
+    def recording(ncoords, what=""):
+        asked.append(ncoords)
+        guard(ncoords, what)
+
+    monkeypatch.setattr(config, "guard", recording)
+    monkeypatch.setattr(complexes, "_faces", lambda *args: faces.append(args) or inner(*args))
+    config.set_max_coordinates(500)
+    try:
+        with pytest.raises(MemoryGuardError, match="729 coordinates"):
+            CapPairing(reg, 3, E, 3)
+    finally:
+        config.set_max_coordinates(None)
+    assert faces == [] and asked == [729]
+    # without the cap every space is built, the largest asked for first
+    asked.clear()
+    CapPairing(reg, 3, E, 3)
+    assert len(asked) > 1 and asked[0] == max(asked) == 729

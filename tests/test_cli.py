@@ -296,8 +296,9 @@ def test_text_is_default_format(capsys):
 
 # sha256 of stdout, one tuple per zoo algebra in the order of
 # GOLDEN_COMMANDS; the first four were frozen while Q scalars were still
-# all Fractions, the rest while homology and cohomology had separate
-# command functions
+# all Fractions, the next six while homology and cohomology had separate
+# command functions, the last two while the center had its own stacked
+# system in `AlgebraPresentation.center`
 GOLDEN_COMMANDS = (
     ("homology", "{}", "--max-degree", "3", "--format", "json"),
     ("cohomology", "{}", "--max-degree", "3", "--format", "json"),
@@ -309,6 +310,8 @@ GOLDEN_COMMANDS = (
     ("homology", "{}", "--module", "induced", "--max-degree", "3", "--format", "json"),
     ("cohomology", "{}", "--module", "coinduced", "--max-degree", "3", "--format", "json"),
     ("cohomology", "{}", "--module", "induced", "--max-degree", "3", "--format", "json"),
+    ("zoo", "show", "{}"),
+    ("cap", "{}", "3", "2", "--format", "json"),
 )
 GOLDEN = {
     "rationals": (
@@ -322,6 +325,8 @@ GOLDEN = {
         "c32f555810c17a8b690308cde884d1acc3b8d32736090481e5a34b77007c0d4e",
         "0abdafdb66f379104825d91b844f548228e7793914c62815e391dea368cc86a8",
         "61528992fee313ff77f39ee17eb8ec4a0663fb6379f0dd5c8ece6f0794b4e4f9",
+        "07033b733faa07dc8560d24c03be67c3f70521137baf19a7018ec5a9fb051572",
+        "026e402a82d7a161dddd137c69c24b2ebb69864737efa8f2ea84ab22cf92def2",
     ),
     "dual_numbers": (
         "60d752819ebbcf5f4530428ccdc7057c8069c949fbe4f4616ca1cddb97e2ff61",
@@ -334,6 +339,8 @@ GOLDEN = {
         "3afb3681434728e71a48bf471788a590f3fa982e784bc4874afc7d30a0d672a2",
         "f33f8e813f8a7a89224c4e32e3049b3c561def465c68ced4f49de4b9f30b3173",
         "01e318d5f095f6f47ba2babd48be67bd6ae3a519d0743efea7a68acff81c903e",
+        "0439517159ed54966666292565cb38c9ce1c80c417d9bf58861055873d58225c",
+        "b6829053ca06fc781eb6d85c3b992d592451972aaee2bd02be77963b5f703bf6",
     ),
     "truncated_cubic": (
         "10fb51db0d08c519c81e27e1a54907d91358ff5cda346f7359f4cefb6c1f0142",
@@ -346,6 +353,8 @@ GOLDEN = {
         "a5e877852945878c17f95598a565dd6e974621c2b7b038e0833c4bc9ea094203",
         "955ee63116affd02d269c227a7e3b3352346cad143ef091280cb0fa1f8c3356d",
         "8392996a4801bb786e75067381404d6e1eb25371cc922ba38f18b8b8f3c2482d",
+        "13fd49fc8ee9a1077ec42e46fbc9d4ecea4bad05fec206202f02fb10041ca292",
+        "4f70a9e4ef65ffa2134002d778a0ee554e019a6af9cbdc68e778db0d7f9d5800",
     ),
     "product_qq": (
         "8abecc361f07ce59bcb69a66d2a0a8a3b7f925737abf2a305d0aec67bfa675ff",
@@ -358,6 +367,8 @@ GOLDEN = {
         "482d3cb0baa2e06d079fce1501d059756793a527c4dba810695f55aebf0e8302",
         "76864cf031029d75c0fb2c7ad6f8f2486cc8a5af08eca0ed07baf91aa69df98c",
         "505fe25206840295748895acf4030c6f87d0599d9f48d11b02d07839e1cb41f9",
+        "12e06a73df6b5b4a0169810656b99dd9a6ce0442891f93ba3877edabd2cbf7a9",
+        "0e86147369bce5b785540f0ffb07444bbcd5ec5aa8074d462e49b2a647701125",
     ),
     "two_by_two_matrices": (
         "b0e4e7893fb5a21d9bf466a77202835746eaa0eb3f2f4f15e2af77d17d43d84e",
@@ -370,6 +381,8 @@ GOLDEN = {
         "a263919afb556b13ceb212c94abc99ba8c041ba5ff4df37aebb6751f399dde4a",
         "381c66009644289cb0438120982430ed2825d72046ef8c9ff69139c409cfe574",
         "beb7d8b89da2dee54bd870be2cf110c17d7b984be96f25583ca5f791b74be503",
+        "5e79f44770a27988e4bb679e7358a1d24e9cc36329155c45d7eb47226511b7bf",
+        "c46f3346f86980585f0d2540d03b526182a5031c0b084e4e7398e830dad3f52f",
     ),
     "upper_triangular": (
         "d1e5d321f0eeba2dbe63aeb6fb04841fbada1fdcc41f528105f59a4815915c35",
@@ -382,6 +395,8 @@ GOLDEN = {
         "ba023ae243f3068ee698f50138434c6472accb721a5e33d5c25d8b70b47fe2fc",
         "7a2345e4024d3b30b12d048c9891903b204182c11b8e9dfe68f5a00fe3a05c9a",
         "cc7fd050ba63548ff7f180250b3ccc347e9d8470cc6d009a6828828b254d6193",
+        "1c0b6e5f3fc45b5585ea9e3c0477e30f5ae33de5c29a6594b8bc233ba3db4c1a",
+        "64b24a0549369c0bbf9c4d810049d258ce1bceaa52abded6724c9d4b5181d5c8",
     ),
     "f2_c2": (
         "73522cab784c06323062e1aeab1e6bffe3e246094561cc38f41aadbfc04842e6",
@@ -394,6 +409,8 @@ GOLDEN = {
         "a3577e12f99e6227ee55f8e28b752395af174b288540d31979fcbc32f12f7223",
         "d89fa468b1fee517de1f33c8f81516e89898cd465e1cfd8dea1e6b7b2ac9413b",
         "6faf13ec2f2ea0ef66c61f13c786e88e5f493c0e5e89a689e68273dd02918fee",
+        "eac7f9c6abeb17d8e9d89360bfeacdc1390e95c66e395a0366490872dd1a1494",
+        "e3335a9675b6c8f2f15d11ccbfdf1a67041ac10c18f26c04bc6a2d5355fc36cc",
     ),
 }
 
