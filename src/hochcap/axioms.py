@@ -232,20 +232,21 @@ def _degree_zero_cases(N, M, tens, pairing, shifts, rng):
                 axpy(x, fld.neg(fld.one), N.act_right(w, {s: fld.one}), fld)
 
 
-def check_dimension_shift(A, deg_max=3):
+def check_dimension_shift(A, deg_max=3, co=None, ind=None):
     """The two maps used to walk statements down to degree zero.
 
     For E = Hom_k(A, M) the connecting map H^m(A, E/M) -> H^(m+1)(A, M)
     is onto because E has no higher cohomology; dually, for P = A (x) V
-    the snake map H_j(A, V) -> H_(j-1)(A, ker) is injective.
+    the snake map H_j(A, V) -> H_(j-1)(A, ker) is injective.  M = V = A;
+    `co` and `ind`, its coinduced and induced data, are built if not given.
     """
     rows = []
     M = A.regular()
-    co = coinduced(M)
+    co = co or coinduced(M)
     for m in range(deg_max + 1):
         conn = connecting_cohomology(co.ses, m)
         rows.append(_shift_row(A, "coinduced", m, conn, conn.nrows))
-    ind = induced(M)
+    ind = ind or induced(M)
     for j in range(1, deg_max + 2):
         delta = connecting_homology(ind.ses, j)
         rows.append(_shift_row(A, "induced", j, delta, delta.ncols))
@@ -315,6 +316,8 @@ def algebra_suite(A, n_max=3, seed=11, checks=None, progress=None, name=None):
             progress(rows)
 
     N = A.regular()
+    co = coinduced(N) if checks & {"connecting-cohomology", "dimension-shift"} else None
+    ind = induced(N) if checks & {"connecting-homology", "dimension-shift"} else None
     if "center-linearity" in checks:
         report(check_center_linearity(A, n_max))
     if "connecting-homology" in checks:
@@ -325,7 +328,7 @@ def algebra_suite(A, n_max=3, seed=11, checks=None, progress=None, name=None):
         )
         report(
             check_homology_connecting(
-                induced(N).ses, N, n_max, instance=f"{name} induced"
+                ind.ses, N, n_max, instance=f"{name} induced"
             )
         )
     if "connecting-cohomology" in checks:
@@ -336,13 +339,13 @@ def algebra_suite(A, n_max=3, seed=11, checks=None, progress=None, name=None):
         )
         report(
             check_cohomology_connecting(
-                N, coinduced(N).ses, n_max, instance=f"{name} coinduced"
+                N, co.ses, n_max, instance=f"{name} coinduced"
             )
         )
     if "degree-zero" in checks:
         report(check_degree_zero(N, N, seed=seed, instance=f"{name} regular"))
     if "dimension-shift" in checks:
-        report(check_dimension_shift(A, n_max))
+        report(check_dimension_shift(A, n_max, co, ind))
     if _has_square_zero_shape(A):
         ses, Q = _square_zero_torsion(A)
         if "connecting-homology" in checks:

@@ -9,6 +9,8 @@ modules A (x) V with their multiplication map onto V, direct sums, and
 short exact sequences of bimodules.
 """
 
+import weakref
+
 from . import config
 from .errors import NotExact, ValidationError
 from .linalg import (
@@ -25,6 +27,10 @@ from .linalg import (
 
 
 class Bimodule:
+    """Left and right action matrices, one per algebra basis element.
+    All that is cached on a bimodule depends on its actions alone, so a new
+    one adopts the `_cache` of a live twin from a weak registry on the algebra."""
+
     __slots__ = ("algebra", "dim", "left", "right", "label", "_cache", "__weakref__")
 
     def __init__(self, algebra, dim, left, right, label=None):
@@ -34,6 +40,9 @@ class Bimodule:
         self.right = tuple(right)
         self.label = label
         self._cache = {}
+        key = (dim, tuple(tuple(sorted(c.items())) for m in self.left + self.right for c in m.cols))
+        twins = config.cached(algebra, "bimodules", weakref.WeakValueDictionary)
+        self._cache = twins.setdefault(key, self)._cache
 
     @property
     def field(self):

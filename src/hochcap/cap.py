@@ -80,26 +80,6 @@ def augmentation_matrix(A):
         d, d * d, A.field, [dict(A.mult[i][j]) for i in range(d) for j in range(d)]))
 
 
-def diagonal_matrix(A, i, j):
-    """The (i, j) component of the comultiplication on the bar resolution.
-
-    Sends a_0 (x) ... (x) a_{i+j+1} to the same word with the unit
-    inserted after slot i; the result lives in the realization of
-    Bar_i (x)_A Bar_j on A^{(x)(i+j+3)} obtained by contracting the two
-    middle factors.
-    """
-    if i < 0 or j < 0:
-        raise DegreeError("diagonal components need nonnegative degrees")
-    fld = A.field
-    d = A.dim
-    n = i + j
-    config.guard(d ** (n + 3), "a split bar term")
-    ins = SparseMat(d, 1, fld, [A.unit])
-    return config.cached(A, ("diagonal", i, j), lambda: SparseMat(
-        d ** (n + 3), d ** (n + 2), fld,
-        [on_slots(ins, {g: fld.one}, d ** (j + 1)) for g in range(d ** (n + 2))]))
-
-
 def check_diagonal_identities(A, max_total, unit=None):
     """Verify the two compatibility equations of the comultiplication.
 
@@ -109,7 +89,11 @@ def check_diagonal_identities(A, max_total, unit=None):
         D_{i,j} d_{i+j+1} = (d (x) 1) D_{i+1,j} + (-1)^i (1 (x) d) D_{i,j+1}
 
     and in total degree zero, multiplying the three factors of the image
-    of D_{0,0} recovers the augmentation.  Returns the list of failing
+    of D_{0,0} recovers the augmentation.  D_{i,j}, the (i, j) component
+    of the comultiplication, inserts the unit after slot i of
+    a_0 (x) ... (x) a_{i+j+1}, landing in the realization of
+    Bar_i (x)_A Bar_j on A^{(x)(i+j+3)}: one `on_slots` call with
+    d**(j+1) slots below the inserted one.  Returns the list of failing
     instances, ("split", i, j, generator) ordered by total degree, then
     generator, then i, followed by ("augment", 0, 0, generator); empty
     means every identity holds.  `unit` (a sparse element of A, the unit

@@ -93,3 +93,24 @@ def test_progress_callback_sees_every_row():
     seen = []
     rows = run_suite(["product_qq"], n_max=1, progress=seen.extend)
     assert len(seen) == len(rows)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(axioms, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(axioms, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("checks, built", [(None, 1), (["center-linearity"], 0)])
+def test_suite_builds_coinduced_and_induced_at_most_once(monkeypatch, checks, built):
+    co = _count_calls(monkeypatch, "coinduced")
+    ind = _count_calls(monkeypatch, "induced")
+    rows = axioms.algebra_suite(zoo.get("dual_numbers"), n_max=1, checks=checks)
+    assert not failures(rows)
+    assert (len(co), len(ind)) == (built, built)

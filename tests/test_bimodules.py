@@ -1,10 +1,13 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
-from hochcap import zoo
+from hochcap import config, zoo
+from hochcap.axioms import algebra_suite
 from hochcap.bimodules import (
+    Bimodule,
     BimoduleMorphism,
     coinduced,
     commutator_subspace,
@@ -16,7 +19,8 @@ from hochcap.bimodules import (
     split_ses,
     tensor_over_algebra,
 )
-from hochcap.errors import NotExact, ValidationError
+from hochcap.complexes import boundary_matrix, coboundary_matrix, homology
+from hochcap.errors import MemoryGuardError, NotExact, ValidationError
 from hochcap.fields import QQ
 from hochcap.linalg import SparseMat, rank
 
@@ -161,3 +165,85 @@ def test_tensor_morphism_wellformed():
     f = induced_tensor_morphism(ind.include, reg, t_src, t_tgt)
     f.validate()
     assert rank(f.matrix) <= min(t_src.module.dim, t_tgt.module.dim)
+
+
+# -- one cache per module content --------------------------------------
+
+
+def _twin(M, label="twin"):
+    """A new bimodule with copies of M's action matrices."""
+    def copy(mats):
+        return tuple(SparseMat(m.nrows, m.ncols, m.field, [dict(c) for c in m.cols]) for m in mats)
+    return Bimodule(M.algebra, M.dim, copy(M.left), copy(M.right), label=label)
+
+
+def test_equal_actions_share_class_spaces():
+    A = zoo.get("upper_triangular")
+    N = A.regular()
+    twin = _twin(N)
+    assert twin._cache is N._cache and not A.is_regular(twin)
+    assert homology(twin, 2).space is homology(N, 2).space
+    # N (x)_A A is N again, with the regular actions
+    tens = tensor_over_algebra(N, N)
+    assert homology(tens.module, 1).space is homology(N, 1).space
+
+
+def test_different_actions_do_not_share():
+    # e_1 acts by 1 on the left of both; on the right, e_1 or e_2 does
+    A = zoo.get("product_qq")
+    one, zero = SparseMat.identity(1, A.field), SparseMat.zero(1, 1, A.field)
+    S11 = Bimodule(A, 1, (one, zero), (one, zero)).validate()
+    S12 = Bimodule(A, 1, (one, zero), (zero, one)).validate()
+    assert S11._cache is not S12._cache
+    assert (homology(S11, 0).dim, homology(S12, 0).dim) == (1, 0)
+    N = zoo.get("upper_triangular").regular()
+    E, P = coinduced(N).module, induced(N).module
+    assert E.dim == P.dim and E._cache is not P._cache
+
+
+def test_dropping_the_first_module_ends_the_sharing():
+    # the registry keeps the first module of each content, weakly
+    A = zoo.get("dual_numbers")
+    d = A.dim
+    first = Bimodule(A, d, [A.left_matrix(i) for i in range(d)],
+                     [A.right_matrix(i) for i in range(d)], label="first")
+    second = _twin(first, "second")
+    space = homology(second, 1).space
+    assert homology(first, 1).space is space
+    del first
+    third = _twin(second, "third")
+    assert third._cache is not second._cache
+    assert homology(third, 1).space is not space
+    assert homology(second, 1).space is space
+
+
+def test_lowered_cap_refuses_a_build_cached_through_a_twin():
+    A = zoo.get("two_by_two_matrices")
+    N = A.regular()
+    boundary_matrix(N, 3)
+    coboundary_matrix(N, 3)
+    twin = _twin(N)
+    assert ("boundary", 3) in twin._cache and ("coboundary", 3) in twin._cache
+    config.set_max_coordinates(100)
+    try:
+        with pytest.raises(MemoryGuardError):
+            boundary_matrix(twin, 3)
+        with pytest.raises(MemoryGuardError):
+            coboundary_matrix(twin, 3)
+    finally:
+        config.set_max_coordinates(None)
+
+
+def test_shared_caches_make_no_reference_cycle():
+    # the registry of twins holds its bimodules weakly, so a whole suite
+    # run, with its tensor, coinduced and induced modules, leaves nothing
+    # for the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        rows = algebra_suite(zoo.get("dual_numbers"))
+        assert rows and all(r.status != "fail" for r in rows)
+        del rows
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -14,7 +14,6 @@ from hochcap.cap import (
     check_diagonal_identities,
     coboundary_lift,
     descent_defect,
-    diagonal_matrix,
     explicit_lift,
     solve_lift,
     unit_cocycle,
@@ -64,16 +63,19 @@ def test_diagonal_identities_reject_a_negative_bound():
 
 
 def test_diagonal_matrix_matches_tuple_insertion():
+    # D_{i,j} as `check_diagonal_identities` applies it: the unit inserted
+    # by `on_slots` with d**(j+1) slots below it, i.e. after slot i
     for name in ("dual_numbers", "upper_triangular"):
         a = zoo.get(name)
         d = a.dim
+        ins = linalg.SparseMat(d, 1, a.field, [a.unit])
         for i in range(3):
             for j in range(3 - i):
-                mat = diagonal_matrix(a, i, j)
                 for col, c in enumerate(tuples(d, i + j + 2)):
+                    got = linalg.on_slots(ins, {col: a.field.one}, d ** (j + 1))
                     want = {tuple_rank(d, c[: i + 1] + (s,) + c[i + 1 :]): v
                             for s, v in a.unit.items()}
-                    assert mat.col(col) == want, (name, i, j, c)
+                    assert got == want, (name, i, j, c)
 
 
 @pytest.mark.parametrize("name", sorted(_oracle.ALGEBRAS))

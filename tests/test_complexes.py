@@ -374,7 +374,7 @@ def test_memory_guard_trips():
 
 
 def test_memory_guard_trips_on_cached_builds():
-    from hochcap.cap import bar_differential, diagonal_matrix
+    from hochcap.cap import bar_differential
 
     a = zoo.get("two_by_two_matrices")
     reg = a.regular()
@@ -382,7 +382,6 @@ def test_memory_guard_trips_on_cached_builds():
         lambda: boundary_matrix(reg, 3),
         lambda: coboundary_matrix(reg, 3),
         lambda: bar_differential(a, 2),
-        lambda: diagonal_matrix(a, 1, 1),
     ]
     for build in builders:
         build()  # now cached
