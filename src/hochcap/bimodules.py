@@ -26,10 +26,17 @@ from .linalg import (
 )
 
 
+class _Cache(dict):
+    """The `_cache` of a bimodule, which the registry of twins holds weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
 class Bimodule:
     """Left and right action matrices, one per algebra basis element.
     All that is cached on a bimodule depends on its actions alone, so a new
-    one adopts the `_cache` of a live twin from a weak registry on the algebra."""
+    one adopts the `_cache` of its live twins from a weak registry on the
+    algebra, which lives as long as any of them does."""
 
     __slots__ = ("algebra", "dim", "left", "right", "label", "_cache", "__weakref__")
 
@@ -39,10 +46,9 @@ class Bimodule:
         self.left = tuple(left)
         self.right = tuple(right)
         self.label = label
-        self._cache = {}
         key = (dim, tuple(tuple(sorted(c.items())) for m in self.left + self.right for c in m.cols))
         twins = config.cached(algebra, "bimodules", weakref.WeakValueDictionary)
-        self._cache = twins.setdefault(key, self)._cache
+        self._cache = twins.setdefault(key, _Cache())
 
     @property
     def field(self):

@@ -198,7 +198,7 @@ class CapPairing:
     When M is the regular bimodule the target is collapsed to N itself;
     otherwise a tensor product realization is built (or supplied).  The
     three class spaces are fetched in decreasing order of their largest
-    space, dim * d**(degree + 1) for each (see `_class_subquotient`), so
+    space, dim * d**(degree + 1) for each (see `complexes._class_space`), so
     the memory cap refuses the pairing before any assembly.
     """
 

@@ -34,17 +34,25 @@ the normalized complex instead, with r (d-1)^n coordinates in degree n
 coordinates.  Class spaces, and everything built on them (cap products,
 connecting maps, the identity checks), stay on the standard complex,
 because their coordinates are promised canonical there and no simple
-chain map carries normalized chain classes back.  Both complexes come
-out of the same face loop, which reads the letters of the tensor slots
-off the first argument of the differential: a bimodule and a
-`Normalized` each expose the letters' actions on the module slot
-(`left`, `right`) and their product table (`mult`).
+chain map carries normalized chain classes back.  But a class space of
+a bimodule asks the normalized complex for its dimension first, from
+two ranks kept on the module.  A zero space has B = Z, so it eliminates
+nothing and never assembles the incoming differential; the outgoing one
+is assembled only to test a vector (`linalg.ZeroSubquotient`).  A
+nonzero space must have as many classes as that dimension, a cheap
+certificate linking the two complexes.  Both complexes come out of the
+same face loop, which reads the letters of the tensor slots off the
+first argument of the differential: a bimodule and a `Normalized` each
+expose the letters' actions on the module slot (`left`, `right`) and
+their product table (`mult`).
 
 Every map between class spaces (pushforwards, the central action,
 connecting maps, the cap product with a class) is a `SparseMat` on
 canonical coordinates, read off by one `ClassSpace.classes`.
 """
 
+import weakref
+from functools import partial
 from itertools import product
 
 from . import config
@@ -53,8 +61,8 @@ from .errors import DegreeError, InclusionViolation, NotCentral, NotInvariant
 # kernel_basis is not called here; perfbench/test_perfbench.py checks that
 # the tracer rewraps this binding
 from .linalg import (  # noqa: F401
-    Echelon, SparseMat, SubquotientSpace, acc, axpy, coerce_vector, kernel_basis, on_slots,
-    rank, subquotient)
+    Echelon, SparseMat, SubquotientSpace, ZeroSubquotient, acc, axpy, coerce_vector,
+    kernel_basis, on_slots, rank, subquotient)
 
 
 def tuples(d, n):
@@ -205,19 +213,27 @@ def boundary_matrix(N, n):
     """Matrix of b_n : C_n(A, N) -> C_{n-1}(A, N).  Requires n >= 1."""
     if n < 1:
         raise DegreeError("boundary starts in degree 1")
-    d, r = len(N.mult), N.dim
-    config.guard(r * max(d ** n, d ** (n - 1)), "a chain space")
+    _guard(N, n, "homology")
     return config.cached(N, ("boundary", n),
-                         lambda: _faces(N.left, N.right, N.mult, N.field, r, n))
+                         lambda: _faces(N.left, N.right, N.mult, N.field, N.dim, n))
 
 
 def coboundary_matrix(M, m):
     """Matrix of delta_m : C^m(A, M) -> C^{m+1}(A, M).  Requires m >= 0."""
     if m < 0:
         raise DegreeError("cochains start in degree 0")
-    d = len(M.mult)
-    config.guard(max(d ** m, d ** (m + 1)) * M.dim, "a cochain space")
+    _guard(M, m, "cohomology")
     return config.cached(M, ("coboundary", m), lambda: _dual_faces(M, m))
+
+
+def _guard(M, n, kind):
+    """Refuse b_n or delta_n, by the larger of its two spaces, before it
+    is built or looked up."""
+    d = len(M.mult)
+    if kind == "homology":
+        config.guard(M.dim * max(d ** n, d ** (n - 1)), "a chain space")
+    else:
+        config.guard(max(d ** n, d ** (n + 1)) * M.dim, "a cochain space")
 
 
 def _dual_faces(M, m):
@@ -246,21 +262,80 @@ def differential(M, n, kind):
     return coboundary_matrix(M, n)
 
 
+def _touching(degree, kind):
+    """The degrees of the differentials leaving and entering the degree
+    that exist, the one touching degree + 1 first: its guard covers the
+    larger space, so a refusal precedes work."""
+    step = -1 if kind == "homology" else 1  # the degree of the differential
+    return [k for k in sorted({degree, degree - step}, reverse=True) if k >= 0 and k + step >= 0]
+
+
+def _normalized_dim(module, degree, kind):
+    """dim H in the degree from the normalized complex: r (d-1)^n less
+    the ranks of the two normalized differentials touching it.  Each rank
+    is kept on the module as ("normalized rank", kind, k), so it is
+    computed once per module content; the `Normalized` is dropped."""
+    cx = Normalized(module)
+    ranks = [config.cached(module, ("normalized rank", kind, k),
+                           lambda k=k: rank(differential(cx, k, kind)))
+             for k in _touching(degree, kind)]
+    return cx.dim * len(cx.mult) ** degree - sum(ranks)
+
+
+class _Detached:
+    """A bimodule's actions and product table, with its cache held weakly.
+
+    A zero class space, which is kept in that cache, assembles its
+    outgoing differential through this stand-in on first use, into the
+    same cache, without a reference cycle; once the cache is gone it
+    builds the differential uncached.
+    """
+
+    __slots__ = ("field", "dim", "left", "right", "mult", "_ref")
+
+    def __init__(self, module):
+        self.field, self.dim, self.mult = module.field, module.dim, module.mult
+        self.left, self.right = module.left, module.right
+        self._ref = weakref.ref(module._cache)
+
+    @property
+    def _cache(self):
+        cache = self._ref()
+        return {} if cache is None else cache
+
+
 def _class_subquotient(module, degree, kind):
     """Z / B in the given degree of the chain or cochain complex.
 
-    Z is the null space of the differential leaving the degree (of the
-    zero map in homological degree 0), eliminated once by
-    `Echelon.null_space`; B is the image of the one entering it (nothing
-    in cohomological degree 0).  The one touching degree + 1 is fetched
-    first: its guard covers the larger space, so a refusal precedes work.
+    A bimodule asks the normalized complex for the dimension first.  When
+    it is 0, B = Z and the space is a `ZeroSubquotient`: nothing is
+    eliminated, the differential entering the degree is never assembled,
+    and the one leaving it only when a vector is first tested.
+    Otherwise Z is the null space of the differential leaving the degree
+    (of the zero map in homological degree 0), eliminated once by
+    `Echelon.null_space`, and B is the image of the one entering it
+    (nothing in cohomological degree 0); the number of classes must
+    equal the normalized dimension, or InclusionViolation.  A
+    `Normalized` has no algebra, so it takes the second route unchecked.
     """
     step = -1 if kind == "homology" else 1  # the degree of the differential
-    mats = {k: differential(module, k, kind)
-            for k in sorted({degree, degree - step}, reverse=True) if k >= 0 and k + step >= 0}
-    out = mats.get(degree) or SparseMat.zero(0, module.dim, module.field)
-    B = mats.get(degree - step) or SparseMat.zero(module.dim, 0, module.field)
-    return SubquotientSpace(Echelon.null_space(out), B)
+    fld = module.field
+    dim = None if isinstance(module, Normalized) else _normalized_dim(module, degree, kind)
+    if dim == 0:
+        if degree + step < 0:
+            leaving = partial(SparseMat.zero, 0, module.dim, fld)
+        else:
+            leaving = partial(differential, _Detached(module), degree, kind)
+        return ZeroSubquotient(fld, module.dim * len(module.mult) ** degree, leaving)
+    mats = {k: differential(module, k, kind) for k in _touching(degree, kind)}
+    out = mats.get(degree) or SparseMat.zero(0, module.dim, fld)
+    B = mats.get(degree - step) or SparseMat.zero(module.dim, 0, fld)
+    space = SubquotientSpace(Echelon.null_space(out), B)
+    if dim is not None and space.dim != dim:
+        raise InclusionViolation(
+            f"{kind} degree {degree}: {space.dim} classes on the standard complex, "
+            f"{dim} on the normalized one")
+    return space
 
 
 class ClassSpace:
@@ -306,6 +381,10 @@ def _class_space(module, degree, kind):
     # cached matrix alive until the cyclic garbage collector ran
     if degree < 0:
         raise DegreeError(f"{kind} degree must be nonnegative")
+    # refuse what the standard route would build, before the cache lookup
+    # and before any normalized work
+    for k in _touching(degree, kind):
+        _guard(module, k, kind)
     space = config.cached(module, (kind, degree),
                           lambda: _class_subquotient(module, degree, kind))
     return ClassSpace(module, degree, kind, space)

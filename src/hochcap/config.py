@@ -12,9 +12,9 @@ Build once: a differential, bar term, solver, product table or class
 space is built on first use and kept in the `_cache` dict of its owner
 (an algebra, a bimodule, a `complexes.Normalized` or a morphism), all
 through `cached`; bimodules with equal actions share one (`Bimodule`).
-Nothing kept there points back at its owner, and an algebra holds its
-bimodules only weakly, so dropping an owner frees its cache by
-reference counting.
+Nothing kept there points back at its owner, and an algebra holds the
+caches of its bimodules only weakly, so dropping the last owner of a
+cache frees it by reference counting.
 """
 
 from .errors import MemoryGuardError

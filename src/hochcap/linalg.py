@@ -33,6 +33,11 @@ with 1 at f, has its other entries only at q_i > f, and is zero at every
 other such f: together these vectors are a reduced row echelon basis of
 the null space, and since the rref is unique, they are the rows that
 eliminating any other basis of it would give.
+
+A subquotient known beforehand to be zero (`ZeroSubquotient`) needs
+neither echelon: B = Z, so a vector has coordinates exactly when the
+matrix whose null space is Z sends it to zero, one `matvec`.  Its
+`cycles` and `boundaries` are one echelon, eliminated when first read.
 """
 
 from .errors import InclusionViolation, NotACycle
@@ -533,6 +538,38 @@ class SubquotientSpace:
             f"<SubquotientSpace dim={self.dim} ambient={self.ambient_dim} "
             f"over {self.field!r}>"
         )
+
+
+class ZeroSubquotient(SubquotientSpace):
+    """A subquotient known to be zero, B = Z, before either is eliminated.
+
+    `leaving()` is a matrix whose null space is Z, built on first use.  A
+    vector it sends to zero has no coordinates, one `matvec`; any other
+    raises NotACycle.  `cycles` and `boundaries` are the echelon of that
+    null space, eliminated when first read: the rref of a subspace is
+    unique, so B = Z has the same one.
+    """
+
+    __slots__ = ("_leaving", "_null")
+
+    def __init__(self, field, ambient_dim, leaving):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.free_pivots, self._free_index, self.dim = [], {}, 0
+        self._leaving, self._null = leaving, None
+
+    @property
+    def cycles(self):
+        if self._null is None:
+            self._null = Echelon.null_space(self._leaving())
+        return self._null
+
+    boundaries = cycles
+
+    def _coords(self, u):
+        if u and self._leaving().matvec(u):
+            raise NotACycle("vector is not in the cycle space")
+        return []
 
 
 def subquotient(Z, B):

@@ -18,6 +18,7 @@ from hochcap.complexes import (
     cohomology_dims,
     coinvariants,
     degree_zero_cocycle,
+    differential,
     homology,
     homology_dims,
     invariants_dim,
@@ -25,8 +26,9 @@ from hochcap.complexes import (
     Normalized,
     tuple_rank,
 )
-from hochcap.errors import InclusionViolation, MemoryGuardError, NotCentral, NotInvariant
-from hochcap.linalg import SparseMat, on_slots
+from hochcap.errors import (
+    InclusionViolation, MemoryGuardError, NotACycle, NotCentral, NotInvariant)
+from hochcap.linalg import SparseMat, axpy, on_slots, rank
 
 import _oracle
 
@@ -145,7 +147,8 @@ def test_cohomology_dimension_tables():
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
 def test_normalized_dims_match_class_spaces(kind):
-    # class spaces stay on the standard complex, so this compares the two
+    # a class space reads a zero dimension off the normalized complex, so
+    # the standard side is the two-elimination route, which never does
     for name in zoo.ZOO:
         a = zoo.get(name)
         top = 4 if a.dim == 4 else 5
@@ -153,7 +156,8 @@ def test_normalized_dims_match_class_spaces(kind):
                    (coinduced(a.regular()).module, 3),
                    (induced(a.regular()).module, 3)]
         for M, up_to in modules:
-            want = [class_space(M, n, kind).dim for n in range(up_to + 1)]
+            want = [_oracle.two_elimination_class_space(M, n, kind).dim
+                    for n in range(up_to + 1)]
             got = homology_dims(M, up_to) if kind == "homology" else cohomology_dims(M, up_to)
             assert got == want, (name, M.label, kind)
 
@@ -186,11 +190,14 @@ STANDARD_CROSS_CHECK = {"f2_c2": 10, "dual_numbers": 10, "truncated_cubic": 6,
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
 def test_class_spaces_match_normalized_dims_at_high_degree(kind):
-    # the standard and the normalized complex share no elimination
+    # the standard and the normalized complex share no elimination; the
+    # standard side is the two-elimination route, which never asks the
+    # normalized complex for a dimension
     for name, top in STANDARD_CROSS_CHECK.items():
         reg = zoo.get(name).regular()
         want = homology_dims(reg, top) if kind == "homology" else cohomology_dims(reg, top)
-        assert [class_space(reg, n, kind).dim for n in range(top + 1)] == want, name
+        got = [_oracle.two_elimination_class_space(reg, n, kind).dim for n in range(top + 1)]
+        assert got == want, name
 
 
 # k[x]/(x^m): HH_0 = m, and HH_n = m - 1 for n >= 1, or m when char k
@@ -393,6 +400,71 @@ def test_memory_guard_trips_on_cached_builds():
     finally:
         config.set_max_coordinates(None)
     assert config.max_coordinates() == 1 << 24
+
+
+def test_lowered_cap_refuses_a_cached_class_space():
+    # a cached class space is guarded as its build would be
+    reg = zoo.get("two_by_two_matrices").regular()
+    homology(reg, 3)
+    cohomology(reg, 3)
+    config.set_max_coordinates(100)
+    try:
+        with pytest.raises(MemoryGuardError):
+            homology(reg, 3)
+        with pytest.raises(MemoryGuardError):
+            cohomology(reg, 3)
+    finally:
+        config.set_max_coordinates(None)
+
+
+# -- zero class spaces ---------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_a_zero_class_space_assembles_no_differential(kind):
+    # M_2 is separable, so H_3 and H^3 vanish: the normalized ranks say
+    # so, and neither the differential entering degree 3 (b_4, delta^2)
+    # nor the one leaving it is assembled
+    reg = zoo.get("two_by_two_matrices").regular()
+    cs = class_space(reg, 3, kind)
+    assert cs.dim == 0
+    assert ("boundary", 4) not in reg._cache and ("coboundary", 2) not in reg._cache
+    assert all(key[0] in ("normalized rank", kind) for key in reg._cache), list(reg._cache)
+    # the zero vector is tested without the differential
+    assert cs.class_of({}) == () and ("boundary", 3) not in reg._cache
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_a_zero_class_space_tests_cycles_by_its_outgoing_differential(kind):
+    reg = zoo.get("two_by_two_matrices").regular()
+    cs = class_space(reg, 3, kind)
+    leaving = differential(reg, 3, kind)
+    entering = differential(reg, 4 if kind == "homology" else 2, kind)
+    cycle = {}
+    for j in range(0, entering.ncols, 7):
+        axpy(cycle, 1, entering.cols[j], reg.field)
+    assert cycle and cs.class_of(cycle) == () and cs.space.is_boundary(cycle)
+    assert cs.classes([cycle, {}]).nrows == 0
+    j = next(j for j, col in enumerate(leaving.cols) if col)
+    with pytest.raises(NotACycle):
+        cs.class_of({j: 1})
+    with pytest.raises(NotACycle):
+        cs.space.is_boundary({j: 1})
+    # B = Z, read lazily
+    assert cs.space.boundaries is cs.space.cycles and cs.space.free_pivots == []
+    assert len(cs.space.cycles.pivots) == leaving.ncols - rank(leaving)
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_a_corrupted_normalized_rank_is_caught(kind):
+    # H_2 caches the normalized ranks it shares with H_3 (b_3, or delta^2
+    # for cohomology); one bumped by 1 gives a normalized dimension of 1
+    # for a space with 2 classes
+    reg = zoo.get("truncated_cubic").regular()
+    assert class_space(reg, 2, kind).dim == 2
+    reg._cache["normalized rank", kind, 3 if kind == "homology" else 2] += 1
+    with pytest.raises(InclusionViolation, match=f"{kind} degree 3"):
+        class_space(reg, 3, kind)
 
 
 def _counting(monkeypatch, module, name):
