@@ -28,19 +28,20 @@ canonical rref `Echelon.null_space` reads off one elimination of the
 differential's rows (see `linalg`); the boundaries are the columns of
 the incoming one.
 
-Dimension queries (`class_dims`, `homology_dims`, `cohomology_dims`) use
-the normalized complex instead, with r (d-1)^n coordinates in degree n
-(see `Normalized`): a dimension is a rank count and needs no class
-coordinates.  Class spaces, and everything built on them (cap products,
-connecting maps, the identity checks), stay on the standard complex,
-because their coordinates are promised canonical there and no simple
-chain map carries normalized chain classes back.  But a class space of
-a bimodule asks the normalized complex for its dimension first, from
-two ranks kept on the module.  A zero space has B = Z, so it eliminates
-nothing and never assembles the incoming differential; the outgoing one
-is assembled only to test a vector (`linalg.ZeroSubquotient`).  A
-nonzero space must have as many classes as that dimension, a cheap
-certificate linking the two complexes.  Both complexes come out of the
+A dimension is read in one place, `_normalized_dim`, on the normalized
+complex, with r (d-1)^n coordinates in degree n (see `Normalized`): it
+is a rank count and needs no class coordinates.  The ranks are kept on
+the module, so dimension queries (`class_dims`, `homology_dims`,
+`cohomology_dims`) and class spaces share them.  Class spaces, and
+everything built on them (cap products, connecting maps, the identity
+checks), stay on the standard complex, because their coordinates are
+promised canonical there and no simple chain map carries normalized
+chain classes back.  But a class space asks for its dimension first.  A
+zero space has B = Z, so it eliminates nothing and never assembles the
+incoming differential; the outgoing one is assembled only to test a
+vector (`linalg.ZeroSubquotient`).  A nonzero space must have as many
+classes as that dimension, a cheap certificate linking the two
+complexes.  Both complexes come out of the
 same face loop, which reads the letters of the tensor slots off the
 first argument of the differential: a bimodule and a `Normalized` each
 expose the letters' actions on the module slot (`left`, `right`) and
@@ -56,7 +57,7 @@ from functools import partial
 from itertools import product
 
 from . import config
-from .bimodules import commutator_subspace, invariants_subspace
+from .bimodules import commutator_subspace
 from .errors import DegreeError, InclusionViolation, NotCentral, NotInvariant
 # kernel_basis is not called here; perfbench/test_perfbench.py checks that
 # the tracer rewraps this binding
@@ -83,10 +84,6 @@ def tuple_digits(d, n, k):
     for i in range(n - 1, -1, -1):
         k, out[i] = divmod(k, d)
     return tuple(out)
-
-
-def chain_pos(d, n, x, w):
-    return x * d ** n + tuple_rank(d, w)
 
 
 def chain_dim(N, n):
@@ -157,7 +154,8 @@ class Normalized:
     `mult` their product table through pi, where a bimodule has those of
     every basis element and the algebra's table.  The matrices are cached in
     the object's own `_cache`: build one per query and drop it, so
-    nothing cached on the module depends on it.
+    nothing cached on the module depends on it.  Only their ranks are
+    kept on the module (`_normalized_dim`); class spaces take a bimodule.
     """
 
     __slots__ = ("field", "dim", "left", "right", "mult", "_cache")
@@ -270,12 +268,14 @@ def _touching(degree, kind):
     return [k for k in sorted({degree, degree - step}, reverse=True) if k >= 0 and k + step >= 0]
 
 
-def _normalized_dim(module, degree, kind):
-    """dim H in the degree from the normalized complex: r (d-1)^n less
-    the ranks of the two normalized differentials touching it.  Each rank
-    is kept on the module as ("normalized rank", kind, k), so it is
-    computed once per module content; the `Normalized` is dropped."""
-    cx = Normalized(module)
+def _normalized_dim(module, degree, kind, cx=None):
+    """dim H in the degree from the normalized complex `cx` of the module
+    (a fresh one by default): r (d-1)^n less the ranks of the two
+    normalized differentials touching it.  Each rank is kept on the module
+    as ("normalized rank", kind, k), so it is computed once per module
+    content, for dimension queries and class spaces alike."""
+    if cx is None:
+        cx = Normalized(module)
     ranks = [config.cached(module, ("normalized rank", kind, k),
                            lambda k=k: rank(differential(cx, k, kind)))
              for k in _touching(degree, kind)]
@@ -315,12 +315,11 @@ def _class_subquotient(module, degree, kind):
     (of the zero map in homological degree 0), eliminated once by
     `Echelon.null_space`, and B is the image of the one entering it
     (nothing in cohomological degree 0); the number of classes must
-    equal the normalized dimension, or InclusionViolation.  A
-    `Normalized` has no algebra, so it takes the second route unchecked.
+    equal the normalized dimension, or InclusionViolation.
     """
     step = -1 if kind == "homology" else 1  # the degree of the differential
     fld = module.field
-    dim = None if isinstance(module, Normalized) else _normalized_dim(module, degree, kind)
+    dim = _normalized_dim(module, degree, kind)
     if dim == 0:
         if degree + step < 0:
             leaving = partial(SparseMat.zero, 0, module.dim, fld)
@@ -331,7 +330,7 @@ def _class_subquotient(module, degree, kind):
     out = mats.get(degree) or SparseMat.zero(0, module.dim, fld)
     B = mats.get(degree - step) or SparseMat.zero(module.dim, 0, fld)
     space = SubquotientSpace(Echelon.null_space(out), B)
-    if dim is not None and space.dim != dim:
+    if space.dim != dim:
         raise InclusionViolation(
             f"{kind} degree {degree}: {space.dim} classes on the standard complex, "
             f"{dim} on the normalized one")
@@ -408,36 +407,31 @@ def class_dims(module, up_to, kind):
     """dim H_n(A, N) (kind "homology") or dim H^n(A, N) ("cohomology") for
     n = 0..up_to, by rank counting on the normalized complex.
 
-    dim H = dim Cbar - rank of the differential leaving the degree - rank
-    of the one entering it; each differential is eliminated once and its
-    rank shared by its two degrees.  No class coordinates are built, so
-    the smaller complex serves (class spaces stay on the standard
-    complex, see `ClassSpace`).  Every degree with both differentials
-    checks that their composite vanishes, in place of the B <= Z check a
-    subquotient makes, and raises InclusionViolation if it does not.
+    Each degree is `_normalized_dim`, whose ranks are kept on the module
+    and shared with the class spaces, which ask it for their dimension:
+    each differential is eliminated once per module content, whichever
+    asks first.  No class coordinates are built, so the smaller complex
+    serves (class spaces stay on the standard complex, see `ClassSpace`).
+    One `Normalized` serves the whole query, so each of its differentials
+    is assembled once.  Every degree with both differentials checks that
+    their composite vanishes, in place of the B <= Z check a subquotient
+    makes, and raises InclusionViolation if it does not.
     """
     if up_to < 0:
         raise DegreeError(f"the largest {kind} degree must be nonnegative")
     cx = Normalized(module)
-    d = len(cx.mult)
     # refuse before any work the largest space either kind builds: Cbar_{up_to+1}
     # (b_{up_to+1} or delta^{up_to}), or Cbar_0 when Abar has no letters
     what = "chain" if kind == "homology" else "cochain"
-    config.guard(cx.dim * max(d, 1) ** (up_to + 1),
+    config.guard(cx.dim * max(len(cx.mult), 1) ** (up_to + 1),
                  f"degree {up_to + 1} of the normalized {what} complex")
     step = -1 if kind == "homology" else 1  # the degree of the differential
-    ranks = {}
-    for n in range(up_to + 1):
-        for k in (n, n - step):  # the differentials leaving and entering n
-            if k >= 0 and k + step >= 0 and k not in ranks:
-                ranks[k] = rank(differential(cx, k, kind))
-        if n + step >= 0 and n - step >= 0:
-            if not (differential(cx, n, kind) @ differential(cx, n - step, kind)).is_zero():
-                raise InclusionViolation(
-                    f"{kind} degree {n}: the composite of the normalized "
-                    f"differentials is not zero")
-    return [cx.dim * d ** n - ranks.get(n, 0) - ranks.get(n - step, 0)
-            for n in range(up_to + 1)]
+    for n in range(1, up_to + 1):
+        if not (differential(cx, n, kind) @ differential(cx, n - step, kind)).is_zero():
+            raise InclusionViolation(
+                f"{kind} degree {n}: the composite of the normalized "
+                f"differentials is not zero")
+    return [_normalized_dim(module, n, kind, cx) for n in range(up_to + 1)]
 
 
 def homology_dims(N, up_to):
@@ -475,10 +469,6 @@ def degree_zero_cocycle(M, vec):
                 f"basis element {s} does not commute with the given vector"
             )
     return v
-
-
-def invariants_dim(M):
-    return invariants_subspace(M).ncols
 
 
 # -- action of the center ----------------------------------------------

@@ -36,8 +36,8 @@ eliminating any other basis of it would give.
 
 A subquotient known beforehand to be zero (`ZeroSubquotient`) needs
 neither echelon: B = Z, so a vector has coordinates exactly when the
-matrix whose null space is Z sends it to zero, one `matvec`.  Its
-`cycles` and `boundaries` are one echelon, eliminated when first read.
+matrix whose null space is Z sends it to zero, one `matvec`.  It is its
+dimension and that membership test, nothing more.
 """
 
 from .errors import InclusionViolation, NotACycle
@@ -99,14 +99,6 @@ class SparseMat:
 
     def col(self, j):
         return self.cols[j]
-
-    def triplets(self):
-        out = []
-        for j in range(self.ncols):
-            for i in sorted(self.cols[j]):
-                out.append((i, j, self.cols[j][i]))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
 
     def rows_view(self):
         rows = [dict() for _ in range(self.nrows)]
@@ -509,8 +501,12 @@ class SubquotientSpace:
         return not self._coords(coerce_vector(self.field, v, self.ambient_dim))
 
     def representative(self, k):
-        """Canonical ambient representative of generator k (sparse dict)."""
-        return dict(self.cycles.index[self.free_pivots[k]])
+        """Canonical ambient representative of generator k (sparse dict).
+
+        The pivot is read first, so a k out of range raises IndexError,
+        also on a `ZeroSubquotient`, which has no cycle echelon."""
+        p = self.free_pivots[k]
+        return dict(self.cycles.index[p])
 
     def lift(self, coords):
         """Ambient representative of the class with the given coordinates
@@ -541,30 +537,20 @@ class SubquotientSpace:
 
 
 class ZeroSubquotient(SubquotientSpace):
-    """A subquotient known to be zero, B = Z, before either is eliminated.
+    """A subquotient known to be zero, B = Z, without either eliminated.
 
     `leaving()` is a matrix whose null space is Z, built on first use.  A
     vector it sends to zero has no coordinates, one `matvec`; any other
-    raises NotACycle.  `cycles` and `boundaries` are the echelon of that
-    null space, eliminated when first read: the rref of a subspace is
-    unique, so B = Z has the same one.
+    raises NotACycle.
     """
 
-    __slots__ = ("_leaving", "_null")
+    __slots__ = ("_leaving",)
 
     def __init__(self, field, ambient_dim, leaving):
         self.field = field
         self.ambient_dim = ambient_dim
         self.free_pivots, self._free_index, self.dim = [], {}, 0
-        self._leaving, self._null = leaving, None
-
-    @property
-    def cycles(self):
-        if self._null is None:
-            self._null = Echelon.null_space(self._leaving())
-        return self._null
-
-    boundaries = cycles
+        self._leaving = leaving
 
     def _coords(self, u):
         if u and self._leaving().matvec(u):

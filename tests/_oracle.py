@@ -19,7 +19,7 @@ from itertools import product
 
 from hochcap import config
 from hochcap.algebras import AlgebraPresentation
-from hochcap.complexes import chain_pos, differential, tuple_rank, tuples
+from hochcap.complexes import differential, tuple_rank, tuples
 from hochcap.errors import DegreeError
 from hochcap.linalg import SparseMat, acc, kernel_basis, subquotient
 
@@ -437,7 +437,7 @@ def bar_to_standard(N, bf):
             col = {}
             mid = N.act_right(N.left[c[-1]].col(x), {c[0]: fld.one})
             for y, v in mid.items():
-                acc(col, chain_pos(d, n, y, c[1:-1]), v, fld)
+                acc(col, y * d ** n + tuple_rank(d, c[1:-1]), v, fld)
             cols.append(col)
     conv = SparseMat(r * d ** n, bf.ambient_dim, fld, cols)
     return conv @ bf.sect

@@ -89,7 +89,7 @@ def test_sparsemat_basics():
     assert (m - m).is_zero()
     v = m.matvec({0: F(1), 1: F(1)})
     assert v == {0: F(3), 1: F(7)}
-    assert m.triplets() == [(0, 0, F(1)), (0, 1, F(2)), (1, 0, F(3)), (1, 1, F(4))]
+    assert m.to_dense() == [[F(1), F(2)], [F(3), F(4)]]
 
 
 def test_rref_examples():
