@@ -23,7 +23,10 @@ The bar resolution has one coordinate system: A^{(x)k} keyed by tuple
 rank, as in `complexes`.  The bar differential b' is the Hochschild
 boundary b with a zero left action, so it comes out of the same face
 loop as the differentials there.  The operators of the comultiplication
-act on a block of consecutive slots, each one call to `linalg.on_slots`.
+act on a block of consecutive slots.  Its compatibility check composes
+them once per degree into two block maps, d_n(h (x) 1) and d_n(1 (x) h)
+for every tuple h, and reads both right-hand terms of each generator
+off them (see `check_diagonal_identities`).
 A lift layer is a matrix indexed by generator rank, and the right-hand
 side of its lifting equation is (-1)^m delta_P(t_{i-1}) for all
 generators at once (see `ChainMapLift`).  On classes, the product with
@@ -80,6 +83,15 @@ def augmentation_matrix(A):
         d, d * d, A.field, [dict(A.mult[i][j]) for i in range(d) for j in range(d)]))
 
 
+def _with_inserted(bar_n, element, low):
+    """Column h is d_n applied to the tuple h with e = `element` inserted,
+    `low` being the dimension of the slots of h after e, as in `on_slots`:
+    d_n(h (x) e) for low = 1, d_n(e (x) h) for low = d**(n+1)."""
+    ins = SparseMat(bar_n.ncols // bar_n.nrows, 1, bar_n.field, [element])
+    return [bar_n.matvec(on_slots(ins, {h: bar_n.field.one}, low))
+            for h in range(bar_n.nrows)]
+
+
 def check_diagonal_identities(A, max_total, unit=None):
     """Verify the two compatibility equations of the comultiplication.
 
@@ -92,8 +104,7 @@ def check_diagonal_identities(A, max_total, unit=None):
     of D_{0,0} recovers the augmentation.  D_{i,j}, the (i, j) component
     of the comultiplication, inserts the unit after slot i of
     a_0 (x) ... (x) a_{i+j+1}, landing in the realization of
-    Bar_i (x)_A Bar_j on A^{(x)(i+j+3)}: one `on_slots` call with
-    d**(j+1) slots below the inserted one.  Returns the list of failing
+    Bar_i (x)_A Bar_j on A^{(x)(i+j+3)}.  Returns the list of failing
     instances, ("split", i, j, generator) ordered by total degree, then
     generator, then i, followed by ("augment", 0, 0, generator); empty
     means every identity holds.  `unit` (a sparse element of A, the unit
@@ -101,31 +112,59 @@ def check_diagonal_identities(A, max_total, unit=None):
     candidate can be shown to fail.  The bar differentials d_1 ..
     d_{max_total+1} are fetched before any check, so the memory cap
     refuses a bound that is too large before work starts.
+
+    The right-hand side comes from two block maps per n, built once:
+    after[n][h] = d_n(h (x) e) and before[n][h] = d_n(e (x) h), h a
+    tuple of length n + 1 and e the inserted element.  D_{i+1,j} puts e
+    below the top i + 2 slots of a generator g = top * d**(j+1) + bottom,
+    and d_{i+1} acts on exactly those slots and e, so
+    (d (x) 1) D_{i+1,j}(g) is after[i+1][top] (x) bottom; likewise
+    (1 (x) d) D_{i,j+1}(g) is head (x) before[j+1][tail] for
+    g = head * d**(j+2) + tail.  Both sides are built for one generator
+    at a time as dicts without zeros, as `on_slots` returns them, so the
+    comparison is the one of applying the four operators separately, and
+    the failures come in the same order.  Memory: after[n] and before[n]
+    have d**(n+1) columns and at most as many entries as d_n each (column
+    h sums the columns h (x) s, or s (x) h, of d_n over the terms s of e),
+    and besides them one generator's two sides are held at a time.
     """
     if max_total < 0:
         raise DegreeError("diagonal identities need a nonnegative total degree")
     fld = A.field
     d = A.dim
-    ins = SparseMat(d, 1, fld, [A.unit if unit is None else unit])
+    zero, mul = fld.zero, fld.mul
+    e = A.unit if unit is None else unit
+    terms = [(s, v) for s, v in e.items() if mul(fld.one, v)]  # zero in the field: 2 over F_2
     bar = [None] + [bar_differential(A, n) for n in range(1, max_total + 2)]
+    after = [None] + [_with_inserted(b, e, 1) for b in bar[1:]]
+    before = [None] + [_with_inserted(b, e, b.nrows) for b in bar[1:]]
     failures = []
     for total in range(max_total + 1):
-        for g, c in enumerate(tuples(d, total + 3)):
-            gen = {g: fld.one}
-            boundary = bar[total + 1].cols[g]
-            # D_{i,j+1} of this split is D_{i+1,j} of the one before
-            below = on_slots(ins, gen, d ** (total + 2))
-            for i in range(total + 1):
-                j = total - i
-                low = d ** (j + 1)
-                above = on_slots(ins, gen, low)
-                lhs = on_slots(ins, boundary, low)
-                rhs = on_slots(bar[i + 1], above, low)
-                sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
-                axpy(rhs, sign, on_slots(bar[j + 1], below, 1), fld)
+        # per split: d**(j+1) and d**(j+2), the dimensions below the top
+        # i + 2 and i + 1 slots of a generator, the two block maps and the
+        # sign of the second term
+        splits = [(i, d ** (total - i + 1), d ** (total - i + 2), after[i + 1],
+                   before[total - i + 1], fld.add if i % 2 == 0 else fld.sub)
+                  for i in range(total + 1)]
+        for g, (c, boundary) in enumerate(zip(tuples(d, total + 3), bar[total + 1].cols)):
+            scaled = [(b, s, mul(x, v)) for b, x in boundary.items() for s, v in terms]
+            for i, low, high, top_map, bottom_map, add_signed in splits:
+                top, bottom = divmod(g, low)
+                rhs = {r * low + bottom: v for r, v in top_map[top].items()}
+                tail = g % high
+                head = g - tail
+                for r, v in bottom_map[tail].items():
+                    k = head + r
+                    x = add_signed(rhs.get(k, zero), v)
+                    if x:
+                        rhs[k] = x
+                    else:  # v is nonzero, so k was there
+                        del rhs[k]
+                # D_{i,j} d(g): e inserted below the top i + 1 slots of each face
+                lhs = {b // low * high + b % low + s * low: v for b, s, v in scaled}
                 if lhs != rhs:
-                    failures.append(("split", i, j, c))
-                below = above
+                    failures.append(("split", i, total - i, c))
+    ins = SparseMat(d, 1, fld, [e])
     aug = augmentation_matrix(A)
     for g, c in enumerate(tuples(d, 2)):
         lhs = on_slots(aug, on_slots(aug, on_slots(ins, {g: fld.one}, d), d), 1)
@@ -370,11 +409,14 @@ def _solver(A, i):
         bar_differential(A, i) if i else augmentation_matrix(A)))
 
 
-def _random_sparse(rng, dim, fld, entries=2):
+def _random_sparse(rng, dim, table, entries=2):
+    """`entries` draws of a coefficient from `table`, the field's -2..2,
+    each nonzero one at a random index; the same draws as
+    `rng.randint(-2, 2)`, which CPython computes as -2 + `rng.randrange(5)`."""
     out = {}
     for _ in range(entries):
-        c = fld.coerce(rng.randint(-2, 2))
-        if c != fld.zero:
+        c = table[rng.randrange(5)]
+        if c:
             out[rng.randrange(dim)] = c
     return out
 
@@ -413,9 +455,10 @@ def solve_lift(A, T, m, up_to, seed=None):
 
     if seed is not None:
         rng = random.Random(seed)
+        table = [fld.coerce(c) for c in range(-2, 3)]
         homotopy = [
             SparseMat(d ** (i + 3), d ** (m + i), fld,
-                      [_random_sparse(rng, d ** (i + 3), fld) for _ in range(d ** (m + i))])
+                      [_random_sparse(rng, d ** (i + 3), table) for _ in range(d ** (m + i))])
             for i in range(up_to + 1)
         ]
         for i, h in enumerate(homotopy):

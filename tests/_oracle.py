@@ -9,19 +9,20 @@ Scalars are `Fraction` over the rationals, or plain ints reduced mod p.
 
 The exceptions, at the end, are built with the package's sparse linear
 algebra and only the tests use them: the two-elimination class space, the
-two sided bar form, a second presentation of the same homology, and the
+two sided bar form, a second presentation of the same homology, the
 tensor product of two algebras, whose Hochschild groups the Kunneth
-formula predicts from the factors'.
+formula predicts from the factors', and the diagonal check one generator
+and one split at a time, four slot operators each.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from hochcap import config
+from hochcap import cap, config
 from hochcap.algebras import AlgebraPresentation
 from hochcap.complexes import differential, tuple_rank, tuples
 from hochcap.errors import DegreeError
-from hochcap.linalg import SparseMat, acc, kernel_basis, subquotient
+from hochcap.linalg import SparseMat, acc, axpy, kernel_basis, on_slots, subquotient
 
 
 # --- tiny dense linear algebra -------------------------------------------
@@ -481,3 +482,45 @@ def tensor(A, B):
     basis = [f"{a}*{b}" for a in A.basis for b in B.basis]
     return AlgebraPresentation(fld, basis, structure, unit,
                                label=f"{A.label} (x) {B.label}").validate()
+
+
+# -- the diagonal check, generator by generator ----------------------------
+#
+# `cap.check_diagonal_identities` as it was first written: for each
+# generator and split, D_{i,j+1}, D_{i+1,j}, D_{i,j} d and the two
+# differentials each applied by their own `on_slots` call, and the two
+# sides compared as dicts.  The package's check must return this list
+# exactly, in this order.  The differentials are read through the `cap`
+# module, so a test that replaces `cap.bar_differential` changes both.
+
+def diagonal_failures(A, max_total, unit=None):
+    if max_total < 0:
+        raise DegreeError("diagonal identities need a nonnegative total degree")
+    fld = A.field
+    d = A.dim
+    ins = SparseMat(d, 1, fld, [A.unit if unit is None else unit])
+    bar = [None] + [cap.bar_differential(A, n) for n in range(1, max_total + 2)]
+    failures = []
+    for total in range(max_total + 1):
+        for g, c in enumerate(tuples(d, total + 3)):
+            gen = {g: fld.one}
+            boundary = bar[total + 1].cols[g]
+            # D_{i,j+1} of this split is D_{i+1,j} of the one before
+            below = on_slots(ins, gen, d ** (total + 2))
+            for i in range(total + 1):
+                j = total - i
+                low = d ** (j + 1)
+                above = on_slots(ins, gen, low)
+                lhs = on_slots(ins, boundary, low)
+                rhs = on_slots(bar[i + 1], above, low)
+                sign = fld.one if i % 2 == 0 else fld.neg(fld.one)
+                axpy(rhs, sign, on_slots(bar[j + 1], below, 1), fld)
+                if lhs != rhs:
+                    failures.append(("split", i, j, c))
+                below = above
+    aug = cap.augmentation_matrix(A)
+    for g, c in enumerate(tuples(d, 2)):
+        lhs = on_slots(aug, on_slots(aug, on_slots(ins, {g: fld.one}, d), d), 1)
+        if lhs != aug.cols[g]:
+            failures.append(("augment", 0, 0, c))
+    return failures

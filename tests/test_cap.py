@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hochcap import config, linalg, zoo
+from hochcap import cap, config, linalg, zoo
 from hochcap.bimodules import coinduced, tensor_over_algebra
 from hochcap.cap import (
     CapPairing,
@@ -51,10 +51,53 @@ def test_diagonal_identities_hold():
         assert check_diagonal_identities(a, top) == [], name
 
 
-def test_diagonal_identities_reject_wrong_insertion():
-    a = zoo.get("dual_numbers")
-    # inserting a non-unit element cannot satisfy the equations
-    assert check_diagonal_identities(a, 1, unit={1: a.field.one}) != []
+def _insertions():
+    """(algebra, total, inserted element): the unit, then each e_k and
+    2 e_k at total 2 (over F_2, 2 e_k is the zero element)."""
+    for name in zoo.ZOO:
+        a = zoo.get(name)
+        yield pytest.param(name, 2 if a.dim == 4 else 3, None, id=f"{name}-unit")
+        for k in range(a.dim):
+            for c in (1, 2):
+                yield pytest.param(name, 2, {k: a.field.coerce(c)}, id=f"{name}-{c}e{k}")
+    yield pytest.param("dual_numbers", 1, {1: 1}, id="dual_numbers-1e1-total1")
+
+
+@pytest.mark.parametrize("name,total,inserted", _insertions())
+def test_diagonal_check_matches_the_oracle(name, total, inserted):
+    # the same failures, in the same order, as one generator and split at
+    # a time; inserting anything but the unit cannot satisfy the equations
+    a = zoo.get(name)
+    got = check_diagonal_identities(a, total, inserted)
+    assert got == _oracle.diagonal_failures(a, total, inserted)
+    assert (got == []) == (inserted is None or inserted == a.unit)
+
+
+@pytest.mark.parametrize("name", ["upper_triangular", "f2_c2"])
+def test_diagonal_check_finds_a_broken_differential(monkeypatch, name):
+    # d_2 with one entry changed breaks the identities wherever it enters:
+    # on the left at total 1, and in the block maps of (0, 1), (1, 0) and,
+    # at total 2, (1, 1)
+    real = cap.bar_differential
+
+    def broken(A, n):
+        m = real(A, n)
+        if n != 2:
+            return m
+        cols = [dict(col) for col in m.cols]
+        k, v = next(iter(cols[5].items()))
+        v = A.field.add(v, A.field.one)  # zero over F_2: the entry goes
+        if v:
+            cols[5][k] = v
+        else:
+            del cols[5][k]
+        return linalg.SparseMat(m.nrows, m.ncols, m.field, cols)
+
+    monkeypatch.setattr(cap, "bar_differential", broken)
+    a = zoo.get(name)
+    got = check_diagonal_identities(a, 2)
+    assert got and got == _oracle.diagonal_failures(a, 2)
+    assert {(i, j) for _, i, j, _ in got} == {(0, 1), (1, 0), (1, 1)}
 
 
 def test_diagonal_identities_reject_a_negative_bound():
