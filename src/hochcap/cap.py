@@ -367,6 +367,15 @@ def _coboundary(A, t, n, sign, out=None):
     return out
 
 
+def _guard_lift(A, m, up_to):
+    """Refuse a lift whose top layer, d^(up_to+2) values on d^(m+up_to)
+    generators, is too large, before any layer is built."""
+    if m < 0 or up_to < 0:
+        raise DegreeError("lift degrees must be nonnegative")
+    d = A.dim
+    config.guard(max(d ** (m + up_to), d ** (up_to + 2)), "the top layer of a lift")
+
+
 def _cochain_layer(A, T, m):
     """An m-cochain with regular coefficients as a d x d^m matrix."""
     d = A.dim
@@ -386,8 +395,7 @@ def explicit_lift(A, T, m, up_to):
     No solving involved; works whether or not T is a cocycle, though the
     chain map property of the result is equivalent to T being one.
     """
-    if m < 0 or up_to < 0:
-        raise DegreeError("lift degrees must be nonnegative")
+    _guard_lift(A, m, up_to)
     fld = A.field
     d = A.dim
     tcols = _cochain_layer(A, T, m).cols
@@ -411,13 +419,25 @@ def _solver(A, i):
 
 def _random_sparse(rng, dim, table, entries=2):
     """`entries` draws of a coefficient from `table`, the field's -2..2,
-    each nonzero one at a random index; the same draws as
-    `rng.randint(-2, 2)`, which CPython computes as -2 + `rng.randrange(5)`."""
+    each nonzero one at a random index below `dim`.
+
+    Each draw is `rng.randrange(5)` and each index `rng.randrange(dim)`,
+    taken straight from `rng.getrandbits` by the rejection rule CPython's
+    `randrange` uses (bit_length(n) bits, redrawn while >= n), so the
+    draws and the generator's state after them are the same; the
+    coefficient draw is the one `rng.randint(-2, 2)` makes.
+    """
+    bits, k = rng.getrandbits, dim.bit_length()
     out = {}
     for _ in range(entries):
-        c = table[rng.randrange(5)]
-        if c:
-            out[rng.randrange(dim)] = c
+        c = bits(3)
+        while c >= 5:
+            c = bits(3)
+        if c := table[c]:
+            i = bits(k)
+            while i >= dim:
+                i = bits(k)
+            out[i] = c
     return out
 
 
@@ -430,16 +450,18 @@ def solve_lift(A, T, m, up_to, seed=None):
     perturbs every layer by a homotopy H, t_i + d_{i+1} H_i +
     (-1)^m delta_P H_{i-1}, producing a genuinely different but still
     valid lift (lifts of the same cocycle are unique only up to
-    homotopy, and seeded runs exercise that).  The bar differentials
-    are fetched before any solve, so the memory cap refuses a depth that
-    is too large before work starts.
+    homotopy, and seeded runs exercise that).  Both terms are added
+    into the solved layer in place: H_i has at most two entries per
+    generator, each adding one cached column of d_{i+1}, and
+    `_coboundary` adds the second term.  The top layer is guarded and
+    the bar differentials are fetched before any solve, so the memory
+    cap refuses a depth that is too large before work starts.
 
     Raises LiftFailed when some equation has no solution, which happens
     exactly when T fails to be a cocycle deep enough for the requested
     depth.
     """
-    if m < 0 or up_to < 0:
-        raise DegreeError("lift degrees must be nonnegative")
+    _guard_lift(A, m, up_to)
     fld = A.field
     d = A.dim
     sign_m = fld.one if m % 2 == 0 else fld.neg(fld.one)
@@ -456,18 +478,18 @@ def solve_lift(A, T, m, up_to, seed=None):
     if seed is not None:
         rng = random.Random(seed)
         table = [fld.coerce(c) for c in range(-2, 3)]
-        homotopy = [
-            SparseMat(d ** (i + 3), d ** (m + i), fld,
-                      [_random_sparse(rng, d ** (i + 3), table) for _ in range(d ** (m + i))])
-            for i in range(up_to + 1)
-        ]
-        for i, h in enumerate(homotopy):
-            step = bar[i + 1] @ h
-            if i > 0:
+        previous = None
+        for i, layer in enumerate(values):
+            faces = bar[i + 1].cols
+            h = SparseMat(d ** (i + 3), d ** (m + i), fld,
+                          [_random_sparse(rng, d ** (i + 3), table) for _ in range(d ** (m + i))])
+            for col, hcol in zip(layer.cols, h.cols):
+                for idx, c in hcol.items():
+                    axpy(col, c, faces[idx], fld)
+            if previous is not None:
                 # the sign keeps the twisted lifting property intact
-                _coboundary(A, homotopy[i - 1], m + i, sign_m, step)
-            for col, add in zip(values[i].cols, step.cols):
-                axpy(col, fld.one, add, fld)
+                _coboundary(A, previous, m + i, sign_m, layer)
+            previous = h
     return ChainMapLift(A, m, values)
 
 
@@ -480,6 +502,7 @@ def coboundary_lift(A, S, m, up_to):
     """
     if m < 1:
         raise DegreeError("a coboundary lift needs m >= 1")
+    _guard_lift(A, m, up_to)
     fld = A.field
     d = A.dim
     shat = _solver(A, 0).solve_matrix(_cochain_layer(A, S, m - 1))

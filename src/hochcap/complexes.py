@@ -173,36 +173,67 @@ def _faces(left, right, mult, fld, r, n):
     """The matrix of b_n on N (x) L^{(x)n}, N of dimension r, L the
     letters of `mult`, left[a] and right[a] the actions of letter a on N.
 
-    The faces of a tuple are found once, from its rank, and applied to
-    every module index; a column sums its terms in the face formula's order.
+    The interior faces of a tuple are found once, from its rank, and
+    merged into one dict, which each module index shifts by x d^(n-1) in
+    one comprehension.  The two outer faces are then added from lists
+    per letter and module index, built once per call with the last
+    face's sign folded in.  A zero coefficient stores nothing, and no
+    column holds a zero.
     """
     d = len(mult)
     block, rest = d ** n, d ** (n - 1)
+    add, mul = fld.add, fld.mul
     signs = (fld.one, fld.neg(fld.one))
-    sign_n = signs[n % 2]
+
+    def scaled(entries, sign, place=1):
+        return [(l * place, c) for l, v in entries if (c := mul(sign, v))]
+
     # interior face i: the letter products times (-1)^i, and the place
     # value of the contracted letter in the target tuple
-    tables = [[[[(l, fld.mul(sign, v)) for l, v in entry.items()] for entry in row]
-               for row in mult] for sign in signs]
+    tables = [[[scaled(entry.items(), sign) for entry in row] for row in mult] for sign in signs]
     interior = [(tables[i % 2], d ** (n - i - 1)) for i in range(1, n)]
+    # outer faces: firsts[a][x] and lasts[a][x] hold (y d^(n-1), coefficient)
+    # for each term y of letter a acting on module index x
+    firsts = [[scaled(col.items(), signs[0], rest) for col in a.cols] for a in right]
+    lasts = [[scaled(col.items(), signs[n % 2], rest) for col in a.cols] for a in left]
     cols = [None] * (r * block)
     for k, w in enumerate(tuples(d, n)):
-        terms = []
+        terms = {}
         for i, (table, low) in enumerate(interior, 1):
             base = k // (low * d * d) * low * d + k % low
-            terms += [(base + l * low, v) for l, v in table[w[i - 1]][w[i]]]
-        first = right[w[0]].cols
-        last = left[w[-1]].cols
+            for l, v in table[w[i - 1]][w[i]]:
+                t = base + l * low
+                s = terms.get(t)
+                if s is None:
+                    terms[t] = v
+                elif s := add(s, v):
+                    terms[t] = s
+                else:
+                    del terms[t]
+        terms = terms.items()
+        first, last = firsts[w[0]], lasts[w[-1]]
         tail, head = k % rest, k // d  # the ranks of w[1:] and w[:-1]
         for x in range(r):
-            col = {}
-            for y, v in first[x].items():
-                acc(col, y * rest + tail, v, fld)
             base = x * rest
-            for t, v in terms:
-                acc(col, base + t, v, fld)
-            for y, v in last[x].items():
-                acc(col, y * rest + head, fld.mul(sign_n, v), fld)
+            col = {base + t: v for t, v in terms}
+            for y, v in first[x]:
+                t = y + tail
+                s = col.get(t)
+                if s is None:
+                    col[t] = v
+                elif s := add(s, v):
+                    col[t] = s
+                else:
+                    del col[t]
+            for y, v in last[x]:
+                t = y + head
+                s = col.get(t)
+                if s is None:
+                    col[t] = v
+                elif s := add(s, v):
+                    col[t] = s
+                else:
+                    del col[t]
             cols[x * block + k] = col
     return SparseMat(r * rest, r * block, fld, cols)
 

@@ -11,8 +11,10 @@ The exceptions, at the end, are built with the package's sparse linear
 algebra and only the tests use them: the two-elimination class space, the
 two sided bar form, a second presentation of the same homology, the
 tensor product of two algebras, whose Hochschild groups the Kunneth
-formula predicts from the factors', and the diagonal check one generator
-and one split at a time, four slot operators each.
+formula predicts from the factors', the diagonal check one generator
+and one split at a time, four slot operators each, the face loop one
+`acc` call per term, and the homotopy draws of seeded lifts through
+`randrange`.
 """
 
 from fractions import Fraction
@@ -524,3 +526,55 @@ def diagonal_failures(A, max_total, unit=None):
         if lhs != aug.cols[g]:
             failures.append(("augment", 0, 0, c))
     return failures
+
+
+# -- the face loop, one term at a time --------------------------------------
+#
+# `complexes._faces` as it was written before it merged the interior faces
+# of a tuple into one dict: every term of every column, the outer faces
+# included, added by its own `acc` call in the face formula's order.  The
+# package's loop must return the same matrix, entry for entry.
+
+def faces(left, right, mult, fld, r, n):
+    d = len(mult)
+    block, rest = d ** n, d ** (n - 1)
+    signs = (fld.one, fld.neg(fld.one))
+    sign_n = signs[n % 2]
+    tables = [[[[(l, fld.mul(sign, v)) for l, v in entry.items()] for entry in row]
+               for row in mult] for sign in signs]
+    interior = [(tables[i % 2], d ** (n - i - 1)) for i in range(1, n)]
+    cols = [None] * (r * block)
+    for k, w in enumerate(tuples(d, n)):
+        terms = []
+        for i, (table, low) in enumerate(interior, 1):
+            base = k // (low * d * d) * low * d + k % low
+            terms += [(base + l * low, v) for l, v in table[w[i - 1]][w[i]]]
+        first = right[w[0]].cols
+        last = left[w[-1]].cols
+        tail, head = k % rest, k // d
+        for x in range(r):
+            col = {}
+            for y, v in first[x].items():
+                acc(col, y * rest + tail, v, fld)
+            base = x * rest
+            for t, v in terms:
+                acc(col, base + t, v, fld)
+            for y, v in last[x].items():
+                acc(col, y * rest + head, fld.mul(sign_n, v), fld)
+            cols[x * block + k] = col
+    return SparseMat(r * rest, r * block, fld, cols)
+
+
+# -- the homotopy draws of a seeded lift, through randrange -----------------
+#
+# `cap._random_sparse` as it was written before it called `getrandbits`
+# itself: the package's form must return the same draws and leave the
+# generator in the same state.
+
+def random_sparse(rng, dim, table, entries=2):
+    out = {}
+    for _ in range(entries):
+        c = table[rng.randrange(5)]
+        if c:
+            out[rng.randrange(dim)] = c
+    return out

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hochcap import cap, config, linalg, zoo
+from hochcap import GF, QQ, cap, config, linalg, zoo
 from hochcap.bimodules import coinduced, tensor_over_algebra
 from hochcap.cap import (
     CapPairing,
@@ -445,6 +445,42 @@ def test_seeded_lift_is_refused_before_any_solve(monkeypatch):
     finally:
         config.set_max_coordinates(None)
     assert calls == []
+
+
+@pytest.mark.parametrize("call,size", [
+    (lambda A: explicit_lift(A, unit_cocycle(A), 0, 8), 3 ** 10),
+    (lambda A: coboundary_lift(A, {0: A.field.one}, 1, 8), 3 ** 10),
+    (lambda A: solve_lift(A, {0: A.field.one}, 8, 0), 3 ** 8),
+])
+def test_lifts_are_refused_before_any_layer(monkeypatch, call, size):
+    # the top layer has d^(up_to+2) values on d^(m+up_to) generators; the
+    # larger side is refused before a layer, a solver or a bar term is built
+    built = []
+    for name in ("_cochain_layer", "_coboundary", "_solver", "bar_differential"):
+        inner = getattr(cap, name)
+        monkeypatch.setattr(cap, name, lambda *args, inner=inner: built.append(args) or inner(*args))
+    config.set_max_coordinates(1000)
+    try:
+        with pytest.raises(MemoryGuardError, match=f"{size} coordinates for the top layer"):
+            call(zoo.get("truncated_cubic"))
+    finally:
+        config.set_max_coordinates(None)
+    assert built == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_random_draws_are_the_randrange_draws(field):
+    # the same draws as the randrange form for every dimension below 5000,
+    # and the same generator state after them; the state is compared every
+    # 50 dimensions and at the end, since getstate copies 625 words
+    table = [field.coerce(c) for c in range(-2, 3)]
+    for seed in (0, 1, 7, 2 ** 40 + 3):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for dim in range(1, 5000):
+            got = cap._random_sparse(fast, dim, table)
+            assert list(got.items()) == list(_oracle.random_sparse(slow, dim, table).items())
+            if dim % 50 == 0 or dim == 4999:
+                assert fast.getstate() == slow.getstate(), (seed, dim)
 
 
 def test_cap_via_lift_refuses_other_modules():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochcap import GF, config, zoo
+from hochcap import GF, cap, complexes, config, zoo
 from hochcap.algebras import AlgebraPresentation
 from hochcap.bimodules import coinduced, induced, invariants_subspace
 from hochcap.complexes import (
@@ -126,6 +126,70 @@ def test_differentials_match_dense_oracle_off_the_regular_bimodule(name, build):
         for mine, ref in pairs:
             want = ref if p is None else [[v % p for v in row] for row in ref]
             assert mine.to_dense() == want, (name, m)
+
+
+def _face_arguments(name, kind):
+    """The arguments of the `complexes._faces` calls of one kind on one
+    zoo algebra: its regular bimodule to degree 4, the normalized
+    letters, the coinduced and induced modules to degree 2, the dual
+    actions `_dual_faces` reads off the regular and coinduced modules,
+    and a product table holding explicit zeros."""
+    A = zoo.get(name)
+    fld, d = A.field, A.dim
+    reg = A.regular()
+    if kind in ("coinduced", "induced"):
+        N = (coinduced if kind == "coinduced" else induced)(reg).module
+        sources = [(N.left, N.right, N.mult, N.dim, 2)]
+    elif kind == "normalized":
+        cx = Normalized(reg)
+        sources = [(cx.left, cx.right, cx.mult, cx.dim, 4)]
+    elif kind == "dual":
+        # M* acts on the left by the transposed right action of M, and
+        # on the right by the transposed left one
+        sources = [([a.transpose() for a in N.right], [a.transpose() for a in N.left],
+                    N.mult, N.dim, top) for N, top in ((reg, 4), (coinduced(reg).module, 2))]
+    elif kind == "zero coefficient":
+        # every product gets an explicit zero, over a letter it has or not
+        mult = [[{**entry, (i + j) % d: fld.zero} for j, entry in enumerate(row)]
+                for i, row in enumerate(A.mult)]
+        sources = [(reg.left, reg.right, mult, reg.dim, 3)]
+    else:
+        sources = [(reg.left, reg.right, reg.mult, reg.dim, 4)]
+    return [(left, right, mult, fld, r, n)
+            for left, right, mult, r, top in sources for n in range(1, top + 1)]
+
+
+FACE_KINDS = ["regular", "normalized", "coinduced", "induced", "dual", "zero coefficient"]
+
+
+def _assert_same_faces(got, want):
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert got.cols == want.cols
+    assert all(all(col.values()) for col in got.cols)
+
+
+@pytest.mark.parametrize("kind", FACE_KINDS)
+@pytest.mark.parametrize("name", list(zoo.ZOO))
+def test_face_loop_matches_the_term_by_term_loop(name, kind):
+    # the merged interior faces and the outer face lists give the matrix
+    # that adding every term by its own `acc` call gives, entry for entry,
+    # and no column stores a zero
+    for args in _face_arguments(name, kind):
+        _assert_same_faces(complexes._faces(*args), _oracle.faces(*args))
+
+
+@pytest.mark.parametrize("name", list(zoo.ZOO))
+def test_bar_terms_match_the_term_by_term_loop(name):
+    A = zoo.get(name)
+    fld, d = A.field, A.dim
+    zero = SparseMat.zero(d, d, fld)
+    for n in range(1, 4):
+        right = [A.right_matrix(a) for a in range(d)]
+        _assert_same_faces(cap.bar_differential(A, n),
+                           _oracle.faces([zero] * d, right, A.mult, fld, d, n + 1))
+        point = [SparseMat.zero(1, 1, fld)] * d
+        _assert_same_faces(cap._interior_faces(A, n),
+                           _oracle.faces(point, point, A.mult, fld, 1, n))
 
 
 def test_homology_dimension_tables():
