@@ -182,12 +182,11 @@ def test_face_loop_matches_the_term_by_term_loop(name, kind):
 def test_bar_terms_match_the_term_by_term_loop(name):
     A = zoo.get(name)
     fld, d = A.field, A.dim
-    zero = SparseMat.zero(d, d, fld)
+    zero, point = [SparseMat.zero(d, d, fld)] * d, [SparseMat.zero(1, 1, fld)] * d
+    right = [A.right_matrix(a) for a in range(d)]
     for n in range(1, 4):
-        right = [A.right_matrix(a) for a in range(d)]
         _assert_same_faces(cap.bar_differential(A, n),
-                           _oracle.faces([zero] * d, right, A.mult, fld, d, n + 1))
-        point = [SparseMat.zero(1, 1, fld)] * d
+                           _oracle.faces(zero, right, A.mult, fld, d, n + 1))
         _assert_same_faces(cap._interior_faces(A, n),
                            _oracle.faces(point, point, A.mult, fld, 1, n))
 
