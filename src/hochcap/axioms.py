@@ -18,6 +18,7 @@ short exact sequence exact.  When it does not, the check reports a
 skip carrying the exactness diagnostic instead of silently passing.
 """
 
+import functools
 import random
 
 from . import zoo
@@ -47,6 +48,9 @@ from .linalg import SparseMat, axpy, rank
 HOMOLOGY_SIGN_OFFSET = 0
 COHOMOLOGY_SIGN_OFFSET = 0
 
+# Random commutator shifts of x tried in each degree zero square.
+SHIFTS = 3
+
 
 class CheckResult:
     """One verified (or skipped) statement instance."""
@@ -74,11 +78,17 @@ def skips(results):
     return [r for r in results if r.status == "skip"]
 
 
-def summarize(results):
+def tally(results):
+    """How many rows pass, fail and skip, keyed by status."""
     n = {"pass": 0, "fail": 0, "skip": 0}
     for r in results:
         n[r.status] += 1
-    return f"{n['pass']} passed, {n['fail']} failed, {n['skip']} skipped"
+    return n
+
+
+def summarize(counts):
+    """The one line summary of a `tally`."""
+    return "{pass} passed, {fail} failed, {skip} skipped".format_map(counts)
 
 
 def _row(check, instance, degrees, cases, noun):
@@ -196,7 +206,7 @@ def _connecting_cases(homology, pair3, pair1, conn, delta_t, sign_exp):
             yield None if lhs == rhs else (a, b, lhs, rhs)
 
 
-def check_degree_zero(N, M, shifts=3, seed=11, instance=None):
+def check_degree_zero(N, M, seed=11, instance=None):
     """In degree zero the pairing is [x] (x) y -> [x (x) y].
 
     H_0(A, N) is N modulo commutators and H^0(A, M) is the invariants
@@ -207,11 +217,11 @@ def check_degree_zero(N, M, shifts=3, seed=11, instance=None):
     instance = instance or f"{N.label or 'N'} (x) {M.label or 'M'}"
     tens = tensor_over_algebra(N, M)
     pairing = CapPairing(N, 0, M, 0, tens)
-    cases = _degree_zero_cases(N, M, tens, pairing, shifts, random.Random(seed))
+    cases = _degree_zero_cases(N, M, tens, pairing, random.Random(seed))
     return [_row("degree-zero", instance, (0, 0), cases, "squares")]
 
 
-def _degree_zero_cases(N, M, tens, pairing, shifts, rng):
+def _degree_zero_cases(N, M, tens, pairing, rng):
     A = N.algebra
     fld = N.field
     hs, cs = pairing.chains, pairing.cochains
@@ -221,7 +231,7 @@ def _degree_zero_cases(N, M, tens, pairing, shifts, rng):
         for b, C in enumerate(caps):
             y = degree_zero_cocycle(M, cs.representative(b))
             cap = C.cols[a]
-            for _ in range(shifts + 1):
+            for _ in range(SHIFTS + 1):
                 bottom = pairing.target.classes([tens.project_pure(x, y)]).cols[0]
                 yield None if bottom == cap else (a, b, bottom, cap)
                 # replace x by x + a.w - w.a for random a and w
@@ -287,7 +297,7 @@ CHECK_NAMES = (
 )
 
 
-def algebra_suite(A, n_max=3, seed=11, checks=None, progress=None, name=None):
+def algebra_suite(A, n_max=3, seed=11, checks=None, name=None):
     """All checks on the standard instances of one algebra.
 
     The instances: center linearity on the regular bimodule; connecting
@@ -299,7 +309,10 @@ def algebra_suite(A, n_max=3, seed=11, checks=None, progress=None, name=None):
     not exact, exercising the documented skip path.
 
     `checks` restricts to a subset of CHECK_NAMES; `seed` feeds the
-    random commutator shifts of the degree zero check.
+    random commutator shifts of the degree zero check.  The instances
+    are one ordered table of (check name, thunk), and only the thunks
+    of the chosen checks run, so the coinduced and induced data are
+    built at most once, and not at all when no chosen check needs them.
     """
     checks = set(CHECK_NAMES if checks is None else checks)
     unknown = checks - set(CHECK_NAMES)
@@ -308,81 +321,39 @@ def algebra_suite(A, n_max=3, seed=11, checks=None, progress=None, name=None):
     if n_max < 0:
         raise DegreeError("the largest degree must be nonnegative")
     name = name or A.label or "algebra"
-    out = []
-
-    def report(rows):
-        out.extend(rows)
-        if progress:
-            progress(rows)
-
     N = A.regular()
-    co = coinduced(N) if checks & {"connecting-cohomology", "dimension-shift"} else None
-    ind = induced(N) if checks & {"connecting-homology", "dimension-shift"} else None
-    if "center-linearity" in checks:
-        report(check_center_linearity(A, n_max))
-    if "connecting-homology" in checks:
-        report(
-            check_homology_connecting(
-                split_ses(N, N, label="split"), N, n_max, instance=f"{name} split"
-            )
-        )
-        report(
-            check_homology_connecting(
-                ind.ses, N, n_max, instance=f"{name} induced"
-            )
-        )
-    if "connecting-cohomology" in checks:
-        report(
-            check_cohomology_connecting(
-                N, split_ses(N, N, label="split"), n_max, instance=f"{name} split"
-            )
-        )
-        report(
-            check_cohomology_connecting(
-                N, co.ses, n_max, instance=f"{name} coinduced"
-            )
-        )
-    if "degree-zero" in checks:
-        report(check_degree_zero(N, N, seed=seed, instance=f"{name} regular"))
-    if "dimension-shift" in checks:
-        report(check_dimension_shift(A, n_max, co, ind))
+    co = functools.cache(lambda: coinduced(N))
+    ind = functools.cache(lambda: induced(N))
+    table = [
+        ("center-linearity", lambda: check_center_linearity(A, n_max)),
+        ("connecting-homology", lambda: check_homology_connecting(
+            split_ses(N, N, label="split"), N, n_max, instance=f"{name} split")),
+        ("connecting-homology", lambda: check_homology_connecting(
+            ind().ses, N, n_max, instance=f"{name} induced")),
+        ("connecting-cohomology", lambda: check_cohomology_connecting(
+            N, split_ses(N, N, label="split"), n_max, instance=f"{name} split")),
+        ("connecting-cohomology", lambda: check_cohomology_connecting(
+            N, co().ses, n_max, instance=f"{name} coinduced")),
+        ("degree-zero", lambda: check_degree_zero(N, N, seed=seed, instance=f"{name} regular")),
+        ("dimension-shift", lambda: check_dimension_shift(A, n_max, co(), ind())),
+    ]
     if _has_square_zero_shape(A):
         ses, Q = _square_zero_torsion(A)
-        if "connecting-homology" in checks:
-            report(
-                check_homology_connecting(
-                    ses, Q, n_max, instance=f"{name} torsion by quotient"
-                )
-            )
-            report(
-                check_homology_connecting(
-                    ses, N, n_max, instance=f"{name} torsion by regular"
-                )
-            )
-        if "connecting-cohomology" in checks:
-            report(
-                check_cohomology_connecting(
-                    Q, ses, n_max, instance=f"{name} quotient by torsion"
-                )
-            )
-        if "degree-zero" in checks:
-            report(
-                check_degree_zero(
-                    Q, N, seed=seed, instance=f"{name} quotient (x) regular"
-                )
-            )
-    return out
+        table += [
+            ("connecting-homology", lambda: check_homology_connecting(
+                ses, Q, n_max, instance=f"{name} torsion by quotient")),
+            ("connecting-homology", lambda: check_homology_connecting(
+                ses, N, n_max, instance=f"{name} torsion by regular")),
+            ("connecting-cohomology", lambda: check_cohomology_connecting(
+                Q, ses, n_max, instance=f"{name} quotient by torsion")),
+            ("degree-zero", lambda: check_degree_zero(
+                Q, N, seed=seed, instance=f"{name} quotient (x) regular")),
+        ]
+    return [row for check, instance in table if check in checks for row in instance()]
 
 
-def run_suite(names=None, n_max=3, progress=None, seed=11, checks=None):
+def run_suite(names=None, n_max=3, seed=11, checks=None):
     """`algebra_suite` over the named zoo algebras (default: all of them)."""
     names = list(zoo.ZOO) if names is None else names
-    out = []
-    for name in names:
-        out.extend(
-            algebra_suite(
-                zoo.get(name), n_max, seed=seed, checks=checks,
-                progress=progress, name=name,
-            )
-        )
-    return out
+    return [row for name in names
+            for row in algebra_suite(zoo.get(name), n_max, seed=seed, checks=checks, name=name)]

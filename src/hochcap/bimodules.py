@@ -236,7 +236,7 @@ def make_ses(f, g, label=None):
     return ShortExactSeq(f.source, f.target, g.target, f, g, label=label)
 
 
-def direct_sum(N1, N2, label=None):
+def direct_sum(N1, N2):
     """Block sum N1 (+) N2 with the four structure morphisms.
 
     Returns (sum, include_1, include_2, project_1, project_2).
@@ -255,7 +255,7 @@ def direct_sum(N1, N2, label=None):
 
     left = tuple(block(N1.left[i], N2.left[i]) for i in range(d))
     right = tuple(block(N1.right[i], N2.right[i]) for i in range(d))
-    s = Bimodule(N1.algebra, r1 + r2, left, right, label=label or "direct sum")
+    s = Bimodule(N1.algebra, r1 + r2, left, right, label="direct sum")
 
     inc1 = SparseMat(r1 + r2, r1, fld)
     for j in range(r1):
@@ -292,15 +292,13 @@ class TensorProduct:
     `section` its canonical splitting by coset representatives.
     """
 
-    __slots__ = ("left_factor", "right_factor", "module", "projection", "section", "space")
+    __slots__ = ("right_factor", "module", "projection", "section")
 
-    def __init__(self, left_factor, right_factor, module, projection, section, space):
-        self.left_factor = left_factor
+    def __init__(self, right_factor, module, projection, section):
         self.right_factor = right_factor
         self.module = module
         self.projection = projection
         self.section = section
-        self.space = space
 
     def project_pure(self, x, y):
         """Class of x (x) y for sparse vectors x over N, y over M."""
@@ -313,7 +311,7 @@ class TensorProduct:
         return self.projection.matvec(amb)
 
 
-def tensor_over_algebra(N, M, label=None):
+def tensor_over_algebra(N, M):
     """N (x)_A M as a bimodule, with canonical projection and section.
 
     The middle action is cancelled: the quotient is by the span of
@@ -347,24 +345,15 @@ def tensor_over_algebra(N, M, label=None):
 
     left = tuple(proj @ kron(N.left[s], SparseMat.identity(rM, fld)) @ sect for s in range(A.dim))
     right = tuple(proj @ kron(SparseMat.identity(rN, fld), M.right[s]) @ sect for s in range(A.dim))
-    lbl = label or f"({N.label or 'N'} (x)_A {M.label or 'M'})"
-    module = Bimodule(A, q, left, right, label=lbl)
+    module = Bimodule(A, q, left, right, label=f"({N.label or 'N'} (x)_A {M.label or 'M'})")
     module.validate()
-    return TensorProduct(N, M, module, proj, sect, space)
+    return TensorProduct(M, module, proj, sect)
 
 
 def induced_tensor_morphism(mor, M, t_src, t_tgt):
     """The map mor (x) id : N (x)_A M -> N' (x)_A M on canonical coordinates."""
     fld = M.field
     amb_map = kron(mor.matrix, SparseMat.identity(M.dim, fld))
-    mat = t_tgt.projection @ amb_map @ t_src.section
-    return BimoduleMorphism(t_src.module, t_tgt.module, mat)
-
-
-def induced_tensor_morphism_left(N, mor, t_src, t_tgt):
-    """The map id (x) mor : N (x)_A M -> N (x)_A M' on canonical coordinates."""
-    fld = N.field
-    amb_map = kron(SparseMat.identity(N.dim, fld), mor.matrix)
     mat = t_tgt.projection @ amb_map @ t_src.section
     return BimoduleMorphism(t_src.module, t_tgt.module, mat)
 
@@ -390,7 +379,7 @@ class CoinducedData:
         self.section = section
 
 
-def coinduced(M, label=None):
+def coinduced(M):
     """Hom_k(A, M) with (a.f.b)(x) = a.f(b.x); index (i, j) = i * r + j
     for f(e_i) coefficient j.  The embedding sends m to x -> m.x."""
     A = M.algebra
@@ -400,7 +389,7 @@ def coinduced(M, label=None):
     ident_r = SparseMat.identity(r, fld)
     left = tuple(kron(ident_d, M.left[s]) for s in range(d))
     right = tuple(kron(A.left_matrix(s).transpose(), ident_r) for s in range(d))
-    lbl = label or f"Hom(A, {M.label or 'M'})"
+    lbl = f"Hom(A, {M.label or 'M'})"
     E = Bimodule(A, d * r, left, right, label=lbl)
     E.validate()
 
@@ -443,7 +432,7 @@ class InducedData:
         self.ses = ses
 
 
-def induced(V, label=None):
+def induced(V):
     """A (x) V with a.(b (x) v).c = ab (x) v.c; index (i, j) = i * r + j.
 
     The multiplication map sends b (x) v to b.v."""
@@ -453,7 +442,7 @@ def induced(V, label=None):
     ident_r = SparseMat.identity(r, fld)
     left = tuple(kron(A.left_matrix(s), ident_r) for s in range(d))
     right = tuple(kron(SparseMat.identity(d, fld), V.right[s]) for s in range(d))
-    lbl = label or f"A (x) {V.label or 'V'}"
+    lbl = f"A (x) {V.label or 'V'}"
     P = Bimodule(A, d * r, left, right, label=lbl)
     P.validate()
 

@@ -144,9 +144,7 @@ def cmd_verify(args):
         )
     except ValueError as e:
         raise ParseError(str(e))
-    counts = {"pass": 0, "fail": 0, "skip": 0}
-    for r in rows:
-        counts[r.status] += 1
+    counts = axioms.tally(rows)
     payload = {
         "algebra": A.label,
         "max_degree": args.max_degree,
@@ -164,7 +162,7 @@ def cmd_verify(args):
         "summary": counts,
     }
     lines = [repr(r) for r in rows]
-    lines.append(axioms.summarize(rows))
+    lines.append(axioms.summarize(counts))
     _emit(args, payload, lines)
     return EXIT_OK if counts["fail"] == 0 else EXIT_FAILURES
 
@@ -184,16 +182,16 @@ def cmd_zoo(args):
     if args.name not in zoo.ZOO:
         raise ParseError(f"unknown zoo algebra {args.name!r}")
     A = zoo.get(args.name)
-    if args.format == "json":
-        print(serialize.dumps(A), end="")
-        return EXIT_OK
-    print(f"{args.name}: {zoo.ZOO[args.name]}")
-    print(f"  field      {A.field!r}")
-    print(f"  dimension  {A.dim}")
-    print(f"  basis      {' '.join(A.basis)}")
-    print(f"  center     dim {len(A.center())}")
     nonzero = sum(len(A.mult[i][j]) for i in range(A.dim) for j in range(A.dim))
-    print(f"  structure  {nonzero} nonzero products")
+    lines = [
+        f"{args.name}: {zoo.ZOO[args.name]}",
+        f"  field      {A.field!r}",
+        f"  dimension  {A.dim}",
+        f"  basis      {' '.join(A.basis)}",
+        f"  center     dim {len(A.center())}",
+        f"  structure  {nonzero} nonzero products",
+    ]
+    _emit(args, serialize.algebra_to_dict(A), lines)
     return EXIT_OK
 
 

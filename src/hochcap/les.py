@@ -24,12 +24,7 @@ delegates, kept because callers and the benchmark's tracer
 
 import random
 
-from .bimodules import (
-    induced_tensor_morphism,
-    induced_tensor_morphism_left,
-    make_ses,
-    tensor_over_algebra,
-)
+from .bimodules import BimoduleMorphism, kron, make_ses, tensor_over_algebra
 from .complexes import chain_dim, class_space, differential, module_slot, on_classes
 from .errors import Unsolvable
 from .linalg import SparseMat, axpy, on_slots, rank
@@ -115,24 +110,30 @@ def tensor_ses_with(ses, M):
     tensoring destroys exactness (M need not be flat); callers that
     merely want to know whether the hypothesis holds should catch it.
     """
-    t1 = tensor_over_algebra(ses.left, M)
-    t2 = tensor_over_algebra(ses.middle, M)
-    t3 = tensor_over_algebra(ses.right, M)
-    F = induced_tensor_morphism(ses.f, M, t1, t2)
-    G = induced_tensor_morphism(ses.g, M, t2, t3)
-    label = f"({ses.label or 'ses'}) (x) {M.label or 'M'}"
-    return make_ses(F, G, label=label), (t1, t2, t3)
+    return _tensor_ses(ses, M, "right", f"({ses.label or 'ses'}) (x) {M.label or 'M'}")
 
 
 def tensor_with_ses(N, ses):
     """Tensor by N on the left: 0 -> N (x) M1 -> N (x) M2 -> N (x) M3 -> 0."""
-    t1 = tensor_over_algebra(N, ses.left)
-    t2 = tensor_over_algebra(N, ses.middle)
-    t3 = tensor_over_algebra(N, ses.right)
-    F = induced_tensor_morphism_left(N, ses.f, t1, t2)
-    G = induced_tensor_morphism_left(N, ses.g, t2, t3)
-    label = f"{N.label or 'N'} (x) ({ses.label or 'ses'})"
-    return make_ses(F, G, label=label), (t1, t2, t3)
+    return _tensor_ses(ses, N, "left", f"{N.label or 'N'} (x) ({ses.label or 'ses'})")
+
+
+def _tensor_ses(ses, other, side, label):
+    """`ses` tensored with `other` on `side`.  Each term X becomes
+    X (x)_A other or other (x)_A X, and each map f of the sequence is
+    f (x) id or id (x) f on the ambient tensor product over k, carried to
+    canonical coordinates by the section and the projection."""
+    def pair(x, y):
+        return (x, y) if side == "right" else (y, x)
+
+    ident = SparseMat.identity(other.dim, other.field)
+    terms = [tensor_over_algebra(*pair(X, other)) for X in (ses.left, ses.middle, ses.right)]
+    F, G = (
+        BimoduleMorphism(src.module, tgt.module,
+                         tgt.projection @ kron(*pair(mor.matrix, ident)) @ src.section)
+        for src, tgt, mor in zip(terms, terms[1:], (ses.f, ses.g))
+    )
+    return make_ses(F, G, label=label), tuple(terms)
 
 
 def _exact_at(failures, degree, node, incoming, outgoing):

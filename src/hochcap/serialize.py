@@ -60,10 +60,7 @@ def bimodule_to_dict(N):
     fld = N.field
 
     def dense(mat):
-        return [
-            [fld.format(mat.entry(i, j)) for j in range(N.dim)]
-            for i in range(N.dim)
-        ]
+        return [[fld.format(v) for v in row] for row in mat.to_dense()]
 
     return {
         "dimension": N.dim,
@@ -76,7 +73,7 @@ def _expect(obj, key, kind, where):
     if key not in obj:
         raise ParseError(f"{where}: missing {key!r}")
     v = obj[key]
-    if not isinstance(v, kind):
+    if not isinstance(v, kind) or isinstance(v, bool):
         raise ParseError(f"{where}: {key!r} must be {kind.__name__}")
     return v
 
@@ -99,7 +96,7 @@ def algebra_from_dict(obj, label=None):
         if not (isinstance(row, list) and len(row) == 4):
             raise ParseError(f"structure[{pos}]: need [i, j, l, coefficient]")
         i, j, l, c = row
-        if not all(isinstance(k, int) for k in (i, j, l)):
+        if not all(type(k) is int for k in (i, j, l)):  # a JSON boolean is no index
             raise ParseError(f"structure[{pos}]: indices must be integers")
         rows.append((i, j, l, c))
     A = AlgebraPresentation(
@@ -127,20 +124,11 @@ def _bimodule_from_dict(A, name, block):
         mats = _expect(block, key, list, where)
         if len(mats) != A.dim:
             raise ParseError(f"{where}: {key!r} needs one matrix per basis element")
-        out = []
         for s, rows in enumerate(mats):
-            if not (isinstance(rows, list) and len(rows) == r):
+            if not (isinstance(rows, list) and len(rows) == r
+                    and all(isinstance(row, list) and len(row) == r for row in rows)):
                 raise ParseError(f"{where}: {key}[{s}] must be a {r}x{r} matrix")
-            m = SparseMat(r, r, A.field)
-            for i, row in enumerate(rows):
-                if not (isinstance(row, list) and len(row) == r):
-                    raise ParseError(f"{where}: {key}[{s}] must be a {r}x{r} matrix")
-                for j, c in enumerate(row):
-                    v = A.field.coerce(c)
-                    if v != A.field.zero:
-                        m.cols[j][i] = v
-            out.append(m)
-        return tuple(out)
+        return tuple(SparseMat.from_dense(A.field, rows) for rows in mats)
 
     return Bimodule(A, r, actions("left"), actions("right"), label=name).validate()
 

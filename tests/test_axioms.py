@@ -1,5 +1,8 @@
 """The defining-property checks themselves, including their failure modes."""
 
+import functools
+import itertools
+
 import pytest
 
 from hochcap import axioms, zoo
@@ -14,6 +17,7 @@ from hochcap.axioms import (
     run_suite,
     skips,
     summarize,
+    tally,
 )
 from hochcap.bimodules import coinduced, induced, split_ses
 
@@ -83,16 +87,10 @@ def test_suite_on_noncommutative_algebras():
 
 def test_summarize_and_repr():
     rows = run_suite(["rationals"], n_max=1)
-    text = summarize(rows)
+    text = summarize(tally(rows))
     assert "0 failed" in text and "passed" in text
     r = CheckResult("center-linearity", "rationals", (1, 0), "pass", "4 products")
     assert "center-linearity" in repr(r) and "[pass]" in repr(r)
-
-
-def test_progress_callback_sees_every_row():
-    seen = []
-    rows = run_suite(["product_qq"], n_max=1, progress=seen.extend)
-    assert len(seen) == len(rows)
 
 
 def _count_calls(monkeypatch, name):
@@ -114,3 +112,24 @@ def test_suite_builds_coinduced_and_induced_at_most_once(monkeypatch, checks, bu
     rows = axioms.algebra_suite(zoo.get("dual_numbers"), n_max=1, checks=checks)
     assert not failures(rows)
     assert (len(co), len(ind)) == (built, built)
+
+
+def _fields(rows):
+    return [(r.check, r.instance, r.degrees, r.status, r.detail) for r in rows]
+
+
+@functools.cache
+def _full_dual_numbers_suite():
+    return _fields(axioms.algebra_suite(zoo.get("dual_numbers"), n_max=1))
+
+
+@pytest.mark.parametrize("checks", [
+    subset for k in range(1, len(axioms.CHECK_NAMES) + 1)
+    for subset in itertools.combinations(axioms.CHECK_NAMES, k)
+], ids="+".join)
+def test_check_subset_is_the_full_suite_filtered(checks):
+    # dual_numbers has the torsion instances, two of which skip at degree 1
+    full = _full_dual_numbers_suite()
+    assert any(status == "skip" for _, _, _, status, _ in full)
+    rows = axioms.algebra_suite(zoo.get("dual_numbers"), n_max=1, checks=checks)
+    assert _fields(rows) == [row for row in full if row[0] in checks]

@@ -175,6 +175,8 @@ def test_nonassociative_structure_rejected():
         (lambda d: d.update(field={"kind": "R"}), "unknown field kind"),
         (lambda d: d["structure"].append([0, 0, 9, "1"]), "out of range"),
         (lambda d: d["structure"].append([0, 0, 0, "1/0"]), "bad rational"),
+        # JSON booleans are not indices, although bool subclasses int
+        (lambda d: d["structure"].append([False, True, True, "1"]), "indices must be integers"),
     ],
 )
 def test_schema_violations_name_the_field(mangle, message):
@@ -198,6 +200,11 @@ def test_bimodule_block_violations():
         }
     }
     with pytest.raises(ValidationError):
+        serialize.loads(json.dumps(base))
+    # a JSON boolean is not a dimension, although bool subclasses int
+    base["bimodules"] = {"bad": {"dimension": True, "left": [[["1"]], [["0"]]],
+                                 "right": [[["1"]], [["0"]]]}}
+    with pytest.raises(ParseError, match="'dimension' must be int"):
         serialize.loads(json.dumps(base))
 
 
