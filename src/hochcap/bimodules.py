@@ -350,14 +350,6 @@ def tensor_over_algebra(N, M):
     return TensorProduct(M, module, proj, sect)
 
 
-def induced_tensor_morphism(mor, M, t_src, t_tgt):
-    """The map mor (x) id : N (x)_A M -> N' (x)_A M on canonical coordinates."""
-    fld = M.field
-    amb_map = kron(mor.matrix, SparseMat.identity(M.dim, fld))
-    mat = t_tgt.projection @ amb_map @ t_src.section
-    return BimoduleMorphism(t_src.module, t_tgt.module, mat)
-
-
 # -- coinduced and induced modules ----------------------------------------
 
 

@@ -111,6 +111,13 @@ def _fraction(s):
     return -value if sign == "-" else value
 
 
+def _not_bool(x):
+    """x, unless it is a bool, which subclasses int but is no coefficient."""
+    if isinstance(x, bool):
+        raise ParseError(f"{x!r} is a boolean, not a coefficient")
+    return x
+
+
 class Rationals:
     """The field Q.  Elements are `int`s, or `Fraction`s that are not integral."""
 
@@ -123,7 +130,7 @@ class Rationals:
 
     def coerce(self, x):
         if isinstance(x, int):
-            return int(x)
+            return int(_not_bool(x))
         if isinstance(x, str):
             if _exponent_too_large(x):
                 raise ParseError(f"exponent of {x!r} exceeds {_MAX_EXPONENT} in magnitude")
@@ -188,7 +195,7 @@ class PrimeField:
 
     def coerce(self, x):
         if isinstance(x, int):
-            return x % self.p
+            return _not_bool(x) % self.p
         if isinstance(x, str):
             try:
                 return int(x.strip(), 10) % self.p

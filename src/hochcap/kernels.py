@@ -2,23 +2,21 @@
 
 This elimination loop dominates the package's runtime; every rank,
 kernel, solve and subquotient goes through `build_rref`.  The output is
-canonical: the reduced row echelon form of a row space is unique, pivots
-are always the leftmost possible, and rows come out sorted by pivot
-column.
+canonical and depends on the row space alone: the reduced row echelon
+form of a row space is unique, pivots are always the leftmost possible,
+and rows come out sorted by pivot column.
 
 Because the output does not depend on the order of the input rows, the
 rows are fed in the order that keeps fill low: leading column
 descending, then shortest first (after Faugere and Lachartre, PASCO
 2010).  A row whose leading column is not yet a pivot then becomes one
 without touching the basis, since every basis row starts to the right
-of it.  Only `defects` depend on the order: which partly reduced rows
-they are.
+of it.
 
 Rows are sparse dicts {column: value}.  The loop is the same over Q and
 F_p: clean the row, reduce it once against the pivot columns it touches,
-set it aside as a defect if it reduced past `pivot_limit`, and otherwise
-clear its new pivot from the basis.  Each field supplies the three row
-operations it needs:
+and clear its new pivot from the basis.  Each field supplies the three
+row operations it needs:
 
 - `clean(row)`: the working form of an incoming row.  Over Q the values
   may be `int`s or `Fraction`s, and the row is scaled to a primitive
@@ -33,31 +31,24 @@ operations it needs:
   the values are integer first, like `fields.Rationals`: an `int`
   wherever the leading entry divides it, a `Fraction` with denominator
   > 1 otherwise.  Over F_p they are ints in [0, p).
-
-`pivot_limit` caps the columns allowed to carry a pivot.  Rows whose
-reduction is supported entirely on columns >= pivot_limit are returned in
-`defects` (used by the solver: a defect means an inconsistent augmented
-system).  Defect rows are reported up to a nonzero scalar, which is all
-their consumers need.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def build_rref(field, rows, ncols, pivot_limit=None):
-    """Reduced row echelon form of `rows`: (pivots, rows, defects).
+def build_rref(field, rows, ncols):
+    """Reduced row echelon form of `rows`: (pivots, rows).
 
     out_rows[i] is the fully reduced row with leading 1 at pivots[i].
+    `ncols`, the width of the rows, is not read by the loop; the
+    benchmark's tracer (perfbench/spans.py) records it.
     """
-    if pivot_limit is None:
-        pivot_limit = ncols
     ops = _Rationals if field.kind == "Q" else _ModP(field.p)
     clean, eliminate = ops.clean, ops.eliminate
     pivot_of = {}          # pivot col -> index into basis
     basis = []             # rows in the field's working form
     col_rows = {}          # col -> set of basis indices whose row touches col
-    defects = []
 
     def attach(idx, row):
         for c in row:
@@ -77,10 +68,6 @@ def build_rref(field, rows, ncols, pivot_limit=None):
         if not u:
             continue
         lead = min(u)
-        if lead >= pivot_limit:
-            defects.append(u)
-            continue
-
         # clear the new pivot column from the existing basis
         for idx in list(col_rows.get(lead, ())):
             b = basis[idx]
@@ -93,7 +80,7 @@ def build_rref(field, rows, ncols, pivot_limit=None):
         basis.append(u)
 
     pivots = sorted(pivot_of)
-    return pivots, [ops.emit(basis[pivot_of[p]], p) for p in pivots], defects
+    return pivots, [ops.emit(basis[pivot_of[p]], p) for p in pivots]
 
 
 def _lead(row):

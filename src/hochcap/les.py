@@ -27,7 +27,7 @@ import random
 from .bimodules import BimoduleMorphism, kron, make_ses, tensor_over_algebra
 from .complexes import chain_dim, class_space, differential, module_slot, on_classes
 from .errors import Unsolvable
-from .linalg import SparseMat, axpy, on_slots, rank
+from .linalg import SparseMat, axpy, on_slots
 
 
 def _degrees(kind):
@@ -135,38 +135,3 @@ def _tensor_ses(ses, other, side, label):
     )
     return make_ses(F, G, label=label), tuple(terms)
 
-
-def _exact_at(failures, degree, node, incoming, outgoing):
-    """Record a failure unless ker(outgoing) = im(incoming)."""
-    if not (outgoing @ incoming).is_zero():
-        failures.append((degree, node, "composite nonzero"))
-    elif outgoing.ncols - rank(outgoing) != rank(incoming):
-        failures.append((degree, node, "kernel strictly larger than image"))
-
-
-def verify_les(ses, up_to, kind):
-    """Exactness failures of the long exact sequence of `kind`.
-
-    Checks the nodes H(left), H(middle), H(right) of every degree <=
-    up_to.  The homology sequence ends in H_0(right) -> 0, so exactness
-    there means g_* is onto; the cohomology sequence starts with
-    0 -> H^0(left), so exactness there means f^* is injective.  Returns
-    (degree, node, reason) triples, by degree and then in the order
-    left, middle, right; [] means exact.
-    """
-    failures = []
-    fld = ses.left.field
-    fstar = {n: pushforward(ses.f, n, kind) for n in range(up_to + 1)}
-    gstar = {n: pushforward(ses.g, n, kind) for n in range(up_to + 1)}
-    step, lowest = _degrees(kind)
-    conn = {n: connecting(ses, n, kind) for n in range(lowest, lowest + up_to + 1)}
-    # the zero maps that end the sequence: H_0(right) -> 0, 0 -> H^0(left)
-    if kind == "homology":
-        conn[0] = SparseMat.zero(0, gstar[0].nrows, fld)
-    else:
-        conn[-1] = SparseMat.zero(fstar[0].ncols, 0, fld)
-    for n in range(up_to + 1):
-        _exact_at(failures, n, "left", conn[n - step], fstar[n])
-        _exact_at(failures, n, "middle", fstar[n], gstar[n])
-        _exact_at(failures, n, "right", gstar[n], conn[n])
-    return failures

@@ -20,8 +20,9 @@ vector against it walks only the pivot columns in the vector's support,
 so the work is the support plus the fill of the rows used, never the
 rank.  `kernel_basis` scatters each rref row into its free columns, and
 `Solver` keeps the augmentation part of one elimination as two matrices,
-a section and the conditions for a solution to exist, so a solve, of one
-right-hand side or of a whole matrix of them, is two products.
+a section and the conditions for a solution to exist, one row per
+condition, so a solve, of one right-hand side or of a whole matrix of
+them, is two products; `solve` is a `Solver` used once.
 
 The cycles of a class space are the null space of a differential, and
 `Echelon.null_space` gives its canonical rref from one elimination of
@@ -248,18 +249,16 @@ class Echelon:
     """The reduced row echelon form of a list of sparse rows.
 
     `rows[i]` is the fully reduced row with leading 1 at `pivots[i]`
-    (increasing), `index` maps each pivot column to its row, `defects`
-    are the rows that reduced to columns >= `pivot_limit` (see
-    `kernels.build_rref`), and `ncols` is the dimension of the space the
-    rows live in.
+    (increasing), `index` maps each pivot column to its row, and `ncols`
+    is the dimension of the space the rows live in.
     """
 
-    __slots__ = ("field", "ncols", "pivots", "rows", "index", "defects")
+    __slots__ = ("field", "ncols", "pivots", "rows", "index")
 
-    def __init__(self, field, rows, ncols, pivot_limit=None):
+    def __init__(self, field, rows, ncols):
         self.field = field
         self.ncols = ncols
-        self.pivots, self.rows, self.defects = build_rref(field, rows, ncols, pivot_limit)
+        self.pivots, self.rows = build_rref(field, rows, ncols)
         self.index = dict(zip(self.pivots, self.rows))
 
     @classmethod
@@ -274,7 +273,7 @@ class Echelon:
         for j, col in enumerate(m.cols):
             for i, v in col.items():
                 flipped[i][n - 1 - j] = v
-        pivots, rows, _ = build_rref(fld, flipped, n)
+        pivots, rows = build_rref(fld, flipped, n)
         # row i ends at q_i = n-1-pivots[i]; walking the rows backwards
         # lists each null space row's entries in increasing column order
         bound = {n - 1 - p for p in pivots}
@@ -285,7 +284,7 @@ class Echelon:
                 if c != p:
                     index[n - 1 - c][q] = fld.neg(v)
         ech = cls.__new__(cls)
-        ech.field, ech.ncols, ech.defects = fld, n, []
+        ech.field, ech.ncols = fld, n
         ech.pivots, ech.rows, ech.index = list(index), list(index.values()), index
         return ech
 
@@ -349,39 +348,23 @@ def kernel_basis(m):
 
 
 def solve(m, b):
-    """One particular solution of m x = b, or None if inconsistent.
-
-    Deterministic: free variables are set to zero, so x is the solution
-    read off the rref of the augmented matrix, which is None when that
-    elimination leaves any defect.  b may be a dict or a sequence; the
-    result is a sparse dict.
-    """
-    fld = m.field
-    bvec = coerce_vector(fld, b, m.nrows)
-    aug = m.ncols
-    rows = m.rows_view()
-    for i, v in bvec.items():
-        rows[i][aug] = v
-    ech = Echelon(fld, rows, aug + 1, pivot_limit=aug)
-    if ech.defects:
-        return None
-    x = {}
-    for p, row in zip(ech.pivots, ech.rows):
-        v = row.get(aug)
-        if v is not None and v != fld.zero:
-            x[p] = v
-    return x
+    """One particular solution of m x = b, or None if inconsistent: the
+    solution whose free variables are zero, from `Solver(m)`.  b may be a
+    dict or a sequence; the result is a sparse dict."""
+    return Solver(m).solve(b)
 
 
 class Solver:
     """Factors a matrix once for repeated exact solves against it.
 
-    Row-reduces [m | I] and keeps only the augmentation part, as two
-    matrices with one column per row of m: `section` (ncols x nrows)
-    sends b to the solution whose free variables are zero, matching
-    `solve`, and `conditions` (one row per defect) is zero on b exactly
-    when b is in the column space of m.  A solve is two products, of one
-    right-hand side or of a whole matrix of them.
+    Row-reduces [m | I], n = m.ncols, and keeps only the augmentation
+    part, as two matrices with one column per row of m.  The rows with a
+    pivot below n give `section` (ncols x nrows), which sends b to the
+    solution whose free variables are zero.  The other rows are supported
+    on the augmentation alone; they are the rref of the left null space
+    of m, one row per condition, and give `conditions`, which is zero on
+    b exactly when b is in the column space of m.  A solve is two
+    products, of one right-hand side or of a whole matrix of them.
     """
 
     def __init__(self, m):
@@ -391,19 +374,19 @@ class Solver:
         rows = m.rows_view()
         for i in range(m.nrows):
             rows[i][aug + i] = fld.one
-        ech = Echelon(fld, rows, aug + m.nrows, pivot_limit=aug)
-        # column i of either matrix holds the entries at aug + i: of each
-        # row, under its pivot, and of each defect row, which is supported
-        # on the augmentation only (a combination of the rows of m that
-        # vanishes, i.e. a consistency condition), under its position
+        ech = Echelon(fld, rows, aug + m.nrows)
+        # column i of either matrix holds the entries at aug + i of each
+        # row, under its pivot in section and under its position past the
+        # pivots of m in conditions
+        rank = sum(p < aug for p in ech.pivots)
         sect, cond = [dict() for _ in range(m.nrows)], [dict() for _ in range(m.nrows)]
-        for cols, part in ((sect, zip(ech.pivots, ech.rows)), (cond, enumerate(ech.defects))):
-            for k, row in part:
-                for c, v in row.items():
-                    if c >= aug:
-                        cols[c - aug][k] = v
+        for k, (p, row) in enumerate(zip(ech.pivots, ech.rows)):
+            cols, at = (sect, p) if k < rank else (cond, k - rank)
+            for c, v in row.items():
+                if c >= aug:
+                    cols[c - aug][at] = v
         self.section = SparseMat(aug, m.nrows, fld, sect)
-        self.conditions = SparseMat(len(ech.defects), m.nrows, fld, cond)
+        self.conditions = SparseMat(len(ech.pivots) - rank, m.nrows, fld, cond)
 
     def solve(self, b):
         """One solution of m x = b (a dict or a sequence), or None."""

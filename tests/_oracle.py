@@ -13,8 +13,9 @@ two sided bar form, a second presentation of the same homology, the
 tensor product of two algebras, whose Hochschild groups the Kunneth
 formula predicts from the factors', the diagonal check one generator
 and one split at a time, four slot operators each, the face loop one
-`acc` call per term, and the homotopy draws of seeded lifts through
-`randrange`.
+`acc` call per term, the homotopy draws of seeded lifts through
+`randrange`, and the rank arithmetic that certifies a long exact
+sequence exact at every node.
 """
 
 from fractions import Fraction
@@ -24,7 +25,8 @@ from hochcap import cap, config
 from hochcap.algebras import AlgebraPresentation
 from hochcap.complexes import differential, tuple_rank, tuples
 from hochcap.errors import DegreeError
-from hochcap.linalg import SparseMat, acc, axpy, kernel_basis, on_slots, subquotient
+from hochcap.les import connecting, pushforward
+from hochcap.linalg import SparseMat, acc, axpy, kernel_basis, on_slots, rank, subquotient
 
 
 # --- tiny dense linear algebra -------------------------------------------
@@ -73,6 +75,39 @@ def dense_rank(rows, p=None):
         if row == nrows:
             break
     return rank
+
+
+def dense_solve(rows, b, p=None):
+    """The solution of rows * x = b whose free variables are zero, as a
+    sparse dict {column: value}, or None when there is none.
+
+    Gauss-Jordan elimination of the augmented matrix [rows | b], over
+    Fractions (p is None) or mod p; x takes the last column's entry of
+    each pivot row at that row's pivot column.
+    """
+    if p is None:
+        mat = [[Fraction(x) for x in r] + [Fraction(y)] for r, y in zip(rows, b)]
+    else:
+        mat = [[x % p for x in r] + [y % p] for r, y in zip(rows, b)]
+    ncols = len(mat[0]) - 1 if mat else 0
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        inv = _inv_mod(mat[row][col], p) if p is not None else 1 / mat[row][col]
+        mat[row] = [x * inv % p if p is not None else x * inv for x in mat[row]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != row and f != 0:
+                mat[i] = [(x - f * y) % p if p is not None else x - f * y
+                          for x, y in zip(mat[i], mat[row])]
+        pivots.append(col)
+    if any(r[-1] != 0 for r in mat[len(pivots):]):
+        return None
+    return {col: mat[i][-1] for i, col in enumerate(pivots) if mat[i][-1] != 0}
 
 
 # --- raw algebra data (kept local on purpose) ----------------------------
@@ -578,3 +613,42 @@ def random_sparse(rng, dim, table, entries=2):
         if c:
             out[rng.randrange(dim)] = c
     return out
+
+
+# -- exactness of a long exact sequence, by rank counting -------------------
+
+
+def _exact_at(failures, degree, node, incoming, outgoing):
+    """Record a failure unless ker(outgoing) = im(incoming)."""
+    if not (outgoing @ incoming).is_zero():
+        failures.append((degree, node, "composite nonzero"))
+    elif outgoing.ncols - rank(outgoing) != rank(incoming):
+        failures.append((degree, node, "kernel strictly larger than image"))
+
+
+def verify_les(ses, up_to, kind):
+    """Exactness failures of the long exact sequence of `kind`.
+
+    Checks the nodes H(left), H(middle), H(right) of every degree <=
+    up_to.  The homology sequence ends in H_0(right) -> 0, so exactness
+    there means g_* is onto; the cohomology sequence starts with
+    0 -> H^0(left), so exactness there means f^* is injective.  Returns
+    (degree, node, reason) triples, by degree and then in the order
+    left, middle, right; [] means exact.
+    """
+    failures = []
+    fld = ses.left.field
+    fstar = {n: pushforward(ses.f, n, kind) for n in range(up_to + 1)}
+    gstar = {n: pushforward(ses.g, n, kind) for n in range(up_to + 1)}
+    step, lowest = (-1, 1) if kind == "homology" else (1, 0)
+    conn = {n: connecting(ses, n, kind) for n in range(lowest, lowest + up_to + 1)}
+    # the zero maps that end the sequence: H_0(right) -> 0, 0 -> H^0(left)
+    if kind == "homology":
+        conn[0] = SparseMat.zero(0, gstar[0].nrows, fld)
+    else:
+        conn[-1] = SparseMat.zero(fstar[0].ncols, 0, fld)
+    for n in range(up_to + 1):
+        _exact_at(failures, n, "left", conn[n - step], fstar[n])
+        _exact_at(failures, n, "middle", fstar[n], gstar[n])
+        _exact_at(failures, n, "right", gstar[n], conn[n])
+    return failures

@@ -155,14 +155,12 @@ def test_morphism_validation():
 
 
 def test_tensor_morphism_wellformed():
-    from hochcap.bimodules import induced_tensor_morphism
+    from hochcap.les import tensor_ses_with
 
     a = zoo.get("dual_numbers")
     reg = a.regular()
-    ind = induced(reg)
-    t_src = tensor_over_algebra(ind.kernel, reg)
-    t_tgt = tensor_over_algebra(ind.module, reg)
-    f = induced_tensor_morphism(ind.include, reg, t_src, t_tgt)
+    tses, (t_src, t_tgt, _) = tensor_ses_with(induced(reg).ses, reg)
+    f = tses.f
     f.validate()
     assert rank(f.matrix) <= min(t_src.module.dim, t_tgt.module.dim)
 

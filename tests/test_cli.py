@@ -155,6 +155,7 @@ def test_validate_rejects_garbage(capsys, tmp_path):
     lambda text: text.replace('"unit"', '"bimodules": [], "unit"'),
     lambda text: text.replace('"unit": [\n    "1",', '"unit": [\n    1' + "0" * 5000 + ","),
     lambda text: text.replace('"unit": [\n    "1",', '"unit": [\n    "1e10000000",'),
+    lambda text: text.replace('"unit": [\n    "1",', '"unit": [\n    true,'),
 ])
 def test_validate_malformed_input_exits_2(capsys, tmp_path, mangle):
     text = serialize.dumps(zoo.get("dual_numbers"))

@@ -24,7 +24,7 @@ PRIMES = [2, 3, 101, (1 << 31) + 11]
 
 @st.composite
 def sparse_rows(draw, p):
-    """(ncols, rows, pivot_limit); rows may hold zeros."""
+    """(ncols, rows); rows may hold zeros."""
     ncols = draw(st.integers(1, 10))
     if p is None:
         value = st.one_of(
@@ -35,7 +35,7 @@ def sparse_rows(draw, p):
         value = st.integers(-2 * p, 2 * p)
     row = st.dictionaries(st.integers(0, ncols - 1), value, max_size=ncols)
     rows = draw(st.lists(row, max_size=9))
-    return ncols, rows, draw(st.integers(0, ncols))
+    return ncols, rows
 
 
 def is_canonical_q(v):
@@ -52,10 +52,9 @@ def _rank(rows, ncols, p):
 @given(data=st.data())
 def test_build_rref_matches_oracle(p, data):
     field = QQ if p is None else GF(p)
-    ncols, rows, limit = data.draw(sparse_rows(p))
+    ncols, rows = data.draw(sparse_rows(p))
 
-    pivots, out, defects = kernels.build_rref(field, rows, ncols)
-    assert defects == []
+    pivots, out = kernels.build_rref(field, rows, ncols)
     assert len(pivots) == _rank(rows, ncols, p)
     # the output spans the same row space
     assert _rank(rows + out, ncols, p) == len(pivots)
@@ -67,13 +66,6 @@ def test_build_rref_matches_oracle(p, data):
             assert v != 0
             assert is_canonical_q(v) if p is None else 0 <= v < p
 
-    got, _, defects = kernels.build_rref(field, rows, ncols, pivot_limit=limit)
-    assert all(q < limit for q in got)
-    # a defect is a row reducing to something supported at or past the limit
-    assert all(d and min(d) >= limit for d in defects)
-    assert bool(defects) == any(q >= limit for q in pivots)
-    assert got == [q for q in pivots if q < limit]
-
 
 @pytest.mark.parametrize("p", [None] + PRIMES)
 @settings(max_examples=60)
@@ -82,41 +74,35 @@ def test_build_rref_ignores_row_order(p, data):
     # the rref is a function of the row space, so any fill-reducing row
     # order must leave pivots and rows, values and their types, unchanged
     field = QQ if p is None else GF(p)
-    ncols, rows, limit = data.draw(sparse_rows(p))
+    ncols, rows = data.draw(sparse_rows(p))
     shuffled = data.draw(st.permutations(rows))
 
-    pivots, out, _ = kernels.build_rref(field, rows, ncols)
-    got_pivots, got, _ = kernels.build_rref(field, shuffled, ncols)
+    pivots, out = kernels.build_rref(field, rows, ncols)
+    got_pivots, got = kernels.build_rref(field, shuffled, ncols)
     assert got_pivots == pivots
     assert [list(r.items()) for r in got] == [list(r.items()) for r in out]
     assert [[type(v) for v in r.values()] for r in got] == [
         [type(v) for v in r.values()] for r in out
     ]
 
-    # with a pivot limit nothing is lost: the defects and the rows span
-    # the input's row space, whatever the order
-    _, got, defects = kernels.build_rref(field, shuffled, ncols, pivot_limit=limit)
-    assert _rank(got + defects, ncols, p) == _rank(rows, ncols, p)
-
 
 def test_pure_lane_always_importable():
     # the kernel needs nothing beyond the standard library
-    pivots, rows, defects = kernels.build_rref(
+    pivots, rows = kernels.build_rref(
         QQ, [{0: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}], 2
     )
     assert pivots == [0, 1]
     assert rows == [{0: Fraction(1)}, {1: Fraction(1)}]
-    assert defects == []
 
 
 def test_rational_rows_keep_fractions_only_where_needed():
-    pivots, rows, _ = kernels.build_rref(
+    pivots, rows = kernels.build_rref(
         QQ, [{0: 2, 1: 1}, {0: Fraction(1, 2), 2: Fraction(3, 2)}], 3
     )
     assert pivots == [0, 1]
     assert rows == [{0: 1, 2: 3}, {1: 1, 2: -6}]
     assert all(type(v) is int for row in rows for v in row.values())
-    _, rows, _ = kernels.build_rref(QQ, [{0: 2, 1: 1}], 2)
+    _, rows = kernels.build_rref(QQ, [{0: 2, 1: 1}], 2)
     assert rows == [{0: 1, 1: Fraction(1, 2)}] and type(rows[0][0]) is int
 
 

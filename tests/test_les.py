@@ -24,9 +24,10 @@ from hochcap.les import (
     pushforward_homology,
     tensor_ses_with,
     tensor_with_ses,
-    verify_les,
 )
 from hochcap.linalg import SparseMat, rank
+
+from _oracle import verify_les
 
 
 def identity_morphism(N):

@@ -11,7 +11,7 @@ from hochcap.errors import InclusionViolation, NotACycle, ParseError
 from hochcap.fields import field_from_json
 from hochcap.linalg import Echelon, axpy, on_slots
 
-from _oracle import dense_rank
+from _oracle import dense_rank, dense_solve
 
 PRIMES = [2, 3, 101, (1 << 31) + 11]
 
@@ -36,15 +36,25 @@ def test_field_parsing():
 
 
 def test_qq_coerce_is_integer_first():
-    for x in (0, -7, True, Fraction(6, 3), Fraction(0), "4/2", " -3 ", "2.0"):
+    for x in (0, -7, Fraction(6, 3), Fraction(0), "4/2", " -3 ", "2.0"):
         assert type(QQ.coerce(x)) is int, x
-    assert QQ.coerce("4/2") == 2 and QQ.coerce(True) == 1
+    assert QQ.coerce("4/2") == 2
+    # a JSON boolean is not a coefficient, although bool subclasses int
+    with pytest.raises(ParseError, match="boolean"):
+        QQ.coerce(True)
     assert type(QQ.zero) is int and type(QQ.one) is int
     for x in (Fraction(1, 3), Fraction(-5, 2), "3/4", "1.5"):
         y = QQ.coerce(x)
         assert type(y) is Fraction and y.denominator > 1, x
     with pytest.raises(ParseError):
         QQ.coerce(1.5)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101)])
+def test_fp_coerce_refuses_booleans(field):
+    for x in (True, False):
+        with pytest.raises(ParseError, match="boolean"):
+            field.coerce(x)
 
 
 def test_qq_inv_is_exact_and_integer_first():
@@ -170,6 +180,12 @@ def test_solve():
     assert mx.get(0, 0) == 2 and mx.get(1, 0) == 0
 
 
+def _dense_solve(m, b):
+    """The oracle's solution of m x = b; b is a sparse dict."""
+    p = None if m.field.kind == "Q" else m.field.p
+    return dense_solve(m.to_dense(), [b.get(i, 0) for i in range(m.nrows)], p)
+
+
 def test_solver_repeated():
     rng = random.Random(11)
     for fld in (QQ, GF(7)):
@@ -183,11 +199,11 @@ def test_solver_repeated():
             x = sv.solve(b)
             assert x is not None
             assert m.matvec(x) == b
-            assert x == solve(m, b)
+            assert x == _dense_solve(m, b)
         # something outside the column space must be rejected by both
         for _ in range(20):
             b = {i: fld.coerce(rng.randint(-5, 5)) for i in range(4)}
-            assert (sv.solve(b) is None) == (solve(m, b) is None)
+            assert (sv.solve(b) is None) == (_dense_solve(m, b) is None)
 
 
 def test_subquotient_canonical_coords():
@@ -321,7 +337,6 @@ def _same_echelon(got, want):
         [(c, type(v), v) for c, v in r.items()] for r in want.rows
     ]
     assert list(got.index.items()) == list(want.index.items())
-    assert got.defects == want.defects == []
 
 
 @pytest.mark.parametrize("p", [None] + PRIMES)
@@ -366,7 +381,7 @@ def test_solver_agrees_with_solve(p, data):
     else:
         b = data.draw(sparse_columns(field, p, m.nrows, 1))[0]
     x = Solver(m).solve(b)
-    assert x == solve(m, b)
+    assert x == _dense_solve(m, b)
     consistent = _rank_of_columns(m.cols + [b], m.nrows, p) == _rank_of_columns(
         m.cols, m.nrows, p
     )
@@ -387,13 +402,24 @@ def test_solve_matrix_is_solve_column_by_column(p, data):
     images = [m.matvec(x) for x in data.draw(sparse_columns(field, p, m.ncols, ncols))]
     others = data.draw(sparse_columns(field, p, m.nrows, ncols))
     cols = [c if data.draw(st.booleans()) else o for c, o in zip(images, others)]
-    want = [solve(m, c) for c in cols]
+    want = [_dense_solve(m, c) for c in cols]
     got = Solver(m).solve_matrix(SparseMat.from_columns(m.nrows, field, cols))
     if any(x is None for x in want):
         assert got is None
     else:
         assert (got.nrows, got.ncols) == (m.ncols, ncols)
         assert got.cols == want
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_solver_conditions_are_a_basis_of_the_left_null_space(p, data):
+    m = data.draw(sparse_matrices(p))
+    cond = Solver(m).conditions
+    assert (cond @ m).is_zero()
+    assert cond.nrows == m.nrows - dense_rank(m.to_dense(), p)
+    assert dense_rank(cond.to_dense(), p) == cond.nrows
 
 
 def test_solver_refuses_a_right_hand_side_outside_its_space():

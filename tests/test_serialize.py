@@ -177,6 +177,9 @@ def test_nonassociative_structure_rejected():
         (lambda d: d["structure"].append([0, 0, 0, "1/0"]), "bad rational"),
         # JSON booleans are not indices, although bool subclasses int
         (lambda d: d["structure"].append([False, True, True, "1"]), "indices must be integers"),
+        # nor are they coefficients
+        (lambda d: d.update(unit=[True, "0"]), "boolean"),
+        (lambda d: d["structure"][0].__setitem__(3, True), "boolean"),
     ],
 )
 def test_schema_violations_name_the_field(mangle, message):
