@@ -14,15 +14,22 @@ zero vector.
 by tuple rank, which is how every slot operator of the bar resolution
 (contractions, outer multiplications, unit insertions) acts.
 
-Every elimination produces one `Echelon`: the canonical rref rows from
-`kernels.build_rref` with an index from pivot column to row.  Reducing a
-vector against it walks only the pivot columns in the vector's support,
-so the work is the support plus the fill of the rows used, never the
-rank.  `kernel_basis` scatters each rref row into its free columns, and
-`Solver` keeps the augmentation part of one elimination as two matrices,
-a section and the conditions for a solution to exist, one row per
-condition, so a solve, of one right-hand side or of a whole matrix of
-them, is two products; `solve` is a `Solver` used once.
+Every elimination but the rank of a tall matrix produces one `Echelon`:
+the canonical rref rows from `kernels.build_rref` with an index from
+pivot column to row.  Reducing a vector against it walks only the pivot
+columns in the vector's support, so the work is the support plus the
+fill of the rows used, never the rank.  `kernel_basis` scatters each
+rref row into its free columns, and `Solver` keeps the augmentation part
+of one elimination as two matrices, a section and the conditions for a
+solution to exist, one row per condition, so a solve, of one right-hand
+side or of a whole matrix of them, is two products; `solve` is a
+`Solver` used once.
+
+`rank` needs only a pivot count.  When the matrix has no more columns
+than rows (every normalized coboundary, and the tall maps the exactness
+checks rank) it counts the pivots of `kernels.echelon`, a forward
+elimination with no canonical form; a wide matrix, every normalized
+boundary, keeps the rref, which measured faster there.
 
 The cycles of a class space are the null space of a differential, and
 `Echelon.null_space` gives its canonical rref from one elimination of
@@ -42,7 +49,7 @@ dimension and that membership test, nothing more.
 """
 
 from .errors import InclusionViolation, NotACycle
-from .kernels import build_rref
+from .kernels import build_rref, echelon
 
 
 class SparseMat:
@@ -324,7 +331,12 @@ def rref(m):
 
 
 def rank(m):
-    # the column rank: the columns are stored, the rows would be built
+    # the column rank: the columns are stored, the rows would be built.
+    # A tall matrix (every normalized coboundary) takes `echelon`, which
+    # skips the back-substitution; the many short columns of a wide one
+    # (every normalized boundary) fill more when reduced at the lead only
+    if m.ncols <= m.nrows:
+        return len(echelon(m.field, m.cols))
     return len(Echelon(m.field, m.cols, m.nrows).pivots)
 
 

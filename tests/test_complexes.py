@@ -595,24 +595,44 @@ def test_dimension_queries_are_refused_before_any_elimination(monkeypatch, kind)
     # normalized M_2 has 4 * 3**n coordinates in degree n: 8,748 in degree
     # 7 and 26,244 in degree 8, so to degree 7 the largest space is over a
     # 10,000 cap, and a refusal made on reaching it would come after seven
-    # eliminations
+    # eliminations, through either entry point a rank may take
     from hochcap import linalg
 
     dims = homology_dims if kind == "homology" else cohomology_dims
     reg = zoo.get("two_by_two_matrices").regular()
-    calls = _counting(monkeypatch, linalg, "build_rref")
+    rrefs = _counting(monkeypatch, linalg, "build_rref")
+    echelons = _counting(monkeypatch, linalg, "echelon")
     what = "chain" if kind == "homology" else "cochain"
     config.set_max_coordinates(10_000)
     try:
         assert len(dims(reg, 6)) == 7
-        assert calls
-        calls.clear()
+        assert rrefs or echelons
+        rrefs.clear()
+        echelons.clear()
         with pytest.raises(MemoryGuardError,
                            match=f"26244 coordinates for degree 8 of the normalized {what}"):
             dims(reg, 7)
     finally:
         config.set_max_coordinates(None)
-    assert calls == []
+    assert rrefs == echelons == []
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+def test_dimension_queries_rank_by_the_shape_of_each_differential(monkeypatch, kind):
+    # the normalized coboundaries of M_2 are tall (4 * 3**(m+1) rows, 4 *
+    # 3**m columns) and need only the forward elimination; the boundaries
+    # are wide and keep the canonical rref.  Degree 5 ranks six of either
+    from hochcap import linalg
+
+    dims = homology_dims if kind == "homology" else cohomology_dims
+    reg = zoo.get("two_by_two_matrices").regular()
+    rrefs = _counting(monkeypatch, linalg, "build_rref")
+    echelons = _counting(monkeypatch, linalg, "echelon")
+    assert dims(reg, 5) == [1] + [0] * 5
+    if kind == "homology":
+        assert (len(rrefs), echelons) == (6, [])
+    else:
+        assert (rrefs, len(echelons)) == ([], 6)
 
 
 @pytest.mark.parametrize("name,kind,up_to", [

@@ -1,9 +1,12 @@
 """The elimination kernel against the dense oracle.
 
-`build_rref` is the one routine every rank, kernel, solve and
-subquotient goes through.  Random sparse inputs over Q and several F_p
-are checked against plain Gaussian elimination in `_oracle.py`, and the
-output against the definition of a reduced row echelon form.
+`build_rref` is the routine every kernel, solve and subquotient goes
+through, and the rank of a wide matrix.  The rank of a tall one (every
+normalized coboundary) needs no canonical form and comes from `echelon`,
+the same loop without the back-substitution.  Random sparse inputs over
+Q and several F_p are checked against plain Gaussian elimination in
+`_oracle.py`, the rref against the definition of a reduced row echelon
+form, and the echelon against the rref's pivots.
 """
 
 from fractions import Fraction
@@ -84,6 +87,24 @@ def test_build_rref_ignores_row_order(p, data):
     assert [[type(v) for v in r.values()] for r in got] == [
         [type(v) for v in r.values()] for r in out
     ]
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=80)
+@given(data=st.data())
+def test_echelon_leads_at_the_pivots_of_the_rref(p, data):
+    # a row echelon form of a row space leads at the rref's pivot columns,
+    # whatever was left above its pivots
+    field = QQ if p is None else GF(p)
+    ncols, rows = data.draw(sparse_rows(p))
+    before = [list(r.items()) for r in rows]
+
+    basis = kernels.echelon(field, rows)
+    pivots, _ = kernels.build_rref(field, rows, ncols)
+    assert sorted(basis) == pivots
+    assert all(min(row) == lead for lead, row in basis.items())
+    assert _rank(rows + list(basis.values()), ncols, p) == len(pivots)
+    assert [list(r.items()) for r in rows] == before
 
 
 def test_pure_lane_always_importable():

@@ -310,6 +310,34 @@ def _rank_of_columns(cols, n, p):
     return dense_rank([[c.get(i, 0) for i in range(n)] for c in cols], p)
 
 
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_rank_is_the_dense_rank(p, shape, data):
+    # tall matrices take the forward elimination, the others the rref;
+    # sizes start at 0, so 0 x n, n x 0 and all-zero matrices are drawn
+    field = _field(p)
+    short, extra = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 5))
+    long = short + (extra if shape != "square" else 0)
+    nrows, ncols = (long, short) if shape == "tall" else (short, long)
+    col = st.dictionaries(st.integers(0, max(nrows - 1, 0)), _scalars(p),
+                          max_size=min(nrows, 5))
+    cols = [{i: field.coerce(v) for i, v in c.items() if v}
+            for c in data.draw(st.lists(col, min_size=ncols, max_size=ncols))]
+    m = SparseMat.from_columns(nrows, field, cols)
+    before = [list(c.items()) for c in m.cols]
+    assert rank(m) == dense_rank(m.to_dense(), p)
+    # the elimination scales its working rows in place; they must be copies
+    assert [list(c.items()) for c in m.cols] == before
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@pytest.mark.parametrize("nrows,ncols", [(0, 0), (0, 4), (4, 0), (6, 3), (3, 6), (4, 4)])
+def test_rank_of_empty_and_zero_matrices(p, nrows, ncols):
+    assert rank(SparseMat.zero(nrows, ncols, _field(p))) == 0
+
+
 @pytest.mark.parametrize("p", [None] + PRIMES)
 @settings(max_examples=60)
 @given(data=st.data())
