@@ -281,7 +281,7 @@ def _square_zero_torsion(A):
     Q = Bimodule(A, 1, (ident, zero), (ident, zero), label="A/s.A").validate()
     f = BimoduleMorphism(S, A.regular(), SparseMat.from_columns(2, fld, [{1: fld.one}]))
     g = BimoduleMorphism(A.regular(), Q, SparseMat.from_columns(1, fld, [{0: fld.one}, {}]))
-    return make_ses(f.validate(), g.validate(), label="square zero torsion"), Q
+    return make_ses(f, g, label="square zero torsion"), Q
 
 
 def _has_square_zero_shape(A):
@@ -311,8 +311,9 @@ def algebra_suite(A, n_max=3, seed=11, checks=None, name=None):
     `checks` restricts to a subset of CHECK_NAMES; `seed` feeds the
     random commutator shifts of the degree zero check.  The instances
     are one ordered table of (check name, thunk), and only the thunks
-    of the chosen checks run, so the coinduced and induced data are
-    built at most once, and not at all when no chosen check needs them.
+    of the chosen checks run, so the split sequence and the coinduced
+    and induced data are built at most once, and not at all when no
+    chosen check needs them.
     """
     checks = set(CHECK_NAMES if checks is None else checks)
     unknown = checks - set(CHECK_NAMES)
@@ -324,14 +325,15 @@ def algebra_suite(A, n_max=3, seed=11, checks=None, name=None):
     N = A.regular()
     co = functools.cache(lambda: coinduced(N))
     ind = functools.cache(lambda: induced(N))
+    split = functools.cache(lambda: split_ses(N, N, label="split"))
     table = [
         ("center-linearity", lambda: check_center_linearity(A, n_max)),
         ("connecting-homology", lambda: check_homology_connecting(
-            split_ses(N, N, label="split"), N, n_max, instance=f"{name} split")),
+            split(), N, n_max, instance=f"{name} split")),
         ("connecting-homology", lambda: check_homology_connecting(
             ind().ses, N, n_max, instance=f"{name} induced")),
         ("connecting-cohomology", lambda: check_cohomology_connecting(
-            N, split_ses(N, N, label="split"), n_max, instance=f"{name} split")),
+            N, split(), n_max, instance=f"{name} split")),
         ("connecting-cohomology", lambda: check_cohomology_connecting(
             N, co().ses, n_max, instance=f"{name} coinduced")),
         ("degree-zero", lambda: check_degree_zero(N, N, seed=seed, instance=f"{name} regular")),

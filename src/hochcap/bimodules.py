@@ -354,21 +354,18 @@ def tensor_over_algebra(N, M):
 
 
 class CoinducedData:
-    """E = Hom_k(A, M), its embedding of M and the quotient.
+    """E = Hom_k(A, M) and the quotient by the embedding of M.
 
-    Fields: module (E), embed (M -> E), quotient (C), project (E -> C),
-    ses (0 -> M -> E -> C -> 0).
+    Fields: module (E), quotient (C), ses (0 -> M -> E -> C -> 0), whose
+    `f` is the embedding and `g` the projection.
     """
 
-    __slots__ = ("module", "embed", "quotient", "project", "ses", "section")
+    __slots__ = ("module", "quotient", "ses")
 
-    def __init__(self, module, embed, quotient, project, ses, section):
+    def __init__(self, module, quotient, ses):
         self.module = module
-        self.embed = embed
         self.quotient = quotient
-        self.project = project
         self.ses = ses
-        self.section = section
 
 
 def coinduced(M):
@@ -390,7 +387,7 @@ def coinduced(M):
         for i in range(d):
             for l, v in M.right[i].cols[j].items():
                 emb.cols[j][i * r + l] = v
-    embed = BimoduleMorphism(M, E, emb).validate()
+    embed = BimoduleMorphism(M, E, emb)
 
     space = subquotient(SparseMat.identity(d * r, fld), emb)
     proj, sect = space.projection_section()
@@ -402,25 +399,23 @@ def coinduced(M):
         label=f"coker({lbl})",
     )
     C.validate()
-    project = BimoduleMorphism(E, C, proj).validate()
+    project = BimoduleMorphism(E, C, proj)
     ses = make_ses(embed, project, label=f"coinduced {M.label or 'M'}")
-    return CoinducedData(E, embed, C, project, ses, sect)
+    return CoinducedData(E, C, ses)
 
 
 class InducedData:
-    """P = A (x) V, the multiplication map onto V, and its kernel.
+    """P = A (x) V and the kernel of the multiplication map onto V.
 
-    Fields: module (P), onto (P -> V), kernel (K), include (K -> P),
-    ses (0 -> K -> P -> V -> 0).
+    Fields: module (P), kernel (K), ses (0 -> K -> P -> V -> 0), whose
+    `f` is the inclusion and `g` the multiplication map.
     """
 
-    __slots__ = ("module", "onto", "kernel", "include", "ses")
+    __slots__ = ("module", "kernel", "ses")
 
-    def __init__(self, module, onto, kernel, include, ses):
+    def __init__(self, module, kernel, ses):
         self.module = module
-        self.onto = onto
         self.kernel = kernel
-        self.include = include
         self.ses = ses
 
 
@@ -443,7 +438,7 @@ def induced(V):
         for j in range(r):
             for l, v in V.left[i].cols[j].items():
                 pi.cols[i * r + j][l] = v
-    onto = BimoduleMorphism(P, V, pi).validate()
+    onto = BimoduleMorphism(P, V, pi)
 
     kb = kernel_basis(pi)
     solver = Solver(kb)
@@ -458,6 +453,6 @@ def induced(V):
         k_right.append(rm)
     K = Bimodule(A, kb.ncols, tuple(k_left), tuple(k_right), label=f"ker({lbl} -> V)")
     K.validate()
-    include = BimoduleMorphism(K, P, kb).validate()
+    include = BimoduleMorphism(K, P, kb)
     ses = make_ses(include, onto, label=f"induced {V.label or 'V'}")
-    return InducedData(P, onto, K, include, ses)
+    return InducedData(P, K, ses)

@@ -417,9 +417,9 @@ def _solver(A, i):
         bar_differential(A, i) if i else augmentation_matrix(A)))
 
 
-def _random_sparse(rng, dim, table, entries=2):
-    """`entries` draws of a coefficient from `table`, the field's -2..2,
-    each nonzero one at a random index below `dim`.
+def _random_sparse(rng, dim, table):
+    """Two draws of a coefficient from `table`, the field's -2..2, each
+    nonzero one at a random index below `dim`.
 
     Each draw is `rng.randrange(5)` and each index `rng.randrange(dim)`,
     taken straight from `rng.getrandbits` by the rejection rule CPython's
@@ -429,7 +429,7 @@ def _random_sparse(rng, dim, table, entries=2):
     """
     bits, k = rng.getrandbits, dim.bit_length()
     out = {}
-    for _ in range(entries):
+    for _ in range(2):
         c = bits(3)
         while c >= 5:
             c = bits(3)

@@ -39,10 +39,10 @@ promised canonical there and no simple chain map carries normalized
 chain classes back.  But a class space asks for its dimension first.  A
 zero space has B = Z, so it eliminates nothing and never assembles the
 incoming differential; the outgoing one is assembled only to test a
-vector (`linalg.ZeroSubquotient`).  A nonzero space must have as many
-classes as that dimension, a cheap certificate linking the two
-complexes.  Both complexes come out of the
-same face loop, which reads the letters of the tensor slots off the
+vector (`linalg.ZeroSubquotient`), and the module keeps nothing but None
+for it.  A nonzero space must have as many classes as that dimension, a
+cheap certificate linking the two complexes.  Both complexes come out of
+the same face loop, which reads the letters of the tensor slots off the
 first argument of the differential: a bimodule and a `Normalized` each
 expose the letters' actions on the module slot (`left`, `right`) and
 their product table (`mult`).
@@ -52,7 +52,6 @@ connecting maps, the cap product with a class) is a `SparseMat` on
 canonical coordinates, read off by one `ClassSpace.classes`.
 """
 
-import weakref
 from functools import partial
 from itertools import product
 
@@ -285,10 +284,12 @@ def _dual_faces(M, m):
 
 
 def differential(M, n, kind):
-    """b_n (kind "homology") or delta_n (kind "cohomology")."""
+    """b_n (kind "homology") or delta_n (kind "cohomology"), and the zero
+    map past either end of the complex: b_0 : C_0 -> 0 and
+    delta_{-1} : 0 -> C^0."""
     if kind == "homology":
-        return boundary_matrix(M, n)
-    return coboundary_matrix(M, n)
+        return boundary_matrix(M, n) if n else SparseMat.zero(0, M.dim, M.field)
+    return coboundary_matrix(M, n) if n >= 0 else SparseMat.zero(M.dim, 0, M.field)
 
 
 def _touching(degree, kind):
@@ -313,54 +314,25 @@ def _normalized_dim(module, degree, kind, cx=None):
     return cx.dim * len(cx.mult) ** degree - sum(ranks)
 
 
-class _Detached:
-    """A bimodule's actions and product table, with its cache held weakly.
-
-    A zero class space, which is kept in that cache, assembles its
-    outgoing differential through this stand-in on first use, into the
-    same cache, without a reference cycle; once the cache is gone it
-    builds the differential uncached.
-    """
-
-    __slots__ = ("field", "dim", "left", "right", "mult", "_ref")
-
-    def __init__(self, module):
-        self.field, self.dim, self.mult = module.field, module.dim, module.mult
-        self.left, self.right = module.left, module.right
-        self._ref = weakref.ref(module._cache)
-
-    @property
-    def _cache(self):
-        cache = self._ref()
-        return {} if cache is None else cache
-
-
 def _class_subquotient(module, degree, kind):
-    """Z / B in the given degree of the chain or cochain complex.
+    """Z / B in the given degree of the chain or cochain complex, or None
+    when it is zero.
 
     A bimodule asks the normalized complex for the dimension first.  When
-    it is 0, B = Z and the space is a `ZeroSubquotient`: nothing is
-    eliminated, the differential entering the degree is never assembled,
-    and the one leaving it only when a vector is first tested.
-    Otherwise Z is the null space of the differential leaving the degree
-    (of the zero map in homological degree 0), eliminated once by
-    `Echelon.null_space`, and B is the image of the one entering it
-    (nothing in cohomological degree 0); the number of classes must
-    equal the normalized dimension, or InclusionViolation.
+    it is 0, B = Z and nothing is eliminated or assembled here; the class
+    space stands for it with a `ZeroSubquotient` (see `_class_space`).
+    Otherwise Z is the null space of the differential leaving the degree,
+    eliminated once by `Echelon.null_space`, and B is the image of the
+    one entering it, each the zero map past the end of the complex; the
+    number of classes must equal the normalized dimension, or
+    InclusionViolation.
     """
-    step = -1 if kind == "homology" else 1  # the degree of the differential
-    fld = module.field
     dim = _normalized_dim(module, degree, kind)
     if dim == 0:
-        if degree + step < 0:
-            leaving = partial(SparseMat.zero, 0, module.dim, fld)
-        else:
-            leaving = partial(differential, _Detached(module), degree, kind)
-        return ZeroSubquotient(fld, module.dim * len(module.mult) ** degree, leaving)
-    mats = {k: differential(module, k, kind) for k in _touching(degree, kind)}
-    out = mats.get(degree) or SparseMat.zero(0, module.dim, fld)
-    B = mats.get(degree - step) or SparseMat.zero(module.dim, 0, fld)
-    space = SubquotientSpace(Echelon.null_space(out), B)
+        return None
+    step = -1 if kind == "homology" else 1  # the degree of the differential
+    B = differential(module, degree - step, kind)
+    space = SubquotientSpace(Echelon.null_space(differential(module, degree, kind)), B)
     if space.dim != dim:
         raise InclusionViolation(
             f"{kind} degree {degree}: {space.dim} classes on the standard complex, "
@@ -406,17 +378,29 @@ class ClassSpace:
 
 
 def _class_space(module, degree, kind):
-    # the module caches the subquotient, which does not point back at the
-    # module; a cached ClassSpace would, and the cycle would keep every
-    # cached matrix alive until the cyclic garbage collector ran
+    """The class space of the module in the degree, its subquotient kept
+    on the module under (kind, degree).
+
+    Only module-free facts are cached: a ClassSpace, or a zero space
+    bound to the module to assemble its outgoing differential, would
+    point back at the module, and the cycle would keep every cached
+    matrix alive until the cyclic garbage collector ran.  A zero space is
+    kept as None, and each request wraps it in a fresh `ZeroSubquotient`,
+    which assembles that differential into the module's cache when a
+    vector is first tested; the ClassSpace holding it holds the module
+    anyway.
+    """
     if degree < 0:
         raise DegreeError(f"{kind} degree must be nonnegative")
     # refuse what the standard route would build, before the cache lookup
-    # and before any normalized work
-    for k in _touching(degree, kind):
-        _guard(module, k, kind)
+    # and before any normalized work: the differential touching degree + 1
+    # has the larger space
+    _guard(module, _touching(degree, kind)[0], kind)
     space = config.cached(module, (kind, degree),
                           lambda: _class_subquotient(module, degree, kind))
+    if space is None:
+        space = ZeroSubquotient(module.field, module.dim * len(module.mult) ** degree,
+                                partial(differential, module, degree, kind))
     return ClassSpace(module, degree, kind, space)
 
 

@@ -35,12 +35,12 @@ def set_max_coordinates(n):
     _max_coordinates = _DEFAULT_CAP if n is None else int(n)
 
 
-def guard(ncoords, what=""):
-    """Raise MemoryGuardError if a space of ncoords coordinates is too big."""
+def guard(ncoords, what):
+    """Raise MemoryGuardError if `what`, a space of ncoords coordinates,
+    is too big."""
     if ncoords > _max_coordinates:
-        label = f" for {what}" if what else ""
         raise MemoryGuardError(
-            f"refusing to allocate {ncoords} coordinates{label} "
+            f"refusing to allocate {ncoords} coordinates for {what} "
             f"(cap is {_max_coordinates}; raise it with set_max_coordinates "
             f"or --memory-cap)"
         )

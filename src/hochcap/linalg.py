@@ -296,20 +296,19 @@ class Echelon:
         return ech
 
     def reduce(self, v, record=None):
-        """Subtract from sparse v, in place, its part in the row space.
+        """Subtract from the clean sparse v, in place, its part in the row
+        space.
 
         Returns v.  Only the pivot columns in v's support are visited: a
         fully reduced row is zero at every other pivot, so the coefficient
-        at pivot p is v's own entry there and one pass is exact.  The cost
-        is the support of v plus the fill of the rows used, whatever the
-        rank.  If `record` is a dict, each coefficient is stored there
-        under its pivot column.
+        at pivot p is v's own entry there, nonzero, and one pass is exact.
+        The cost is the support of v plus the fill of the rows used,
+        whatever the rank.  If `record` is a dict, each coefficient is
+        stored there under its pivot column.
         """
         fld, index = self.field, self.index
         for p in [c for c in v if c in index]:
             f = v[p]
-            if not f:
-                continue
             if record is not None:
                 record[p] = f
             axpy(v, fld.neg(f), index[p], fld)

@@ -78,7 +78,7 @@ def _expect(obj, key, kind, where):
     return v
 
 
-def algebra_from_dict(obj, label=None):
+def algebra_from_dict(obj):
     """Builds and validates (algebra, named bimodules) from parsed JSON."""
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
@@ -100,7 +100,7 @@ def algebra_from_dict(obj, label=None):
             raise ParseError(f"structure[{pos}]: indices must be integers")
         rows.append((i, j, l, c))
     A = AlgebraPresentation(
-        fld, basis, rows, unit, label=obj.get("label", label)
+        fld, basis, rows, unit, label=obj.get("label")
     ).validate()
 
     blocks = obj.get("bimodules", {})

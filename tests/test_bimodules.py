@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochcap import config, zoo
+from hochcap import complexes, config, zoo
 from hochcap.axioms import algebra_suite
 from hochcap.bimodules import (
     Bimodule,
@@ -175,15 +175,30 @@ def _twin(M, label="twin"):
     return Bimodule(M.algebra, M.dim, copy(M.left), copy(M.right), label=label)
 
 
-def test_equal_actions_share_class_spaces():
+def test_equal_actions_share_class_spaces(monkeypatch):
     A = zoo.get("upper_triangular")
     N = A.regular()
     twin = _twin(N)
     assert twin._cache is N._cache and not A.is_regular(twin)
-    assert homology(twin, 2).space is homology(N, 2).space
     # N (x)_A A is N again, with the regular actions
-    tens = tensor_over_algebra(N, N)
-    assert homology(tens.module, 1).space is homology(N, 1).space
+    tens = tensor_over_algebra(N, N).module
+    calls = []
+    for name in ("rank", "_faces"):
+        def counted(*args, name=name, inner=getattr(complexes, name)):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(complexes, name, counted)
+    # both spaces are zero: each request gets a fresh handle on the one
+    # shared cache entry, which holds nothing bound to a module
+    for M, n in ((twin, 2), (tens, 1)):
+        cycle = next(col for col in boundary_matrix(N, n + 1).cols if col)
+        assert ("boundary", n) not in N._cache
+        assert homology(M, n).class_of(cycle) == () and N._cache["homology", n] is None
+        # the outgoing differential b_n the zero space tests with is built
+        # once, into the shared cache, whichever twin asks
+        built, made = N._cache["boundary", n], len(calls)
+        assert homology(N, n).class_of(cycle) == ()
+        assert len(calls) == made and N._cache["boundary", n] is built
 
 
 def test_different_actions_do_not_share():
