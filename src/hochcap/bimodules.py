@@ -36,9 +36,10 @@ class Bimodule:
     """Left and right action matrices, one per algebra basis element.
     All that is cached on a bimodule depends on its actions alone, so a new
     one adopts the `_cache` of its live twins from a weak registry on the
-    algebra, which lives as long as any of them does."""
+    algebra, which lives as long as any of them does.  `key`, the content
+    the registry is keyed by, names the module in the caches of others."""
 
-    __slots__ = ("algebra", "dim", "left", "right", "label", "_cache", "__weakref__")
+    __slots__ = ("algebra", "dim", "left", "right", "label", "key", "_cache", "__weakref__")
 
     def __init__(self, algebra, dim, left, right, label=None):
         self.algebra = algebra
@@ -46,9 +47,10 @@ class Bimodule:
         self.left = tuple(left)
         self.right = tuple(right)
         self.label = label
-        key = (dim, tuple(tuple(sorted(c.items())) for m in self.left + self.right for c in m.cols))
+        self.key = (dim, tuple(tuple(sorted(c.items()))
+                               for m in self.left + self.right for c in m.cols))
         twins = config.cached(algebra, "bimodules", weakref.WeakValueDictionary)
-        self._cache = twins.setdefault(key, _Cache())
+        self._cache = twins.setdefault(self.key, _Cache())
 
     @property
     def field(self):
@@ -315,10 +317,22 @@ def tensor_over_algebra(N, M):
     """N (x)_A M as a bimodule, with canonical projection and section.
 
     The middle action is cancelled: the quotient is by the span of
-    (x.a) (x) y - x (x) (a.y) over all basis choices.
+    (x.a) (x) y - x (x) (a.y) over all basis choices.  The projection,
+    the section and the two actions depend on the contents of N and M
+    alone, so they are built and validated once per pair, on N's shared
+    cache under M's content key; each call wraps them in a new bimodule
+    labelled for its factors.
     """
     if N.algebra is not M.algebra:
         raise ValidationError("tensor factors live over different algebras")
+    proj, sect, left, right = config.cached(N, ("tensor", M.key), lambda: _tensor_facts(N, M))
+    module = Bimodule(N.algebra, proj.nrows, left, right,
+                      label=f"({N.label or 'N'} (x)_A {M.label or 'M'})")
+    return TensorProduct(M, module, proj, sect)
+
+
+def _tensor_facts(N, M):
+    """(proj, sect, left, right) of N (x)_A M, the actions validated."""
     A = N.algebra
     fld = N.field
     rN, rM = N.dim, M.dim
@@ -340,14 +354,12 @@ def tensor_over_algebra(N, M):
     space = subquotient(
         SparseMat.identity(amb, fld), SparseMat.from_columns(amb, fld, rels)
     )
-    q = space.dim
     proj, sect = space.projection_section()
 
     left = tuple(proj @ kron(N.left[s], SparseMat.identity(rM, fld)) @ sect for s in range(A.dim))
     right = tuple(proj @ kron(SparseMat.identity(rN, fld), M.right[s]) @ sect for s in range(A.dim))
-    module = Bimodule(A, q, left, right, label=f"({N.label or 'N'} (x)_A {M.label or 'M'})")
-    module.validate()
-    return TensorProduct(M, module, proj, sect)
+    Bimodule(A, space.dim, left, right).validate()
+    return proj, sect, left, right
 
 
 # -- coinduced and induced modules ----------------------------------------

@@ -20,13 +20,11 @@ chains C_m(A, M*), M* = Hom_k(M, k), whose left action is the transposed
 right action of M and whose right action is the transposed left one:
 delta_m is the transpose of b_{m+1} on M*, with the dual chain (j; w)
 read as the cochain rank(w)*r + j.  One face loop (`_faces`) assembles
-both, and the bar differential of `cap` too.  Homology and
-cohomology are presented as subquotients with canonical coordinates, so
-equal classes get equal coordinate tuples no matter how they were found.
-The cycles are the null space of the outgoing differential, whose
-canonical rref `Echelon.null_space` reads off one elimination of the
-differential's rows (see `linalg`); the boundaries are the columns of
-the incoming one.
+both, and the bar differential of `cap` too; `_cofaces` applies the
+transpose of b_{n+1} to a sparse functional without assembling it.
+Homology and cohomology are presented as subquotients with canonical
+coordinates, so equal classes get equal coordinate tuples no matter how
+they were found.
 
 A dimension is read in one place, `_normalized_dim`, on the normalized
 complex, with r (d-1)^n coordinates in degree n (see `Normalized`): it
@@ -40,12 +38,16 @@ chain classes back.  But a class space asks for its dimension first.  A
 zero space has B = Z, so it eliminates nothing and never assembles the
 incoming differential; the outgoing one is assembled only to test a
 vector (`linalg.ZeroSubquotient`), and the module keeps nothing but None
-for it.  A nonzero space must have as many classes as that dimension, a
-cheap certificate linking the two complexes.  Both complexes come out of
-the same face loop, which reads the letters of the tensor slots off the
-first argument of the differential: a bimodule and a `Normalized` each
-expose the letters' actions on the module slot (`left`, `right`) and
-their product table (`mult`).
+for it.  A nonzero space assembles only the differential of the smaller
+neighbouring degree: the cycles of homology are the null space of b_n
+(`Echelon.null_space`), and the boundaries of cohomology the image of
+delta^{m-1}.  The normalized classes, pulled back along pi, give the
+other subspace without b_{n+1} or delta^m (see `_class_subquotient`),
+and each pulled-back vector is certified a cocycle exactly.  Both
+complexes come out of the same face loop, which reads the letters of
+the tensor slots off the first argument of the differential: a bimodule
+and a `Normalized` each expose the letters' actions on the module slot
+(`left`, `right`) and their product table (`mult`).
 
 Every map between class spaces (pushforwards, the central action,
 connecting maps, the cap product with a class) is a `SparseMat` on
@@ -113,8 +115,9 @@ def module_slot(M, n, kind):
 
 
 def _normalized_mult(A):
-    """(letters, mult): the basis indices that span Abar and the product
-    table of pi(e_a e_b), keyed by letter position.
+    """(letters, pi, mult): the basis indices that span Abar, the matrix of
+    pi: A -> Abar, with rows keyed by letter position, and the product
+    table of pi(e_a e_b), keyed likewise.
 
     k is the first basis index where the unit has a nonzero coefficient
     u_k.  pi sends e_i to ebar_i for i != k and e_k, which is
@@ -128,21 +131,35 @@ def _normalized_mult(A):
         letters = [i for i in range(A.dim) if i != k]
         pos = {i: a for a, i in enumerate(letters)}
         scale = fld.neg(fld.inv(A.unit[k]))
-        pi_k = {pos[i]: fld.mul(scale, v) for i, v in A.unit.items() if i != k}
+        pi = SparseMat(len(letters), A.dim, fld, [
+            {pos[i]: fld.one} if i != k else
+            {pos[j]: fld.mul(scale, v) for j, v in A.unit.items() if j != k}
+            for i in range(A.dim)])
         mult = []
         for i in letters:
             row = []
             for j in letters:
                 prod = {}
                 for l, v in A.mult[i][j].items():
-                    if l == k:
-                        axpy(prod, v, pi_k, fld)
-                    else:
-                        acc(prod, pos[l], v, fld)
+                    axpy(prod, v, pi.cols[l], fld)
                 row.append(prod)
             mult.append(row)
-        return letters, mult
+        return letters, pi, mult
     return config.cached(A, "normalized", build)
+
+
+def _pullback(module, vec, degree, kind):
+    """The standard (co)chain or functional vec o pi^{(x)n} for a sparse
+    vec on the normalized ones, in the same layout: the transpose of pi
+    on each tensor slot, one `on_slots` per slot from the right.  When
+    the unit is a basis vector, pi(e_k) = 0 and an entry has one image;
+    otherwise a letter is reached through e_k too.
+    """
+    pi = _normalized_mult(module.algebra)[1]
+    back, low = pi.transpose(), 1 if kind == "homology" else module.dim
+    for k in range(degree):
+        vec = on_slots(back, vec, low * pi.ncols ** k)
+    return vec
 
 
 class Normalized:
@@ -154,13 +171,14 @@ class Normalized:
     every basis element and the algebra's table.  The matrices are cached in
     the object's own `_cache`: build one per query and drop it, so
     nothing cached on the module depends on it.  Only their ranks are
-    kept on the module (`_normalized_dim`); class spaces take a bimodule.
+    kept on the module (`_normalized_dim`); class spaces take a bimodule,
+    and a nonzero one reads its normalized classes off one of these.
     """
 
     __slots__ = ("field", "dim", "left", "right", "mult", "_cache")
 
     def __init__(self, module):
-        letters, self.mult = _normalized_mult(module.algebra)
+        letters, _, self.mult = _normalized_mult(module.algebra)
         self.field = module.field
         self.dim = module.dim
         self.left = [module.left[i] for i in letters]
@@ -264,15 +282,19 @@ def _guard(M, n, kind):
         config.guard(max(d ** n, d ** (n + 1)) * M.dim, "a cochain space")
 
 
+def _dual_actions(M):
+    """The left and right actions of M* = Hom_k(M, k), the transposed
+    right and left actions of M, cached on the module."""
+    return config.cached(M, "dual", lambda: ([a.transpose() for a in M.right],
+                                             [a.transpose() for a in M.left]))
+
+
 def _dual_faces(M, m):
     """delta_m as b_{m+1} on M*, whose chain (j; w) is the cochain
-    rank(w)*r + j; the actions of M* are cached on the module with its
-    differentials."""
+    rank(w)*r + j."""
     fld = M.field
     d, r = len(M.mult), M.dim
-    actions = config.cached(M, "dual", lambda: ([a.transpose() for a in M.right],
-                                                [a.transpose() for a in M.left]))
-    dual = _faces(*actions, M.mult, fld, r, m + 1).cols
+    dual = _faces(*_dual_actions(M), M.mult, fld, r, m + 1).cols
     block, rest = d ** (m + 1), d ** m
     cols = [dict() for _ in range(rest * r)]
     target = [cols[w * r + j] for j in range(r) for w in range(rest)]
@@ -281,6 +303,49 @@ def _dual_faces(M, m):
         for idx, v in dual[y * block + u].items():
             target[idx][row] = v
     return SparseMat(block * r, rest * r, fld, cols)
+
+
+def _cofaces(left, right, mult, fld, n, functionals):
+    """phi o b_{n+1} for each sparse functional phi on the degree n chains
+    N (x) L^{(x)n} (the other arguments as for `_faces`), as a sparse
+    dict on the degree n+1 chains, without assembling b_{n+1}.
+
+    Each entry of phi at (y; w) is spread over the chains having (y; w)
+    as a face: (x; a, w) when x.a has a y term, the tuples that contract
+    to w at slot i, with the sign (-1)^i, and (x; w, a) when a.x has a y
+    term, with the sign (-1)^(n+1).  The work is the size of that
+    coface set, never the size of either chain space.
+    """
+    d = len(mult)
+    block = d ** n
+    neg, mul = fld.neg, fld.mul
+    products = [[] for _ in range(d)]  # products[l]: (a, b, v) with e_a e_b = v e_l + ...
+    for a, row in enumerate(mult):
+        for b, entry in enumerate(row):
+            for l, v in entry.items():
+                products[l].append((a, b, v))
+    firsts = [a.transpose().cols for a in right]  # firsts[a][y]: {x: (x.a)_y}
+    lasts = [a.transpose().cols for a in left]
+    slots = [(d ** (n - i), i % 2) for i in range(1, n + 1)]  # place value of slot i, sign
+    images = []
+    for phi in functionals:
+        out = {}
+        for c, f in phi.items():
+            y, k = divmod(c, block)
+            base = y * block * d
+            last = f if n % 2 else neg(f)
+            for a in range(d):
+                for x, v in firsts[a][y].items():
+                    acc(out, (x * d + a) * block + k, mul(f, v), fld)
+                for x, v in lasts[a][y].items():
+                    acc(out, (x * block + k) * d + a, mul(last, v), fld)
+            for low, odd in slots:
+                head, l, tail = k // (low * d), k // low % d, k % low
+                g = neg(f) if odd else f
+                for a, b, v in products[l]:
+                    acc(out, base + ((head * d + a) * d + b) * low + tail, mul(g, v), fld)
+        images.append(out)
+    return images
 
 
 def differential(M, n, kind):
@@ -318,26 +383,79 @@ def _class_subquotient(module, degree, kind):
     """Z / B in the given degree of the chain or cochain complex, or None
     when it is zero.
 
-    A bimodule asks the normalized complex for the dimension first.  When
-    it is 0, B = Z and nothing is eliminated or assembled here; the class
-    space stands for it with a `ZeroSubquotient` (see `_class_space`).
-    Otherwise Z is the null space of the differential leaving the degree,
-    eliminated once by `Echelon.null_space`, and B is the image of the
-    one entering it, each the zero map past the end of the complex; the
-    number of classes must equal the normalized dimension, or
-    InclusionViolation.
+    A bimodule asks the normalized complex for the dimension h first.
+    When it is 0, B = Z and nothing is eliminated or assembled here; the
+    class space stands for it with a `ZeroSubquotient` (see
+    `_class_space`).  Otherwise only the smaller neighbouring degree is
+    assembled, and the normalized classes, pulled back along pi, supply
+    the rest (`_normalized_classes`):
+    - homology: Z_n is the null space of b_n, eliminated once by
+      `Echelon.null_space`, and B_n the cycles that the h pulled-back
+      functionals kill (`Echelon.restrict`); b_{n+1} is never built;
+    - cohomology: B^m is the image of delta^{m-1}, and Z^m its span
+      with the h pulled-back cocycles (`Echelon.extend`); delta^m is
+      never built.
+    Two certificates raise InclusionViolation: each pulled-back vector
+    is checked to be a cocycle exactly, over the cofaces of its support
+    (`_cofaces`), and the functionals must have rank h on Z_n, or the
+    cocycles add h pivots to B^m.
     """
-    dim = _normalized_dim(module, degree, kind)
+    cx = Normalized(module)
+    dim = _normalized_dim(module, degree, kind, cx)
     if dim == 0:
         return None
-    step = -1 if kind == "homology" else 1  # the degree of the differential
-    B = differential(module, degree - step, kind)
-    space = SubquotientSpace(Echelon.null_space(differential(module, degree, kind)), B)
-    if space.dim != dim:
+    fld, d, r = module.field, len(module.mult), module.dim
+    vecs = [_pullback(module, v, degree, kind) for v in _normalized_classes(cx, degree, kind)]
+    if kind == "homology":
+        what, duals = "functional", vecs
+        actions = module.left, module.right
+    else:
+        # delta^m psi = 0 read as the dual functional psi o b_{m+1} on M*
+        what, duals = "cocycle", [{t % r * d ** degree + t // r: v for t, v in psi.items()}
+                                   for psi in vecs]
+        actions = _dual_actions(module)
+    for j, image in enumerate(_cofaces(*actions, module.mult, fld, degree, duals)):
+        if image:
+            raise InclusionViolation(
+                f"{kind} degree {degree}: the pulled-back normalized {what} {j} "
+                f"is not a cocycle")
+    if kind == "homology":
+        cycles = Echelon.null_space(differential(module, degree, kind))
+        boundaries = cycles.restrict(vecs)
+    else:
+        into = differential(module, degree - 1, kind)
+        boundaries = Echelon(fld, list(into.cols), into.nrows)
+        cycles = boundaries.extend(vecs)
+    found = len(cycles.pivots) - len(boundaries.pivots)
+    if found != dim:
         raise InclusionViolation(
-            f"{kind} degree {degree}: {space.dim} classes on the standard complex, "
+            f"{kind} degree {degree}: {found} classes on the standard complex, "
             f"{dim} on the normalized one")
-    return space
+    return SubquotientSpace(cycles, boundaries)
+
+
+def _normalized_classes(cx, degree, kind):
+    """Canonical representatives of a basis of the normalized classes, as
+    sparse vectors on the normalized (co)chains of the degree.
+
+    For cohomology these are cocycles of Cbar^m modulo the image of
+    delta^{m-1}.  For homology they are functionals on Cbar_n, cocycles
+    of the dual complex (phi o bbar_{n+1} = 0) modulo the coboundaries
+    psi o bbar_n: over a field they are a basis of the dual of Hbar_n.
+    Nothing is certified here: `_class_subquotient` checks the pulled-back
+    vectors on the standard complex.
+    """
+    fld = cx.field
+    if kind == "homology":
+        cycles = Echelon.null_space(differential(cx, degree + 1, kind).transpose())
+        into = differential(cx, degree, kind)
+        boundaries = Echelon(fld, into.rows_view(), into.ncols)
+    else:
+        cycles = Echelon.null_space(differential(cx, degree, kind))
+        into = differential(cx, degree - 1, kind)
+        boundaries = Echelon(fld, list(into.cols), into.nrows)
+    space = SubquotientSpace(cycles, boundaries)
+    return [space.representative(k) for k in range(space.dim)]
 
 
 class ClassSpace:

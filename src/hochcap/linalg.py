@@ -31,16 +31,26 @@ checks rank) it counts the pivots of `kernels.echelon`, a forward
 elimination with no canonical form; a wide matrix, every normalized
 boundary, keeps the rref, which measured faster there.
 
-The cycles of a class space are the null space of a differential, and
-`Echelon.null_space` gives its canonical rref from one elimination of
-the differential's rows, with the columns relabelled c -> n-1-c.  Read
-back in the original labels, each row of that rref R ends in a 1 at a
-column q_i, and every other entry lies left of q_i.  For each column f
+The cycles of a homology class space are the null space of a
+differential, and `Echelon.null_space` gives its canonical rref from one
+elimination of the differential's rows, with the columns relabelled
+c -> n-1-c.  Read back in the original labels, each row of that rref R
+ends in a 1 at a column q_i, and every other entry lies left of q_i.  For each column f
 that is no q_i, e_f - sum_i R[i, f] e_{q_i} is in the null space, leads
 with 1 at f, has its other entries only at q_i > f, and is zero at every
 other such f: together these vectors are a reduced row echelon basis of
 the null space, and since the rref is unique, they are the rows that
 eliminating any other basis of it would give.
+
+A class space then derives its second subspace from the first and a few
+vectors, with no second elimination of a large matrix: `restrict` cuts
+out the vectors of a row space that some functionals kill (the
+boundaries inside the cycles), and `extend` adds vectors to one (the
+cycles over the boundaries).  Both emit canonical rows, keys increasing
+and values in the field's canonical form, as `build_rref` does, and a
+row that does not change is shared, not copied.  `SubquotientSpace`
+takes the two echelons as they are; `subquotient` eliminates the columns
+of two matrices and checks that the second space lies in the first.
 
 A subquotient known beforehand to be zero (`ZeroSubquotient`) needs
 neither echelon: B = Z, so a vector has coordinates exactly when the
@@ -290,10 +300,85 @@ class Echelon:
             for c, v in row.items():
                 if c != p:
                     index[n - 1 - c][q] = fld.neg(v)
+        return cls._of(fld, n, index)
+
+    @classmethod
+    def _of(cls, field, ncols, index):
+        """The echelon whose rows are the values of `index`, a dict from
+        pivot column to row in increasing pivot order, trusted as given."""
         ech = cls.__new__(cls)
-        ech.field, ech.ncols = fld, n
+        ech.field, ech.ncols = field, ncols
         ech.pivots, ech.rows, ech.index = list(index), list(index.values()), index
         return ech
+
+    def restrict(self, functionals):
+        """The echelon of the vectors of the row space that every
+        functional (a sparse dict) sends to zero.
+
+        With the rows z_i listed from the last, a combination sum a_i z_i
+        is killed when its coefficients are in the null space of the
+        matrix whose column i is Phi(z_i), the values of the functionals.
+        The canonical basis of that null space (`kernel_basis`) has one
+        vector per row whose values depend on those of the rows after
+        it, with a 1 there and otherwise entries only at later rows whose
+        values are independent: the rref rows of the subspace, read back
+        in the order of their pivots.  A row no functional touches is
+        shared, not copied, and the values are read over the smaller of a
+        row and the functionals' support.
+        """
+        fld = self.field
+        touch = {}
+        for j, phi in enumerate(functionals):
+            for c, v in phi.items():
+                touch.setdefault(c, []).append((j, v))
+        rows = self.rows[::-1]
+        values = []
+        for row in rows:
+            if len(row) < len(touch):
+                pairs = [(v, touch[c]) for c, v in row.items() if c in touch]
+            else:
+                pairs = [(row[c], t) for c, t in touch.items() if c in row]
+            val = {}
+            for v, t in pairs:
+                for j, u in t:
+                    acc(val, j, fld.mul(v, u), fld)
+            values.append(val)
+        kernel = kernel_basis(SparseMat(len(functionals), len(rows), fld, values))
+        index = {}
+        for coeffs in reversed(kernel.cols):
+            i = next(iter(coeffs))
+            row = rows[i]
+            if len(coeffs) > 1:
+                row = dict(row)
+                for q, c in coeffs.items():
+                    if q != i:
+                        axpy(row, c, rows[q], fld)
+                row = _canonical(fld, row)
+            index[self.pivots[len(rows) - 1 - i]] = row
+        return Echelon._of(fld, self.ncols, index)
+
+    def extend(self, vectors):
+        """The echelon of the row space plus the vectors (sparse dicts).
+
+        The vectors, reduced against the rows, are eliminated among
+        themselves; each new pivot is then cleared from the rows that
+        have it.  A row that has none is shared, not copied.
+        """
+        fld = self.field
+        new = Echelon(fld, [self.reduce(dict(v)) for v in vectors], self.ncols)
+        index = {}
+        for p in sorted(self.pivots + new.pivots):
+            row = new.index.get(p)
+            if row is None:
+                row = self.index[p]
+                hits = [(q, row[q]) for q in new.pivots if q in row]
+                if hits:
+                    row = dict(row)
+                    for q, f in hits:
+                        axpy(row, fld.neg(f), new.index[q], fld)
+                    row = _canonical(fld, row)
+            index[p] = row
+        return Echelon._of(fld, self.ncols, index)
 
     def reduce(self, v, record=None):
         """Subtract from the clean sparse v, in place, its part in the row
@@ -313,6 +398,12 @@ class Echelon:
                 record[p] = f
             axpy(v, fld.neg(f), index[p], fld)
         return v
+
+
+def _canonical(field, row):
+    """A row as the kernel emits it: keys increasing, values in the
+    field's canonical form (over Q an `int` wherever integral)."""
+    return {c: field.coerce(v) for c, v in sorted(row.items())}
 
 
 def rref(m):
@@ -417,24 +508,24 @@ class Solver:
 
 
 class SubquotientSpace:
-    """span(Z) / span(B) with canonical coordinates.
+    """span(cycles) / span(boundaries) with canonical coordinates.
 
-    Holds the `Echelon`s of the two subspaces, `cycles` and `boundaries`.
-    `cycles` is given, already eliminated: `subquotient` takes it from
-    the columns of a matrix Z, and a class space reads it off its
-    differential with `Echelon.null_space`, one elimination in place of
-    a kernel basis and a second elimination of that basis.  Both give the
-    same rows, since the rref of a subspace is unique.  The boundary
+    Holds the `Echelon`s of the two subspaces, `cycles` and `boundaries`,
+    and trusts that the second lies in the first: `subquotient` checks
+    that for two matrices, and a class space derives one echelon from
+    the other (see `complexes._class_subquotient`), so the inclusion
+    holds by construction there.  Since the rref of a subspace is unique,
+    the rows do not depend on how either echelon was found.  The boundary
     pivot set is contained in the cycle pivot set; the difference (the
     "free" pivots, in increasing order) indexes the canonical
     coordinates.  The canonical representative of generator k is the
     cycle rref row at the k-th free pivot: it already has zeros at every
     boundary pivot, so its coset coordinates are the k-th unit vector.
 
-    Every reduction (the B <= Z inclusion check at construction, coset
-    coordinates, lifts) goes through `Echelon.reduce`, which visits only
-    the pivot columns in a vector's support, so it costs the support plus
-    the fill of the rows it uses, not the rank of Z or B.
+    Every reduction (the inclusion check, coset coordinates, lifts) goes
+    through `Echelon.reduce`, which visits only the pivot columns in a
+    vector's support, so it costs the support plus the fill of the rows
+    it uses, not the rank of Z or B.
     """
 
     __slots__ = (
@@ -447,21 +538,11 @@ class SubquotientSpace:
         "dim",
     )
 
-    def __init__(self, cycles, B):
-        if cycles.ncols != B.nrows:
-            raise ValueError("cycle and boundary matrices live in different spaces")
-        fld = cycles.field
-        self.ambient_dim = B.nrows
-        self.field = fld
+    def __init__(self, cycles, boundaries):
+        self.ambient_dim = cycles.ncols
+        self.field = cycles.field
         self.cycles = cycles
-        boundaries = self.boundaries = Echelon(fld, list(B.cols), B.nrows)
-
-        for p, row in zip(boundaries.pivots, boundaries.rows):
-            if p not in cycles.index:
-                raise InclusionViolation(f"boundary pivot {p} outside the cycle space")
-            if cycles.reduce(dict(row)):
-                raise InclusionViolation("boundary vector outside the cycle space")
-
+        self.boundaries = boundaries
         self.free_pivots = [p for p in cycles.pivots if p not in boundaries.index]
         self._free_index = {p: k for k, p in enumerate(self.free_pivots)}
         self.dim = len(self.free_pivots)
@@ -554,4 +635,14 @@ class ZeroSubquotient(SubquotientSpace):
 
 def subquotient(Z, B):
     """Quotient of column spaces span(Z)/span(B); raises if not nested."""
-    return SubquotientSpace(Echelon(Z.field, list(Z.cols), Z.nrows), B)
+    if Z.nrows != B.nrows:
+        raise ValueError("cycle and boundary matrices live in different spaces")
+    fld = Z.field
+    cycles = Echelon(fld, list(Z.cols), Z.nrows)
+    boundaries = Echelon(fld, list(B.cols), B.nrows)
+    for p, row in zip(boundaries.pivots, boundaries.rows):
+        if p not in cycles.index:
+            raise InclusionViolation(f"boundary pivot {p} outside the cycle space")
+        if cycles.reduce(dict(row)):
+            raise InclusionViolation("boundary vector outside the cycle space")
+    return SubquotientSpace(cycles, boundaries)

@@ -398,6 +398,53 @@ def test_null_space_echelon_edge_cases(p, shape):
     assert len(got.pivots) == m.ncols - rank(m)
 
 
+def _dot(field, u, v):
+    out = field.zero
+    for c, x in u.items():
+        if c in v:
+            out = field.add(out, field.mul(x, v[c]))
+    return out
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_restrict_is_the_echelon_of_the_vectors_the_functionals_kill(p, data):
+    # the kernel of Phi on the row space, found by eliminating a basis of
+    # it a second time; a row that every functional kills is shared
+    field = _field(p)
+    ncols = data.draw(st.integers(1, 8))
+    space = Echelon(field, data.draw(sparse_columns(field, p, ncols, data.draw(st.integers(0, 6)))),
+                    ncols)
+    phis = data.draw(sparse_columns(field, p, ncols, data.draw(st.integers(0, 3))))
+    got = space.restrict(phis)
+    rows = SparseMat.from_columns(ncols, field, space.rows)
+    values = SparseMat.from_columns(len(phis), field, [
+        {j: v for j, phi in enumerate(phis) if (v := _dot(field, phi, row))} for row in space.rows])
+    _same_echelon(got, Echelon(field, (rows @ kernel_basis(values)).cols, ncols))
+    for q, row in space.index.items():
+        if not any(_dot(field, phi, row) for phi in phis):
+            assert got.index[q] is row
+
+
+@pytest.mark.parametrize("p", [None] + PRIMES)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_extend_is_the_echelon_of_the_rows_and_the_vectors(p, data):
+    # a row with no entry at a new pivot is shared
+    field = _field(p)
+    ncols = data.draw(st.integers(1, 8))
+    rows = data.draw(sparse_columns(field, p, ncols, data.draw(st.integers(0, 6))))
+    vecs = data.draw(sparse_columns(field, p, ncols, data.draw(st.integers(0, 3))))
+    space = Echelon(field, rows, ncols)
+    got = space.extend(vecs)
+    _same_echelon(got, Echelon(field, rows + vecs, ncols))
+    new = set(got.pivots) - set(space.pivots)
+    for q, row in space.index.items():
+        if not new & set(row):
+            assert got.index[q] is row
+
+
 @pytest.mark.parametrize("p", [None] + PRIMES)
 @settings(max_examples=60)
 @given(data=st.data())
