@@ -30,7 +30,10 @@ A dimension is read in one place, `_normalized_dim`, on the normalized
 complex, with r (d-1)^n coordinates in degree n (see `Normalized`): it
 is a rank count and needs no class coordinates.  The ranks are kept on
 the module, so dimension queries (`class_dims`, `homology_dims`,
-`cohomology_dims`) and class spaces share them.  Class spaces, and
+`cohomology_dims`) and class spaces share them.  A dimension query finds
+its ranks in one walk over the complex, ranking each differential only
+on the columns off the image of the one before it, after certifying
+that it kills that image.  Class spaces, and
 everything built on them (cap products, connecting maps, the identity
 checks), stay on the standard complex, because their coordinates are
 promised canonical there and no simple chain map carries normalized
@@ -64,7 +67,7 @@ from .errors import DegreeError, InclusionViolation, NotCentral, NotInvariant
 # the tracer rewraps this binding
 from .linalg import (  # noqa: F401
     Echelon, SparseMat, SubquotientSpace, ZeroSubquotient, acc, axpy, coerce_vector,
-    kernel_basis, on_slots, rank, subquotient)
+    image_basis, kernel_basis, on_slots, rank, subquotient)
 
 
 def tuples(d, n):
@@ -540,15 +543,27 @@ def class_dims(module, up_to, kind):
     """dim H_n(A, N) (kind "homology") or dim H^n(A, N) ("cohomology") for
     n = 0..up_to, by rank counting on the normalized complex.
 
-    Each degree is `_normalized_dim`, whose ranks are kept on the module
-    and shared with the class spaces, which ask it for their dimension:
-    each differential is eliminated once per module content, whichever
-    asks first.  No class coordinates are built, so the smaller complex
+    The ranks come from one walk over the normalized differentials:
+    homology from bbar_{up_to+1} down, cohomology from deltabar^0 up.
+    Each differential d after the first must kill a basis of the image of
+    the one before it, with leads L.  Then d has the same rank on its
+    columns off L as on all of them, since the unit vectors off L and the
+    basis form a triangular basis of the space, so only those columns are
+    eliminated.  The certificate multiplies the basis, or the columns it
+    came from when they have fewer nonzeros (over F_p rref rows can be
+    denser).  By induction each basis spans the full image, so it raises
+    InclusionViolation exactly when two consecutive differentials do not
+    compose to zero, in every degree 1..up_to, in place of the B <= Z
+    check a subquotient makes.
+
+    The ranks are kept on the module, where `_normalized_dim` reads them
+    and class spaces ask it for their dimension, so each differential is
+    eliminated once per module content, whichever asks first.  The walk
+    eliminates no rank it finds there, and certifies the next pair by the
+    full product.  No class coordinates are built, so the smaller complex
     serves (class spaces stay on the standard complex, see `ClassSpace`).
     One `Normalized` serves the whole query, so each of its differentials
-    is assembled once.  Every degree with both differentials checks that
-    their composite vanishes, in place of the B <= Z check a subquotient
-    makes, and raises InclusionViolation if it does not.
+    is assembled once.
     """
     if up_to < 0:
         raise DegreeError(f"the largest {kind} degree must be nonnegative")
@@ -558,13 +573,40 @@ def class_dims(module, up_to, kind):
     what = "chain" if kind == "homology" else "cochain"
     config.guard(cx.dim * max(len(cx.mult), 1) ** (up_to + 1),
                  f"degree {up_to + 1} of the normalized {what} complex")
-    step = -1 if kind == "homology" else 1  # the degree of the differential
-    for n in range(1, up_to + 1):
-        if not (differential(cx, n, kind) @ differential(cx, n - step, kind)).is_zero():
-            raise InclusionViolation(
-                f"{kind} degree {n}: the composite of the normalized "
-                f"differentials is not zero")
+    walk = range(up_to + 1, 0, -1) if kind == "homology" else range(up_to + 1)
+    _rank_walk(module, kind, ((k, differential(cx, k, kind)) for k in walk))
     return [_normalized_dim(module, n, kind, cx) for n in range(up_to + 1)]
+
+
+def _rank_walk(module, kind, steps):
+    """Keep the rank of each d of `steps`, pairs (k, d) in the order of the
+    walk (see `class_dims`), on the module as ("normalized rank", kind, k),
+    after certifying that d kills the image of the d before it."""
+    image = leads = None  # columns spanning the previous image, and the leads of its basis
+    for k, d in steps:
+        if image is not None and not (d @ image).is_zero():
+            raise InclusionViolation(
+                f"{kind} degree {k}: the composite of the normalized "
+                f"differentials is not zero")
+        key = ("normalized rank", kind, k)
+        if key in module._cache:
+            image, leads = d, None
+        else:
+            image = None  # drop the previous basis before the next elimination
+            module._cache[key], leads, image = _image(d, leads)
+
+
+def _image(d, leads):
+    """(rank, leads, image) of d on its columns off `leads` (all of them
+    when None): the rank, the leads of an image basis, and a matrix whose
+    columns span the image, the basis or those columns, whichever has
+    fewer nonzeros."""
+    cols = d.cols if leads is None else [c for j, c in enumerate(d.cols) if j not in leads]
+    basis = image_basis(SparseMat(d.nrows, len(cols), d.field, cols))
+    vecs = list(basis.values())
+    if sum(map(len, vecs)) >= sum(map(len, cols)):
+        vecs = cols
+    return len(basis), set(basis), SparseMat(d.nrows, len(vecs), d.field, vecs)
 
 
 def homology_dims(N, up_to):

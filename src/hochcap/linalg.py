@@ -25,11 +25,14 @@ solution to exist, one row per condition, so a solve, of one right-hand
 side or of a whole matrix of them, is two products; `solve` is a
 `Solver` used once.
 
-`rank` needs only a pivot count.  When the matrix has no more columns
-than rows (every normalized coboundary, and the tall maps the exactness
-checks rank) it counts the pivots of `kernels.echelon`, a forward
-elimination with no canonical form; a wide matrix, every normalized
-boundary, keeps the rref, which measured faster there.
+`rank` counts the vectors of `image_basis`, a basis of the column space
+keyed by distinct leads.  When the matrix has no more columns than rows
+(every normalized coboundary, a normalized boundary restricted by a
+dimension query, and the tall maps the exactness checks rank) that is
+`kernels.echelon`, a forward elimination with no canonical form; a wide
+matrix, such as the top boundary of a homology query, keeps the rref,
+which measured faster there.  A dimension query keeps the basis itself
+(see `complexes.class_dims`).
 
 The cycles of a homology class space are the null space of a
 differential, and `Echelon.null_space` gives its canonical rref from one
@@ -420,14 +423,22 @@ def rref(m):
     return out, ech.pivots
 
 
-def rank(m):
-    # the column rank: the columns are stored, the rows would be built.
-    # A tall matrix (every normalized coboundary) takes `echelon`, which
-    # skips the back-substitution; the many short columns of a wide one
-    # (every normalized boundary) fill more when reduced at the lead only
+def image_basis(m):
+    """A basis of the column space of m, as {lead: vector}, with distinct
+    leads: the columns are stored, the rows would be built.
+
+    A tall matrix (no more columns than rows) takes `echelon`, which skips
+    the back-substitution, and its vectors are in the kernel's working
+    form; the many short columns of a wide one fill more when reduced at
+    the lead only, so it keeps the canonical rref.
+    """
     if m.ncols <= m.nrows:
-        return len(echelon(m.field, m.cols))
-    return len(Echelon(m.field, m.cols, m.nrows).pivots)
+        return echelon(m.field, m.cols)
+    return Echelon(m.field, m.cols, m.nrows).index
+
+
+def rank(m):
+    return len(image_basis(m))
 
 
 def kernel_basis(m):

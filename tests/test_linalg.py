@@ -9,7 +9,7 @@ from hochcap import QQ, GF, SparseMat, Solver, kernel_basis, rank, rref, solve, 
 from hochcap.bimodules import kron
 from hochcap.errors import InclusionViolation, NotACycle, ParseError
 from hochcap.fields import field_from_json
-from hochcap.linalg import Echelon, axpy, on_slots
+from hochcap.linalg import Echelon, axpy, image_basis, on_slots
 
 from _oracle import dense_rank, dense_solve
 
@@ -330,6 +330,19 @@ def test_rank_is_the_dense_rank(p, shape, data):
     assert rank(m) == dense_rank(m.to_dense(), p)
     # the elimination scales its working rows in place; they must be copies
     assert [list(c.items()) for c in m.cols] == before
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_image_basis_is_keyed_by_leads(p, data):
+    # a dimension query restricts the next differential to the columns off
+    # these keys, which is exact only if each is its vector's lead and the
+    # vectors span the column space
+    m = data.draw(sparse_matrices(p))
+    basis = image_basis(m)
+    assert all(min(v) == lead for lead, v in basis.items())
+    assert _rank_of_columns(m.cols + list(basis.values()), m.nrows, p) == len(basis) == rank(m)
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 5])
