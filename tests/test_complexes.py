@@ -674,15 +674,15 @@ def _matrices(draw, field, p, nrows, ncols):
     """A zero, sparse random or full rank (unit lower triangular) matrix."""
     scalars = (st.fractions(min_value=-3, max_value=3, max_denominator=3) if p is None
                else st.integers(0, p - 1))
-    kind = draw(st.sampled_from(["zero", "sparse", "sparse", "full", "full"]))
+    form = draw(st.sampled_from(["zero", "sparse", "sparse", "full", "full"]))
     cols = [{} for _ in range(ncols)]
-    if kind != "zero":
+    if form != "zero":
         for j in range(ncols):
-            below = range(j + 1, nrows) if kind == "full" else range(nrows)
+            below = range(j + 1, nrows) if form == "full" else range(nrows)
             entries = draw(st.dictionaries(st.sampled_from(below), scalars, max_size=3)
                            if below else st.just({}))
             cols[j] = {i: field.coerce(v) for i, v in entries.items() if v}
-            if kind == "full" and j < nrows:
+            if form == "full" and j < nrows:
                 cols[j][j] = field.one
     return SparseMat(nrows, ncols, field, cols)
 
