@@ -5,7 +5,7 @@ See the README for the input format and the command line interface.
 """
 
 from .fields import GF, QQ
-from .linalg import SparseMat, Solver, kernel_basis, rank, rref, solve, subquotient
+from .linalg import SparseMat, Solver, kernel_basis, rank, subquotient
 
 __version__ = "0.1.0"
 
@@ -16,8 +16,6 @@ __all__ = [
     "Solver",
     "kernel_basis",
     "rank",
-    "rref",
-    "solve",
     "subquotient",
     "__version__",
 ]

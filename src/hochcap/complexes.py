@@ -26,30 +26,30 @@ Homology and cohomology are presented as subquotients with canonical
 coordinates, so equal classes get equal coordinate tuples no matter how
 they were found.
 
-A dimension is read in one place, `_normalized_dim`, on the normalized
-complex, with r (d-1)^n coordinates in degree n (see `Normalized`): it
-is a rank count and needs no class coordinates.  The ranks are kept on
-the module, so dimension queries (`class_dims`, `homology_dims`,
-`cohomology_dims`) and class spaces share them.  A dimension query finds
-its ranks in one walk over the complex, ranking each differential only
-on the columns off the image of the one before it, after certifying
-that it kills that image.  Class spaces, and
-everything built on them (cap products, connecting maps, the identity
-checks), stay on the standard complex, because their coordinates are
-promised canonical there and no simple chain map carries normalized
-chain classes back.  But a class space asks for its dimension first.  A
-zero space has B = Z, so it eliminates nothing and never assembles the
-incoming differential; the outgoing one is assembled only to test a
-vector (`linalg.ZeroSubquotient`), and the module keeps nothing but None
-for it.  A nonzero space assembles only the differential of the smaller
-neighbouring degree: the cycles of homology are the null space of b_n
-(`Echelon.null_space`), and the boundaries of cohomology the image of
-delta^{m-1}.  The normalized classes, pulled back along pi, give the
-other subspace without b_{n+1} or delta^m (see `_class_subquotient`),
-and each pulled-back vector is certified a cocycle exactly.  Both
-complexes come out of the same face loop, which reads the letters of
-the tensor slots off the first argument of the differential: a bimodule
-and a `Normalized` each expose the letters' actions on the module slot
+All normalized work is cohomology, on the normalized complex with
+r (d-1)^n coordinates in degree n (see `Normalized`): of M for
+cohomology, and of M* (`_dual`) for homology, since deltabar^n on M* is
+the transpose of bbar_{n+1} on M, so its cocycles are the homology
+functionals of M.  The ranks of the coboundaries are kept on that
+module, where dimension queries (`class_dims`) and class spaces share
+them.  A dimension query finds them in one walk up the complex, ranking
+each coboundary only on the columns off the image of the one before it,
+after certifying that it kills that image; a class space ranks the two
+touching its degree the same way, and its normalized classes are the
+null space of the outgoing one on those columns (`_normalized_classes`).
+Class spaces, and everything built on them (cap products, connecting
+maps, the identity checks), stay on the standard complex, because their
+coordinates are promised canonical there and no simple chain map carries
+normalized chain classes back.  A zero space eliminates nothing there:
+B = Z, the outgoing differential is assembled only to test a vector
+(`linalg.ZeroSubquotient`), and the module keeps nothing but None for
+it.  A nonzero space assembles only the differential of the smaller
+neighbouring degree, b_n for H_n and delta^{m-1} for H^m, and the
+normalized classes, pulled back along pi and each certified a cocycle
+exactly, give the other subspace (see `_class_subquotient`).  Both
+complexes come out of the same face loop, which reads the letters of the
+tensor slots off the first argument of the differential: a bimodule and
+a `Normalized` each expose the letters' actions on the module slot
 (`left`, `right`) and their product table (`mult`).
 
 Every map between class spaces (pushforwards, the central action,
@@ -61,13 +61,13 @@ from functools import partial
 from itertools import product
 
 from . import config
-from .bimodules import commutator_subspace
+from .bimodules import Bimodule, commutator_subspace
 from .errors import DegreeError, InclusionViolation, NotCentral, NotInvariant
 # kernel_basis is not called here; perfbench/test_perfbench.py checks that
 # the tracer rewraps this binding
 from .linalg import (  # noqa: F401
     Echelon, SparseMat, SubquotientSpace, ZeroSubquotient, acc, axpy, coerce_vector,
-    image_basis, kernel_basis, on_slots, rank, subquotient)
+    image_basis, kernel_basis, on_slots, subquotient)
 
 
 def tuples(d, n):
@@ -151,17 +151,17 @@ def _normalized_mult(A):
     return config.cached(A, "normalized", build)
 
 
-def _pullback(module, vec, degree, kind):
-    """The standard (co)chain or functional vec o pi^{(x)n} for a sparse
-    vec on the normalized ones, in the same layout: the transpose of pi
-    on each tensor slot, one `on_slots` per slot from the right.  When
-    the unit is a basis vector, pi(e_k) = 0 and an entry has one image;
-    otherwise a letter is reached through e_k too.
+def _pullback(module, vec, degree):
+    """The standard cochain vec o pi^{(x)n} for a sparse vec on the
+    normalized ones: the transpose of pi on each tensor slot, one
+    `on_slots` per slot from the right.  When the unit is a basis vector,
+    pi(e_k) = 0 and an entry has one image; otherwise a letter is reached
+    through e_k too.
     """
     pi = _normalized_mult(module.algebra)[1]
-    back, low = pi.transpose(), 1 if kind == "homology" else module.dim
+    back = pi.transpose()
     for k in range(degree):
-        vec = on_slots(back, vec, low * pi.ncols ** k)
+        vec = on_slots(back, vec, module.dim * pi.ncols ** k)
     return vec
 
 
@@ -173,9 +173,8 @@ class Normalized:
     `mult` their product table through pi, where a bimodule has those of
     every basis element and the algebra's table.  The matrices are cached in
     the object's own `_cache`: build one per query and drop it, so
-    nothing cached on the module depends on it.  Only their ranks are
-    kept on the module (`_normalized_dim`); class spaces take a bimodule,
-    and a nonzero one reads its normalized classes off one of these.
+    nothing cached on the module depends on it.  Only the ranks of its
+    coboundaries are kept, on the module.
     """
 
     __slots__ = ("field", "dim", "left", "right", "mult", "_cache")
@@ -292,6 +291,21 @@ def _dual_actions(M):
                                              [a.transpose() for a in M.left]))
 
 
+def _dual(M):
+    """M* as a bimodule on those actions, cached on M: the module whose
+    normalized cochains carry the normalized work of M's homology, and on
+    whose chains the cocycles of M are functionals.
+
+    Its cache is its own, not its twins': a self-dual M would otherwise
+    hold its own cache.  It keeps only normalized ranks, never its own
+    dual, which would be a twin of M and close a cycle of caches."""
+    def build():
+        dual = Bimodule(M.algebra, M.dim, *_dual_actions(M), label=f"{M.label or 'bimodule'}*")
+        dual._cache = {}
+        return dual
+    return config.cached(M, "dual module", build)
+
+
 def _dual_faces(M, m):
     """delta_m as b_{m+1} on M*, whose chain (j; w) is the cochain
     rank(w)*r + j."""
@@ -360,76 +374,62 @@ def differential(M, n, kind):
     return coboundary_matrix(M, n) if n >= 0 else SparseMat.zero(M.dim, 0, M.field)
 
 
-def _touching(degree, kind):
-    """The degrees of the differentials leaving and entering the degree
-    that exist, the one touching degree + 1 first: its guard covers the
-    larger space, so a refusal precedes work."""
-    step = -1 if kind == "homology" else 1  # the degree of the differential
-    return [k for k in sorted({degree, degree - step}, reverse=True) if k >= 0 and k + step >= 0]
-
-
-def _normalized_dim(module, degree, kind, cx=None):
-    """dim H in the degree from the normalized complex `cx` of the module
-    (a fresh one by default): r (d-1)^n less the ranks of the two
-    normalized differentials touching it.  Each rank is kept on the module
-    as ("normalized rank", kind, k), so it is computed once per module
-    content, for dimension queries and class spaces alike."""
-    if cx is None:
-        cx = Normalized(module)
-    ranks = [config.cached(module, ("normalized rank", kind, k),
-                           lambda k=k: rank(differential(cx, k, kind)))
-             for k in _touching(degree, kind)]
-    return cx.dim * len(cx.mult) ** degree - sum(ranks)
+def _normalized_dim(module, degree):
+    """dim H^n of the normalized cochain complex of the module: r (d-1)^n
+    less the kept ranks of the coboundaries touching degree n, or None
+    while one of them is not kept."""
+    ranks = [module._cache.get(("normalized rank", "cohomology", k))
+             for k in range(max(degree - 1, 0), degree + 1)]
+    if None in ranks:
+        return None
+    return module.dim * (len(module.mult) - 1) ** degree - sum(ranks)
 
 
 def _class_subquotient(module, degree, kind):
     """Z / B in the given degree of the chain or cochain complex, or None
     when it is zero.
 
-    A bimodule asks the normalized complex for the dimension h first.
-    When it is 0, B = Z and nothing is eliminated or assembled here; the
-    class space stands for it with a `ZeroSubquotient` (see
-    `_class_space`).  Otherwise only the smaller neighbouring degree is
-    assembled, and the normalized classes, pulled back along pi, supply
-    the rest (`_normalized_classes`):
+    The h normalized classes come first (`_normalized_classes`), as
+    cocycles of M for cohomology and of M* for homology, where they are
+    functionals on the chains of M.  When h is 0, B = Z and nothing is
+    assembled here; the class space stands for it with a
+    `ZeroSubquotient` (see `_class_space`).  Otherwise only the smaller
+    neighbouring degree is assembled, and the classes, pulled back along
+    pi, supply the rest:
     - homology: Z_n is the null space of b_n, eliminated once by
       `Echelon.null_space`, and B_n the cycles that the h pulled-back
       functionals kill (`Echelon.restrict`); b_{n+1} is never built;
     - cohomology: B^m is the image of delta^{m-1}, and Z^m its span
       with the h pulled-back cocycles (`Echelon.extend`); delta^m is
       never built.
-    Two certificates raise InclusionViolation: each pulled-back vector
-    is checked to be a cocycle exactly, over the cofaces of its support
+    Two certificates raise InclusionViolation: each pulled-back cocycle
+    psi is checked exactly, as the functional psi o b_{n+1} on the chains
+    of the dual of its module, over the cofaces of its support
     (`_cofaces`), and the functionals must have rank h on Z_n, or the
     cocycles add h pivots to B^m.
     """
-    cx = Normalized(module)
-    dim = _normalized_dim(module, degree, kind, cx)
-    if dim == 0:
+    owner, dual = (module, _dual(module)) if kind == "cohomology" else (_dual(module), module)
+    classes = _normalized_classes(owner, degree, kind)
+    if not classes:
         return None
     fld, d, r = module.field, len(module.mult), module.dim
-    vecs = [_pullback(module, v, degree, kind) for v in _normalized_classes(cx, degree, kind)]
-    if kind == "homology":
-        what, duals = "functional", vecs
-        actions = module.left, module.right
-    else:
-        # delta^m psi = 0 read as the dual functional psi o b_{m+1} on M*
-        what, duals = "cocycle", [{t % r * d ** degree + t // r: v for t, v in psi.items()}
-                                   for psi in vecs]
-        actions = _dual_actions(module)
-    for j, image in enumerate(_cofaces(*actions, module.mult, fld, degree, duals)):
+    cocycles = [_pullback(owner, v, degree) for v in classes]
+    # the cochain (w; j) of the owner is the chain (j; w) of its dual
+    duals = [{t % r * d ** degree + t // r: v for t, v in psi.items()} for psi in cocycles]
+    what = "functional" if kind == "homology" else "cocycle"
+    for j, image in enumerate(_cofaces(dual.left, dual.right, module.mult, fld, degree, duals)):
         if image:
             raise InclusionViolation(
                 f"{kind} degree {degree}: the pulled-back normalized {what} {j} "
                 f"is not a cocycle")
     if kind == "homology":
         cycles = Echelon.null_space(differential(module, degree, kind))
-        boundaries = cycles.restrict(vecs)
+        boundaries = cycles.restrict(duals)
     else:
         into = differential(module, degree - 1, kind)
         boundaries = Echelon(fld, list(into.cols), into.nrows)
-        cycles = boundaries.extend(vecs)
-    found = len(cycles.pivots) - len(boundaries.pivots)
+        cycles = boundaries.extend(cocycles)
+    found, dim = len(cycles.pivots) - len(boundaries.pivots), _normalized_dim(owner, degree)
     if found != dim:
         raise InclusionViolation(
             f"{kind} degree {degree}: {found} classes on the standard complex, "
@@ -437,28 +437,35 @@ def _class_subquotient(module, degree, kind):
     return SubquotientSpace(cycles, boundaries)
 
 
-def _normalized_classes(cx, degree, kind):
-    """Canonical representatives of a basis of the normalized classes, as
-    sparse vectors on the normalized (co)chains of the degree.
+def _normalized_classes(module, degree, kind):
+    """A basis of H^n of the normalized cochain complex of the module, as
+    sparse cocycles on Cbar^n, or [] when it is zero.  The ranks of the
+    coboundaries into and out of degree n are kept on the way.
 
-    For cohomology these are cocycles of Cbar^m modulo the image of
-    delta^{m-1}.  For homology they are functionals on Cbar_n, cocycles
-    of the dual complex (phi o bbar_{n+1} = 0) modulo the coboundaries
-    psi o bbar_n: over a field they are a basis of the dual of Hbar_n.
-    Nothing is certified here: `_class_subquotient` checks the pulled-back
-    vectors on the standard complex.
+    A space whose kept ranks say zero eliminates nothing.  Otherwise
+    `image_basis(into)` gives the coboundaries B a basis with distinct
+    leads L, and every cochain is b + u, uniquely, with b in B and u off
+    L.  Once out is certified to kill that basis (by `_rank_walk`, one
+    step long, unless its rank is kept: it was certified then), Z = B +
+    ker(out off L): the null space of out on its columns off L is a space
+    of classes, and out has the same rank there as on all its columns.
+    That rank is taken first, and the null space (`Echelon.null_space`)
+    only when the rank leaves a kernel.
     """
-    fld = cx.field
-    if kind == "homology":
-        cycles = Echelon.null_space(differential(cx, degree + 1, kind).transpose())
-        into = differential(cx, degree, kind)
-        boundaries = Echelon(fld, into.rows_view(), into.ncols)
-    else:
-        cycles = Echelon.null_space(differential(cx, degree, kind))
-        into = differential(cx, degree - 1, kind)
-        boundaries = Echelon(fld, list(into.cols), into.nrows)
-    space = SubquotientSpace(cycles, boundaries)
-    return [space.representative(k) for k in range(space.dim)]
+    if _normalized_dim(module, degree) == 0:
+        return []
+    cx = Normalized(module)
+    into, out = (differential(cx, k, "cohomology") for k in (degree - 1, degree))
+    found, leads, image = _image(into, None)
+    if degree:
+        module._cache.setdefault(("normalized rank", "cohomology", degree - 1), found)
+    if ("normalized rank", "cohomology", degree) not in module._cache:
+        _rank_walk(module, kind, [(degree, out)], image, leads)
+    if _normalized_dim(module, degree) == 0:
+        return []
+    off = [j for j in range(out.ncols) if j not in leads]
+    null = Echelon.null_space(SparseMat(out.nrows, len(off), cx.field, [out.cols[j] for j in off]))
+    return [{off[c]: v for c, v in row.items()} for row in null.rows]
 
 
 class ClassSpace:
@@ -515,8 +522,8 @@ def _class_space(module, degree, kind):
         raise DegreeError(f"{kind} degree must be nonnegative")
     # refuse what the standard route would build, before the cache lookup
     # and before any normalized work: the differential touching degree + 1
-    # has the larger space
-    _guard(module, _touching(degree, kind)[0], kind)
+    # (b_{n+1} or delta^n) has the larger space
+    _guard(module, degree + 1 if kind == "homology" else degree, kind)
     space = config.cached(module, (kind, degree),
                           lambda: _class_subquotient(module, degree, kind))
     if space is None:
@@ -541,54 +548,54 @@ def class_space(module, degree, kind):
 
 def class_dims(module, up_to, kind):
     """dim H_n(A, N) (kind "homology") or dim H^n(A, N) ("cohomology") for
-    n = 0..up_to, by rank counting on the normalized complex.
+    n = 0..up_to, by rank counting on the normalized cochain complex of
+    M, or of M* for homology.
 
-    The ranks come from one walk over the normalized differentials:
-    homology from bbar_{up_to+1} down, cohomology from deltabar^0 up.
-    Each differential d after the first must kill a basis of the image of
-    the one before it, with leads L.  Then d has the same rank on its
-    columns off L as on all of them, since the unit vectors off L and the
-    basis form a triangular basis of the space, so only those columns are
-    eliminated.  The certificate multiplies the basis, or the columns it
-    came from when they have fewer nonzeros (over F_p rref rows can be
-    denser).  By induction each basis spans the full image, so it raises
-    InclusionViolation exactly when two consecutive differentials do not
-    compose to zero, in every degree 1..up_to, in place of the B <= Z
-    check a subquotient makes.
+    The ranks come from one walk up the coboundaries, deltabar^0 to
+    deltabar^{up_to}.  Each coboundary d after the first must kill a
+    basis of the image of the one before it, with leads L.  Then d has the
+    same rank on its columns off L as on all of them, since the unit
+    vectors off L and the basis form a triangular basis of the space, so
+    only those columns are eliminated.  The certificate multiplies the
+    basis, or the columns it came from when they have fewer nonzeros (over
+    F_p rref rows can be denser).  By induction each basis spans the full
+    image, so it raises InclusionViolation exactly when two consecutive
+    differentials do not compose to zero, in every degree 1..up_to, in
+    place of the B <= Z check a subquotient makes.
 
-    The ranks are kept on the module, where `_normalized_dim` reads them
-    and class spaces ask it for their dimension, so each differential is
-    eliminated once per module content, whichever asks first.  The walk
-    eliminates no rank it finds there, and certifies the next pair by the
-    full product.  No class coordinates are built, so the smaller complex
-    serves (class spaces stay on the standard complex, see `ClassSpace`).
-    One `Normalized` serves the whole query, so each of its differentials
-    is assembled once.
+    The ranks are kept on the module, where class spaces read them too
+    (`_normalized_classes`), so each coboundary is eliminated once per
+    module content, whichever asks first.  The walk eliminates no rank it
+    finds there, and certifies the next pair by the full product.  One
+    `Normalized` serves the whole query, so each of its coboundaries is
+    assembled once.
     """
     if up_to < 0:
         raise DegreeError(f"the largest {kind} degree must be nonnegative")
-    cx = Normalized(module)
-    # refuse before any work the largest space either kind builds: Cbar_{up_to+1}
-    # (b_{up_to+1} or delta^{up_to}), or Cbar_0 when Abar has no letters
+    # refuse before any work the largest space the walk builds: Cbar^{up_to+1},
+    # or Cbar^0 when Abar has no letters
     what = "chain" if kind == "homology" else "cochain"
-    config.guard(cx.dim * max(len(cx.mult), 1) ** (up_to + 1),
+    config.guard(module.dim * max(len(module.mult) - 1, 1) ** (up_to + 1),
                  f"degree {up_to + 1} of the normalized {what} complex")
-    walk = range(up_to + 1, 0, -1) if kind == "homology" else range(up_to + 1)
-    _rank_walk(module, kind, ((k, differential(cx, k, kind)) for k in walk))
-    return [_normalized_dim(module, n, kind, cx) for n in range(up_to + 1)]
+    owner = module if kind == "cohomology" else _dual(module)
+    cx = Normalized(owner)
+    _rank_walk(owner, kind, ((k, differential(cx, k, "cohomology")) for k in range(up_to + 1)))
+    return [_normalized_dim(owner, n) for n in range(up_to + 1)]
 
 
-def _rank_walk(module, kind, steps):
-    """Keep the rank of each d of `steps`, pairs (k, d) in the order of the
-    walk (see `class_dims`), on the module as ("normalized rank", kind, k),
-    after certifying that d kills the image of the d before it."""
-    image = leads = None  # columns spanning the previous image, and the leads of its basis
+def _rank_walk(module, kind, steps, image=None, leads=None):
+    """Keep the rank of each coboundary d of `steps`, pairs (k, d) in
+    increasing degree, on the module as ("normalized rank", "cohomology",
+    k), after certifying that d kills `image`, the image of the d before
+    it, and a failure names `kind`, the user's.  `image` and `leads`, the
+    leads of its basis, start as those of the coboundary before the
+    first, when given."""
     for k, d in steps:
         if image is not None and not (d @ image).is_zero():
             raise InclusionViolation(
                 f"{kind} degree {k}: the composite of the normalized "
                 f"differentials is not zero")
-        key = ("normalized rank", kind, k)
+        key = ("normalized rank", "cohomology", k)
         if key in module._cache:
             image, leads = d, None
         else:

@@ -22,17 +22,15 @@ fill of the rows used, never the rank.  `kernel_basis` scatters each
 rref row into its free columns, and `Solver` keeps the augmentation part
 of one elimination as two matrices, a section and the conditions for a
 solution to exist, one row per condition, so a solve, of one right-hand
-side or of a whole matrix of them, is two products; `solve` is a
-`Solver` used once.
+side or of a whole matrix of them, is two products.
 
 `rank` counts the vectors of `image_basis`, a basis of the column space
 keyed by distinct leads.  When the matrix has no more columns than rows
-(every normalized coboundary, a normalized boundary restricted by a
-dimension query, and the tall maps the exactness checks rank) that is
-`kernels.echelon`, a forward elimination with no canonical form; a wide
-matrix, such as the top boundary of a homology query, keeps the rref,
-which measured faster there.  A dimension query keeps the basis itself
-(see `complexes.class_dims`).
+(every normalized coboundary, whole or restricted, and the tall maps the
+exactness checks rank) that is `kernels.echelon`, a forward elimination
+with no canonical form; a wide matrix keeps the rref, which measured
+faster there.  The normalized work keeps the basis itself (see
+`complexes.class_dims`).
 
 The cycles of a homology class space are the null space of a
 differential, and `Echelon.null_space` gives its canonical rref from one
@@ -409,20 +407,6 @@ def _canonical(field, row):
     return {c: field.coerce(v) for c, v in sorted(row.items())}
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (SparseMat, pivot columns).
-
-    The result has the same shape as the input with zero rows at the
-    bottom; it is the canonical representative of the row space.
-    """
-    ech = Echelon(m.field, m.rows_view(), m.ncols)
-    out = SparseMat(m.nrows, m.ncols, m.field)
-    for i, row in enumerate(ech.rows):
-        for c, v in row.items():
-            out.cols[c][i] = v
-    return out, ech.pivots
-
-
 def image_basis(m):
     """A basis of the column space of m, as {lead: vector}, with distinct
     leads: the columns are stored, the rows would be built.
@@ -458,13 +442,6 @@ def kernel_basis(m):
             if f != p:
                 cols[f][p] = fld.neg(v)
     return SparseMat(m.ncols, len(cols), fld, list(cols.values()))
-
-
-def solve(m, b):
-    """One particular solution of m x = b, or None if inconsistent: the
-    solution whose free variables are zero, from `Solver(m)`.  b may be a
-    dict or a sequence; the result is a sparse dict."""
-    return Solver(m).solve(b)
 
 
 class Solver:

@@ -2,12 +2,13 @@ import gc
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochcap import GF, QQ, cap, complexes, config, zoo
+from hochcap import GF, QQ, cap, complexes, config, linalg, zoo
 from hochcap.algebras import AlgebraPresentation
 from hochcap.bimodules import Bimodule, coinduced, induced, invariants_subspace
 from hochcap.complexes import (
@@ -591,12 +592,17 @@ def test_lowered_cap_refuses_a_cached_class_space():
 def test_a_zero_class_space_assembles_no_differential(kind):
     # M_2 is separable, so H_3 and H^3 vanish: the normalized ranks say
     # so, and neither the differential entering degree 3 (b_4, delta^2)
-    # nor the one leaving it is assembled
+    # nor the one leaving it is assembled.  The ranks of homology are kept
+    # on M*, beside M's transposed actions, and M* keeps nothing else
     reg = zoo.get("two_by_two_matrices").regular()
     cs = class_space(reg, 3, kind)
     assert cs.dim == 0
     assert ("boundary", 4) not in reg._cache and ("coboundary", 2) not in reg._cache
-    assert all(key[0] in ("normalized rank", kind) for key in reg._cache), list(reg._cache)
+    families = {key if isinstance(key, str) else key[0] for key in reg._cache}
+    assert families <= {"normalized rank", kind, "dual", "dual module"}, list(reg._cache)
+    if kind == "homology":
+        dual = complexes._dual(reg)
+        assert all(key[0] == "normalized rank" for key in dual._cache), list(dual._cache)
     # the zero vector is tested without the differential
     assert cs.class_of({}) == () and ("boundary", 3) not in reg._cache
 
@@ -631,38 +637,76 @@ def test_a_zero_class_space_has_no_representatives(kind):
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
 def test_a_corrupted_normalized_rank_is_caught(kind):
-    # H_2 caches the normalized ranks it shares with H_3 (b_3, or delta^2
-    # for cohomology); one bumped by 1 gives a normalized dimension of 1
-    # for a space with 2 classes
+    # H_2 caches the normalized rank it shares with H_3, of deltabar^2 on
+    # M, or on M* for homology (the transpose of bbar_3); one bumped by 1
+    # gives a normalized dimension of 1 for a space with 2 classes
     reg = zoo.get("truncated_cubic").regular()
     assert class_space(reg, 2, kind).dim == 2
-    reg._cache["normalized rank", kind, 3 if kind == "homology" else 2] += 1
+    owner = reg if kind == "cohomology" else complexes._dual(reg)
+    owner._cache["normalized rank", "cohomology", 2] += 1
     with pytest.raises(InclusionViolation, match=f"{kind} degree 3"):
         class_space(reg, 3, kind)
 
 
-@pytest.mark.parametrize("skipped", [True, False])
-@pytest.mark.parametrize("name,kind,k", [
+FORGED_FACES = [
     (name, kind, k) for name in ("two_by_two_matrices", "truncated_cubic")
     for kind in ("homology", "cohomology") for k in (1, 2, 3, 4)
-    # deltabar^0 of a commutative algebra is zero: its image touches no column
-    if (name, kind, k) != ("truncated_cubic", "cohomology", 1)])
-def test_a_forged_normalized_face_is_caught(monkeypatch, name, kind, k, skipped):
-    # a dimension query ranks the degree k differential only on the columns
-    # off the leads of the image of its neighbour (b_{k+1}, or delta^{k-1}
-    # for cohomology); one entry forged into a column the image touches,
-    # skipped or kept, makes their composite nonzero, and the certificate
-    # must see it, whichever columns the rank reads
-    reg = zoo.get(name).regular()
-    cx = Normalized(reg)
-    before = differential(cx, k + 1 if kind == "homology" else k - 1, kind)
+    # deltabar^0 of a commutative algebra is zero on M and on M*: its image
+    # touches no column
+    if (name, k) != ("truncated_cubic", 1)]
+
+
+def _forged(reg, kind, k, skipped):
+    """The normalized complex that carries the kind's work, M's or M*'s,
+    with one entry forged into deltabar^k at a column the image of
+    deltabar^(k-1) touches: one of the leads of its basis, or not."""
+    cx = Normalized(reg if kind == "cohomology" else complexes._dual(reg))
+    before = differential(cx, k - 1, "cohomology")
     leads = set(Echelon(reg.field, list(before.cols), before.nrows).pivots)
     touched = {i for col in before.cols for i in col}
     j = min(leads if skipped else touched - leads)
-    acc(differential(cx, k, kind).cols[j], 0, reg.field.one, reg.field)
+    acc(differential(cx, k, "cohomology").cols[j], 0, reg.field.one, reg.field)
+    return cx
+
+
+@pytest.mark.parametrize("skipped", [True, False])
+@pytest.mark.parametrize("name,kind,k", FORGED_FACES)
+def test_a_forged_normalized_face_is_caught(monkeypatch, name, kind, k, skipped):
+    # a dimension query ranks deltabar^k (on M*, the transpose of bbar_(k+1))
+    # only on the columns off the leads of the image of deltabar^(k-1); one
+    # entry forged into a column the image touches, skipped or kept, makes
+    # their composite nonzero, and the certificate must see it, whichever
+    # columns the rank reads, and name the kind asked for
+    reg = zoo.get(name).regular()
+    cx = _forged(reg, kind, k, skipped)
     monkeypatch.setattr(complexes, "Normalized", lambda module: cx)
     with pytest.raises(InclusionViolation, match=f"{kind} degree {k}:"):
         complexes.class_dims(reg, 4, kind)
+
+
+@pytest.mark.parametrize("skipped", [True, False])
+@pytest.mark.parametrize("name,kind,k", FORGED_FACES)
+def test_a_forged_normalized_face_is_caught_by_a_class_space(monkeypatch, name, kind, k,
+                                                             skipped):
+    # a class space ranks the forged coboundary the same way, as the one
+    # leaving degree k or entering degree k + 1, and reads its classes off
+    # the columns off the leads: it must raise, or give the canonical space
+    # it gives unforged
+    reg = zoo.get(name).regular()
+    want = {n: class_space(reg, n, kind).space for n in (k, k + 1)}
+    cx = _forged(reg, kind, k, skipped)
+    monkeypatch.setattr(complexes, "Normalized", lambda module: cx)
+    for n, space in want.items():
+        reg._cache.clear()  # no kept rank or class space
+        try:
+            got = class_space(reg, n, kind).space
+        except InclusionViolation as error:
+            assert str(error).startswith(f"{kind} degree {n}:")
+            continue
+        assert got.dim == space.dim and got.free_pivots == space.free_pivots, n
+        if space.dim:
+            assert _echelon_items(got.cycles) == _echelon_items(space.cycles), n
+            assert _echelon_items(got.boundaries) == _echelon_items(space.boundaries), n
 
 
 def _field(p):
@@ -708,19 +752,20 @@ def test_the_rank_walk_is_the_dense_rank(p, kind, data):
     # every rank the walk keeps is the dense rank of the whole matrix,
     # whether it was eliminated on the columns off its neighbour's image or
     # found in the cache; one entry forged into a column the neighbour's
-    # image touches makes their composite nonzero, and the walk raises there
+    # image touches makes their composite nonzero, and the walk raises there,
+    # naming the kind asked for (homology walks the coboundaries of M*)
     field = _field(p)
     mats = data.draw(_complexes(field, p))
-    degrees = range(len(mats), 0, -1) if kind == "homology" else range(len(mats))
+    degrees = range(len(mats))
     ranks = [_oracle.dense_rank(m.to_dense(), p) for m in mats]
     known = data.draw(st.sets(st.sampled_from(degrees)))
     assert all((after @ d).is_zero() for d, after in zip(mats, mats[1:]))
 
     def walk(steps):
-        owner = SimpleNamespace(_cache={("normalized rank", kind, k): r
+        owner = SimpleNamespace(_cache={("normalized rank", "cohomology", k): r
                                         for k, r in zip(degrees, ranks) if k in known})
         complexes._rank_walk(owner, kind, list(zip(degrees, steps)))
-        return [owner._cache["normalized rank", kind, k] for k in degrees]
+        return [owner._cache["normalized rank", "cohomology", k] for k in degrees]
 
     assert walk(mats) == ranks
     at = data.draw(st.integers(1, len(mats) - 1))
@@ -732,6 +777,32 @@ def test_the_rank_walk_is_the_dense_rank(p, kind, data):
             data.draw(st.integers(0, forged.nrows - 1)), field.one, field)
         with pytest.raises(InclusionViolation, match=f"{kind} degree {degrees[at]}:"):
             walk(mats[:at] + [forged] + mats[at + 1:])
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_classes_are_the_kernel_off_the_leads_of_the_image(p, data):
+    # with into = deltabar^0 and out = deltabar^1 drawn (empty and zero
+    # matrices included), the classes of degree 1 are the null space of
+    # out on the columns off the leads of image_basis(into): nullity(out) -
+    # rank(into) cocycles, off those leads, independent modulo the image of
+    # into, and both ranks are kept as the dense ones
+    field = _field(p)
+    into, out = data.draw(_complexes(field, p))[:2]
+    cx = SimpleNamespace(field=field, dim=1, mult=[None],
+                         _cache={("coboundary", 0): into, ("coboundary", 1): out})
+    owner = SimpleNamespace(dim=out.ncols, mult=[None, None], _cache={})
+    with mock.patch.object(complexes, "Normalized", lambda module: cx):
+        classes = complexes._normalized_classes(owner, 1, "cohomology")
+    r_in, r_out = (_oracle.dense_rank(m.to_dense(), p) for m in (into, out))
+    assert len(classes) == out.ncols - r_out - r_in
+    assert owner._cache == {("normalized rank", "cohomology", 0): r_in,
+                            ("normalized rank", "cohomology", 1): r_out}
+    leads = set(linalg.image_basis(into))
+    assert all(v and not leads & set(v) and not out.matvec(v) for v in classes)
+    span = [[c.get(i, 0) for i in range(out.ncols)] for c in into.cols + classes]
+    assert _oracle.dense_rank(span, p) == r_in + len(classes)
 
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
@@ -760,22 +831,24 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
 def test_class_spaces_reuse_the_ranks_of_a_dimension_query(monkeypatch, kind):
-    # class_dims keeps its normalized ranks on the module, where a class
-    # space looks for its dimension: M_2 to degree 6 needs no new rank
+    # class_dims keeps its normalized ranks on the module (M* for
+    # homology), where a class space looks for its dimension: M_2 to
+    # degree 6 needs no new rank, and H_0 (H^0), the one nonzero space,
+    # eliminates only the zero map into degree 0, for the leads of its image
     from hochcap import complexes
 
     reg = zoo.get("two_by_two_matrices").regular()
     assert complexes.class_dims(reg, 6, kind) == [1] + [0] * 6
-    calls = _counting(monkeypatch, complexes, "rank")
+    calls = _counting(monkeypatch, complexes, "image_basis")
     assert [class_space(reg, n, kind).dim for n in range(7)] == [1] + [0] * 6
-    assert calls == []
+    assert [m.ncols for m in calls] == [0]
 
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
 def test_a_dimension_query_reuses_the_ranks_of_a_class_space(monkeypatch, kind):
-    # H_5 (H^5) ranks the two normalized differentials touching degree 5;
+    # H_5 (H^5) ranks the two normalized coboundaries touching degree 5;
     # the query to degree 5 ranks only the four others.  Both rank through
-    # `image_basis`, a class space by way of `rank`
+    # `image_basis`
     from hochcap import complexes, linalg
 
     reg = zoo.get("truncated_cubic").regular()
@@ -786,6 +859,41 @@ def test_a_dimension_query_reuses_the_ranks_of_a_class_space(monkeypatch, kind):
     calls.clear()
     assert complexes.class_dims(reg, 5, kind) == [3, 2, 2, 2, 2, 2]
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("kind", ["homology", "cohomology"])
+@pytest.mark.parametrize("name,degree,dim", [("truncated_cubic", 4, 2),
+                                             ("two_by_two_matrices", 3, 0)])
+def test_a_fresh_class_space_ranks_each_normalized_differential_once(monkeypatch, name,
+                                                                      degree, dim, kind):
+    # with no rank kept, the class space ranks deltabar^(n-1) and deltabar^n
+    # (of M*, for homology) once each, by `image_basis`, the second on its
+    # columns off the leads of the first; a zero space takes no normalized
+    # null space, and a nonzero one one, of deltabar^n on those columns.  A
+    # second request eliminates nothing
+    reg = zoo.get(name).regular()
+    reg._cache.clear()
+    letters = reg.algebra.dim - 1
+    size = reg.dim * letters ** degree  # normalized cochains in the degree
+    ranked = _counting(monkeypatch, complexes, "image_basis")
+    monkeypatch.setattr(linalg, "image_basis", complexes.image_basis)
+    nulls = []
+    inner = Echelon.null_space.__func__
+
+    def null_space(cls, m):
+        if m.nrows == size * letters:  # not b_n, which a nonzero H_n takes
+            nulls.append(m)
+        return inner(cls, m)
+
+    monkeypatch.setattr(Echelon, "null_space", classmethod(null_space))
+    assert class_space(reg, degree, kind).dim == dim
+    assert [m.nrows for m in ranked] == [size, size * letters]
+    assert [m.ncols for m in nulls] == ([ranked[1].ncols] if dim else [])
+    ranked.clear()
+    nulls.clear()
+    del reg._cache[kind, degree]
+    assert class_space(reg, degree, kind).dim == dim
+    assert (len(ranked), len(nulls)) == ((1, 1) if dim else (0, 0))
 
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
@@ -817,11 +925,9 @@ def test_dimension_queries_are_refused_before_any_elimination(monkeypatch, kind)
 
 @pytest.mark.parametrize("kind", ["homology", "cohomology"])
 def test_dimension_queries_rank_by_the_shape_of_each_differential(monkeypatch, kind):
-    # the normalized coboundaries of M_2 are tall (4 * 3**(m+1) rows, 4 *
-    # 3**m columns) and need only the forward elimination; the boundaries
-    # are wide, but only the top one is ranked on all its columns and keeps
-    # the canonical rref: the others, restricted to the columns off the
-    # image of the one above, are tall.  Degree 5 ranks six differentials
+    # the normalized coboundaries of M_2, and of M*, which carry homology,
+    # are tall (4 * 3**(m+1) rows, 4 * 3**m columns) and need only the
+    # forward elimination, none the canonical rref.  Degree 5 ranks six
     from hochcap import linalg
 
     dims = homology_dims if kind == "homology" else cohomology_dims
@@ -829,10 +935,7 @@ def test_dimension_queries_rank_by_the_shape_of_each_differential(monkeypatch, k
     rrefs = _counting(monkeypatch, linalg, "build_rref")
     echelons = _counting(monkeypatch, linalg, "echelon")
     assert dims(reg, 5) == [1] + [0] * 5
-    if kind == "homology":
-        assert (len(rrefs), len(echelons)) == (1, 5)
-    else:
-        assert (rrefs, len(echelons)) == ([], 6)
+    assert (rrefs, len(echelons)) == ([], 6)
 
 
 @pytest.mark.parametrize("name,kind,up_to", [
@@ -908,6 +1011,24 @@ def test_caches_are_freed_by_reference_counting():
     gc.disable()
     try:
         assert homology_dims(zoo.get("truncated_cubic").regular(), 3) == [3, 2, 2, 2]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["two_by_two_matrices", "truncated_cubic", "product_qq"])
+def test_the_dual_module_closes_no_cycle_of_caches(name):
+    # homology is the cohomology of M*, which M keeps in its cache; M* has
+    # a cache of its own and never caches its dual, a twin of M, so
+    # dropping M frees both by reference counting.  The regular module of
+    # Q x Q is its own dual
+    gc.collect()
+    gc.disable()
+    try:
+        reg = zoo.get(name).regular()
+        dims = homology_dims(reg, 4)
+        assert [class_space(reg, n, "homology").dim for n in range(5)] == dims
+        del reg
         assert gc.collect() == 0
     finally:
         gc.enable()
