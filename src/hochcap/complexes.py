@@ -15,13 +15,23 @@ Boundary of (x; a_1..a_n):
     + sum_{i=1}^{n-1} (-1)^i (x; a_1.. a_i a_{i+1} ..a_n)
     + (-1)^n (a_n.x; a_1..a_{n-1})
 
-For finite dimensional M the cochains C^m(A, M) are the dual of the
-chains C_m(A, M*), M* = Hom_k(M, k), whose left action is the transposed
-right action of M and whose right action is the transposed left one:
-delta_m is the transpose of b_{m+1} on M*, with the dual chain (j; w)
-read as the cochain rank(w)*r + j.  One face loop (`_faces`) assembles
-both, and the bar differential of `cap` too; `_cofaces` applies the
-transpose of b_{n+1} to a sparse functional without assembling it.
+Coboundary of the cochain (w; j) sending w = (a_1..a_m) to e_j, with
+(u) |-> x the cochain sending the tuple u to x and every other to 0:
+
+    sum_a (a, a_1..a_m) |-> a.e_j
+    + sum_{i=1}^m (-1)^i sum_{b, c} v (a_1.. b, c ..a_m) |-> e_j,
+          where e_b e_c = v e_{a_i} + ...
+    + (-1)^(m+1) sum_a (a_1..a_m, a) |-> e_j.a
+
+The face loop (`_faces`) assembles b_n, and the bar differential of
+`cap` too; the coface loop (`_coface_loop`) assembles delta^m column by
+column.  For finite dimensional M the cochains C^m(A, M) are the dual of
+the chains C_m(A, M*), M* = Hom_k(M, k), whose left action is the
+transposed right action of M and whose right action is the transposed
+left one: delta_m is the transpose of b_{m+1} on M*, with the dual chain
+(j; w) read as the cochain rank(w)*r + j.  `_cofaces` applies that
+transpose to a sparse functional without assembling either matrix, and
+both loops read their interior cofaces off `_coface_tables`.
 Homology and cohomology are presented as subquotients with canonical
 coordinates, so equal classes get equal coordinate tuples no matter how
 they were found.
@@ -47,10 +57,10 @@ it.  A nonzero space assembles only the differential of the smaller
 neighbouring degree, b_n for H_n and delta^{m-1} for H^m, and the
 normalized classes, pulled back along pi and each certified a cocycle
 exactly, give the other subspace (see `_class_subquotient`).  Both
-complexes come out of the same face loop, which reads the letters of the
-tensor slots off the first argument of the differential: a bimodule and
-a `Normalized` each expose the letters' actions on the module slot
-(`left`, `right`) and their product table (`mult`).
+complexes come out of the same face and coface loops, which read the
+letters of the tensor slots off the first argument of the differential:
+a bimodule and a `Normalized` each expose the letters' actions on the
+module slot (`left`, `right`) and their product table (`mult`).
 
 Every map between class spaces (pushforwards, the central action,
 connecting maps, the cap product with a class) is a `SparseMat` on
@@ -171,17 +181,19 @@ class Normalized:
 
     `left`/`right` are the module's actions of the letters of Abar and
     `mult` their product table through pi, where a bimodule has those of
-    every basis element and the algebra's table.  The matrices are cached in
+    every basis element and the algebra's table; `label` names the complex
+    in a refusal as a bimodule's names the module.  The matrices are cached in
     the object's own `_cache`: build one per query and drop it, so
     nothing cached on the module depends on it.  Only the ranks of its
     coboundaries are kept, on the module.
     """
 
-    __slots__ = ("field", "dim", "left", "right", "mult", "_cache")
+    __slots__ = ("field", "dim", "left", "right", "mult", "label", "_cache")
 
     def __init__(self, module):
         letters, _, self.mult = _normalized_mult(module.algebra)
         self.field = module.field
+        self.label = f"the normalized complex of {module.label or 'bimodule'}"
         self.dim = module.dim
         self.left = [module.left[i] for i in letters]
         self.right = [module.right[i] for i in letters]
@@ -271,55 +283,125 @@ def coboundary_matrix(M, m):
     if m < 0:
         raise DegreeError("cochains start in degree 0")
     _guard(M, m, "cohomology")
-    return config.cached(M, ("coboundary", m), lambda: _dual_faces(M, m))
+    return config.cached(M, ("coboundary", m),
+                         lambda: _coface_loop(M.left, M.right, M.mult, M.field, M.dim, m))
 
 
 def _guard(M, n, kind):
     """Refuse b_n or delta_n, by the larger of its two spaces, before it
-    is built or looked up."""
+    is built or looked up.  The message names that space by its degree
+    and by the module's label ("bimodule" when it has none)."""
     d = len(M.mult)
-    if kind == "homology":
-        config.guard(M.dim * max(d ** n, d ** (n - 1)), "a chain space")
-    else:
-        config.guard(max(d ** n, d ** (n + 1)) * M.dim, "a cochain space")
-
-
-def _dual_actions(M):
-    """The left and right actions of M* = Hom_k(M, k), the transposed
-    right and left actions of M, cached on the module."""
-    return config.cached(M, "dual", lambda: ([a.transpose() for a in M.right],
-                                             [a.transpose() for a in M.left]))
+    what, low, high = ("chain", n - 1, n) if kind == "homology" else ("cochain", n, n + 1)
+    degree = high if d ** high >= d ** low else low
+    config.guard(M.dim * d ** degree,
+                 f"a {what} space in degree {degree} of {getattr(M, 'label', None) or 'bimodule'}")
 
 
 def _dual(M):
-    """M* as a bimodule on those actions, cached on M: the module whose
-    normalized cochains carry the normalized work of M's homology, and on
-    whose chains the cocycles of M are functionals.
+    """M* = Hom_k(M, k) as a bimodule, cached on M: its left action is the
+    transposed right action of M and its right action the transposed left
+    one.  It is the module whose normalized cochains carry the normalized
+    work of M's homology, and on whose chains the cocycles of M are
+    functionals.
 
     Its cache is its own, not its twins': a self-dual M would otherwise
     hold its own cache.  It keeps only normalized ranks, never its own
     dual, which would be a twin of M and close a cycle of caches."""
     def build():
-        dual = Bimodule(M.algebra, M.dim, *_dual_actions(M), label=f"{M.label or 'bimodule'}*")
+        dual = Bimodule(M.algebra, M.dim, [a.transpose() for a in M.right],
+                        [a.transpose() for a in M.left], label=f"{M.label or 'bimodule'}*")
         dual._cache = {}
         return dual
     return config.cached(M, "dual module", build)
 
 
-def _dual_faces(M, m):
-    """delta_m as b_{m+1} on M*, whose chain (j; w) is the cochain
-    rank(w)*r + j."""
-    fld = M.field
-    d, r = len(M.mult), M.dim
-    dual = _faces(*_dual_actions(M), M.mult, fld, r, m + 1).cols
-    block, rest = d ** (m + 1), d ** m
-    cols = [dict() for _ in range(rest * r)]
-    target = [cols[w * r + j] for j in range(r) for w in range(rest)]
-    for row in range(block * r):
-        u, y = divmod(row, r)
-        for idx, v in dual[y * block + u].items():
-            target[idx][row] = v
-    return SparseMat(block * r, rest * r, fld, cols)
+def _coface_tables(mult, fld):
+    """The interior cofaces of a letter, signed: tables[s][l] lists
+    (a d + b, (-1)^s v) for each product e_a e_b with a term v e_l, v != 0,
+    where d is the number of letters."""
+    d = len(mult)
+    grouped = [[] for _ in range(d)]
+    for a, row in enumerate(mult):
+        for b, entry in enumerate(row):
+            for l, v in entry.items():
+                grouped[l].append((a * d + b, v))
+    mul = fld.mul
+    return [[[(ab, c) for ab, v in entries if (c := mul(sign, v))] for entries in grouped]
+            for sign in (fld.one, fld.neg(fld.one))]
+
+
+def _coface_loop(left, right, mult, fld, r, m):
+    """The matrix of delta^m on Hom(L^{(x)m}, M), M of dimension r, L the
+    letters of `mult`, left[a] and right[a] the actions of letter a on M.
+
+    Column (w; j), the cochain sending the tuple w to e_j, at rank(w)*r + j,
+    is written directly from its cofaces (see the module docstring).  The
+    interior cofaces of w, the tuples that contract to w at some slot i,
+    with the sign (-1)^i, are found once per tuple and merged into one
+    dict of row offsets, which each module index j shifts by j in one
+    comprehension, as in `_faces`.  The outer cofaces, a.e_j at (a, w)
+    and (-1)^(m+1) e_j.a at (w, a), are then added from lists per module
+    index, built once per call.  A zero coefficient stores nothing, and
+    no column holds a zero.
+    """
+    d = len(mult)
+    block = d ** m
+    add, mul = fld.add, fld.mul
+    tables = _coface_tables(mult, fld)
+    # slot i (1..m) of w, its letter at place value low = d^(m-i): the
+    # signed cofaces of that letter, each with the row offset of its pair
+    # (a, b), and low
+    slots = []
+    for i in range(1, m + 1):
+        low = d ** (m - i)
+        slots.append(([[(ab * low * r, v) for ab, v in entries] for entries in tables[i % 2]], low))
+    # outer cofaces: firsts[j] and lasts[j] hold the row offsets of a.e_j
+    # at (a, w) and of e_j.a at (w, a), less those of w, with the
+    # coefficient and the last coface's sign
+    last = fld.one if m % 2 else fld.neg(fld.one)
+    firsts = [[(a * block * r + y, v) for a, act in enumerate(left)
+               for y, v in act.cols[j].items() if v] for j in range(r)]
+    lasts = [[(a * r + y, c) for a, act in enumerate(right)
+              for y, v in act.cols[j].items() if (c := mul(last, v))] for j in range(r)]
+    cols = [None] * (block * r)
+    for k, w in enumerate(tuples(d, m)):
+        terms = {}
+        for letter, (table, low) in zip(w, slots):
+            base = (k // (low * d) * d * d * low + k % low) * r
+            for t, v in table[letter]:
+                t += base
+                s = terms.get(t)
+                if s is None:
+                    terms[t] = v
+                elif s := add(s, v):
+                    terms[t] = s
+                else:
+                    del terms[t]
+        terms = terms.items()
+        head, tail = k * r, k * d * r  # the offsets of (a, w) and (w, a) less a's
+        for j in range(r):
+            col = {t + j: v for t, v in terms}
+            for y, v in firsts[j]:
+                t = y + head
+                s = col.get(t)
+                if s is None:
+                    col[t] = v
+                elif s := add(s, v):
+                    col[t] = s
+                else:
+                    del col[t]
+            for y, v in lasts[j]:
+                t = y + tail
+                s = col.get(t)
+                if s is None:
+                    col[t] = v
+                elif s := add(s, v):
+                    col[t] = s
+                else:
+                    del col[t]
+            cols[head + j] = col
+    return SparseMat(block * d * r, block * r, fld, cols)
 
 
 def _cofaces(left, right, mult, fld, n, functionals):
@@ -329,21 +411,17 @@ def _cofaces(left, right, mult, fld, n, functionals):
 
     Each entry of phi at (y; w) is spread over the chains having (y; w)
     as a face: (x; a, w) when x.a has a y term, the tuples that contract
-    to w at slot i, with the sign (-1)^i, and (x; w, a) when a.x has a y
-    term, with the sign (-1)^(n+1).  The work is the size of that
-    coface set, never the size of either chain space.
+    to w at slot i, with the sign (-1)^i (`_coface_tables`), and
+    (x; w, a) when a.x has a y term, with the sign (-1)^(n+1).  The work
+    is the size of that coface set, never the size of either chain space.
     """
     d = len(mult)
     block = d ** n
     neg, mul = fld.neg, fld.mul
-    products = [[] for _ in range(d)]  # products[l]: (a, b, v) with e_a e_b = v e_l + ...
-    for a, row in enumerate(mult):
-        for b, entry in enumerate(row):
-            for l, v in entry.items():
-                products[l].append((a, b, v))
+    tables = _coface_tables(mult, fld)
     firsts = [a.transpose().cols for a in right]  # firsts[a][y]: {x: (x.a)_y}
     lasts = [a.transpose().cols for a in left]
-    slots = [(d ** (n - i), i % 2) for i in range(1, n + 1)]  # place value of slot i, sign
+    slots = [(tables[i % 2], d ** (n - i)) for i in range(1, n + 1)]  # signed cofaces, place value
     images = []
     for phi in functionals:
         out = {}
@@ -356,11 +434,10 @@ def _cofaces(left, right, mult, fld, n, functionals):
                     acc(out, (x * d + a) * block + k, mul(f, v), fld)
                 for x, v in lasts[a][y].items():
                     acc(out, (x * block + k) * d + a, mul(last, v), fld)
-            for low, odd in slots:
-                head, l, tail = k // (low * d), k // low % d, k % low
-                g = neg(f) if odd else f
-                for a, b, v in products[l]:
-                    acc(out, base + ((head * d + a) * d + b) * low + tail, mul(g, v), fld)
+            for table, low in slots:
+                at = base + k // (low * d) * d * d * low + k % low
+                for ab, v in table[k // low % d]:
+                    acc(out, at + ab * low, mul(f, v), fld)
         images.append(out)
     return images
 
@@ -576,7 +653,8 @@ def class_dims(module, up_to, kind):
     # or Cbar^0 when Abar has no letters
     what = "chain" if kind == "homology" else "cochain"
     config.guard(module.dim * max(len(module.mult) - 1, 1) ** (up_to + 1),
-                 f"degree {up_to + 1} of the normalized {what} complex")
+                 f"degree {up_to + 1} of the normalized {what} complex of "
+                 f"{module.label or 'bimodule'}")
     owner = module if kind == "cohomology" else _dual(module)
     cx = Normalized(owner)
     _rank_walk(owner, kind, ((k, differential(cx, k, "cohomology")) for k in range(up_to + 1)))

@@ -183,7 +183,7 @@ def test_equal_actions_share_class_spaces(monkeypatch):
     # N (x)_A A is N again, with the regular actions
     tens = tensor_over_algebra(N, N).module
     calls = []
-    for name in ("image_basis", "_faces"):
+    for name in ("image_basis", "_faces", "_coface_loop"):
         def counted(*args, name=name, inner=getattr(complexes, name)):
             calls.append(name)
             return inner(*args)

@@ -579,14 +579,16 @@ def test_cap_pairing_fetches_its_largest_class_space_first(monkeypatch):
     reg = zoo.get("truncated_cubic").regular()
     E = coinduced(reg).module
     asked, faces = [], []
-    guard, inner = config.guard, complexes._faces
+    guard = config.guard
 
     def recording(ncoords, what=""):
         asked.append(ncoords)
         guard(ncoords, what)
 
     monkeypatch.setattr(config, "guard", recording)
-    monkeypatch.setattr(complexes, "_faces", lambda *args: faces.append(args) or inner(*args))
+    for name in ("_faces", "_coface_loop"):
+        monkeypatch.setattr(complexes, name, lambda *args, inner=getattr(complexes, name):
+                            faces.append(args) or inner(*args))
     config.set_max_coordinates(500)
     try:
         with pytest.raises(MemoryGuardError, match="729 coordinates"):

@@ -254,8 +254,9 @@ def test_cap_is_refused_before_any_assembly(capsys, monkeypatch):
     # H_7 of M_2 asks first for b_8, with 4 * 4**8 = 262144 coordinates,
     # so under a cap of 100000 nothing is assembled, not even b_7
     faces = []
-    inner = complexes._faces
-    monkeypatch.setattr(complexes, "_faces", lambda *args: faces.append(args) or inner(*args))
+    for name in ("_faces", "_coface_loop"):
+        monkeypatch.setattr(complexes, name, lambda *args, inner=getattr(complexes, name):
+                            faces.append(args) or inner(*args))
     code, out, err = run(capsys, "--memory-cap", "100000", "cap", "two_by_two_matrices", "7", "1")
     assert (code, out) == (3, "")
     assert "refusing to allocate 262144 coordinates for a chain space" in err

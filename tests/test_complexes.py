@@ -115,8 +115,8 @@ def test_coboundary_matches_dense_oracle():
     "name", ["upper_triangular", "two_by_two_matrices", "dual_numbers", "f2_c2"])
 @pytest.mark.parametrize("build", [coinduced, induced])
 def test_differentials_match_dense_oracle_off_the_regular_bimodule(name, build):
-    # the two actions differ here, so a side swapped in the dual module
-    # that builds the coboundary fails
+    # the two actions differ here, so a side swapped in the outer faces
+    # of the boundary or the outer cofaces of the coboundary fails
     alg = _oracle.ALGEBRAS[name]()
     p = alg["p"]
     N = build(zoo.get(name).regular()).module
@@ -136,8 +136,8 @@ def _face_arguments(name, kind):
     """The arguments of the `complexes._faces` calls of one kind on one
     zoo algebra: its regular bimodule to degree 4, the normalized
     letters, the coinduced and induced modules to degree 2, the dual
-    actions `_dual_faces` reads off the regular and coinduced modules,
-    and a product table holding explicit zeros."""
+    actions of the regular and coinduced modules, and a product table
+    holding explicit zeros."""
     A = zoo.get(name)
     fld, d = A.field, A.dim
     reg = A.regular()
@@ -194,6 +194,45 @@ def test_cofaces_are_the_transposed_face_loop(name, kind):
                         for _ in range(3)} for _ in range(4 if dual.ncols else 0)]
         got = complexes._cofaces(left, right, mult, fld, n - 1, phis)
         assert got == [dual.matvec(phi) for phi in phis], (n, phis)
+
+
+def _assert_transposed_dual_faces(left, right, mult, fld, r, n):
+    # delta^(n-1) on M is b_n on M* = Hom_k(M, k) transposed, with the dual
+    # chain (j; w) read as the cochain rank(w)*r + j: the coface loop must
+    # give the term-by-term b_n on the transposed actions, entry for entry,
+    # and store no zero
+    d = len(mult)
+    block, rest = d ** n, d ** (n - 1)
+    chains = _oracle.faces([a.transpose() for a in right], [a.transpose() for a in left],
+                           mult, fld, r, n)
+    cols = [{} for _ in range(rest * r)]
+    for c, col in enumerate(chains.cols):
+        y, u = divmod(c, block)
+        for t, v in col.items():
+            j, w = divmod(t, rest)
+            cols[w * r + j][u * r + y] = v
+    M = SimpleNamespace(left=left, right=right, mult=mult, field=fld, dim=r, label=None,
+                        _cache={})
+    _assert_same_faces(coboundary_matrix(M, n - 1), SparseMat(block * r, rest * r, fld, cols))
+
+
+@pytest.mark.parametrize("kind", FACE_KINDS)
+@pytest.mark.parametrize("name", list(zoo.ZOO))
+def test_coface_loop_is_the_transposed_face_loop_on_the_dual(name, kind):
+    for args in _face_arguments(name, kind):
+        _assert_transposed_dual_faces(*args)
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "truncated_cubic"])
+def test_coface_loop_when_the_unit_is_no_basis_vector(name):
+    # pi(e_0) = ebar_1 here, so the normalized product table has terms the
+    # standard one lacks
+    a = _rebased(name)
+    reg = a.regular()
+    for M in (reg, Normalized(reg), complexes._dual(reg), Normalized(complexes._dual(reg)),
+              coinduced(reg).module):
+        for n in range(1, 4):
+            _assert_transposed_dual_faces(M.left, M.right, M.mult, M.field, M.dim, n)
 
 
 @pytest.mark.parametrize("name", list(zoo.ZOO))
@@ -324,7 +363,8 @@ def test_a_nonzero_class_space_assembles_nothing_in_the_larger_degree(monkeypatc
     # H_n needs b_n and H^m needs delta^(m-1), whose spaces are C_n and
     # C_(n-1) (C^(m-1) and C^m); b_(n+1) and delta^m, on r d^(n+1)
     # coordinates, are never built, through either entry point, nor is
-    # any face loop run on the standard letters in degree n + 1
+    # any face or coface loop run on the standard letters in degree n + 1
+    # (the degree of the larger space: n for b_n, m + 1 for delta^m)
     reg = zoo.get(name).regular()
     built = []
     for fn in ("boundary_matrix", "coboundary_matrix"):
@@ -339,7 +379,12 @@ def test_a_nonzero_class_space_assembles_nothing_in_the_larger_degree(monkeypatc
         faces.append((len(mult), n))
         return inner(left, right, mult, fld, r, n)
 
+    def counted_cofaces(left, right, mult, fld, r, m, inner=complexes._coface_loop):
+        faces.append((len(mult), m + 1))
+        return inner(left, right, mult, fld, r, m)
+
     monkeypatch.setattr(complexes, "_faces", counted_faces)
+    monkeypatch.setattr(complexes, "_coface_loop", counted_cofaces)
     cs = class_space(reg, degree, kind)
     assert cs.dim == 2
     if kind == "homology":
@@ -546,6 +591,37 @@ def test_memory_guard_trips():
     finally:
         config.set_max_coordinates(None)
     assert config.max_coordinates() == 1 << 24
+
+
+def test_memory_guard_names_the_degree_and_the_module():
+    # the larger space of b_n is C_n, and of delta^m is C^(m+1), except on
+    # a complex with no letters (the normalized rationals), where it is
+    # the module itself in the lower degree
+    reg = zoo.get("two_by_two_matrices").regular()
+    E = coinduced(reg).module
+    Q = zoo.get("rationals")
+    one = SparseMat.identity(2, Q.field)
+    plane = Normalized(Bimodule(Q, 2, [one], [one], label="Q^2").validate())
+    refusals = [
+        (lambda: boundary_matrix(reg, 3), "256 coordinates for a chain space in degree 3 of regular "),
+        (lambda: coboundary_matrix(E, 2), "1024 coordinates for a cochain space in degree 3 of "
+                                          "Hom(A, regular) "),
+        (lambda: coboundary_matrix(Normalized(reg), 3), "324 coordinates for a cochain space in "
+                                                        "degree 4 of the normalized complex of regular "),
+        (lambda: class_space(reg, 3, "homology"), "1024 coordinates for a chain space in degree 4 "),
+    ]
+    config.set_max_coordinates(100)
+    try:
+        for build, message in refusals:
+            with pytest.raises(MemoryGuardError) as info:
+                build()
+            assert message in str(info.value)
+        config.set_max_coordinates(1)
+        with pytest.raises(MemoryGuardError, match="2 coordinates for a cochain space in degree 0 "
+                                                   "of the normalized complex of Q\\^2 "):
+            coboundary_matrix(plane, 0)
+    finally:
+        config.set_max_coordinates(None)
 
 
 def test_memory_guard_trips_on_cached_builds():
