@@ -229,7 +229,7 @@ def make_ses(f, g, label=None):
         raise NotExact(f"first map is not injective (rank {rf} < {f.source.dim})")
     if rg != g.target.dim:
         raise NotExact(f"second map is not surjective (rank {rg} < {g.target.dim})")
-    if not (g.matrix @ f.matrix).is_zero():
+    if not g.matrix.kills(f.matrix):
         raise NotExact("composite g o f is nonzero")
     if rf + rg != f.target.dim:
         raise NotExact(

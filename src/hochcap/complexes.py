@@ -44,9 +44,11 @@ functionals of M.  The ranks of the coboundaries are kept on that
 module, where dimension queries (`class_dims`) and class spaces share
 them.  A dimension query finds them in one walk up the complex, ranking
 each coboundary only on the columns off the image of the one before it,
-after certifying that it kills that image; a class space ranks the two
-touching its degree the same way, and its normalized classes are the
-null space of the outgoing one on those columns (`_normalized_classes`).
+after certifying that it kills that image (`SparseMat.kills`, which
+tests the composite column by column and never builds it); a class space
+ranks the two touching its degree the same way, and its normalized
+classes are the null space of the outgoing one on those columns
+(`_normalized_classes`).
 Class spaces, and everything built on them (cap products, connecting
 maps, the identity checks), stay on the standard complex, because their
 coordinates are promised canonical there and no simple chain map carries
@@ -633,17 +635,19 @@ def class_dims(module, up_to, kind):
     basis of the image of the one before it, with leads L.  Then d has the
     same rank on its columns off L as on all of them, since the unit
     vectors off L and the basis form a triangular basis of the space, so
-    only those columns are eliminated.  The certificate multiplies the
-    basis, or the columns it came from when they have fewer nonzeros (over
-    F_p rref rows can be denser).  By induction each basis spans the full
-    image, so it raises InclusionViolation exactly when two consecutive
-    differentials do not compose to zero, in every degree 1..up_to, in
-    place of the B <= Z check a subquotient makes.
+    only those columns are eliminated.  The certificate is `d.kills` on
+    the basis, or on the columns it came from when they have fewer
+    nonzeros (over F_p rref rows can be denser): each column of the
+    composite is summed without being built and tested once.  By
+    induction each basis spans the full image, so it raises
+    InclusionViolation exactly when two consecutive differentials do not
+    compose to zero, in every degree 1..up_to, in place of the B <= Z
+    check a subquotient makes.
 
     The ranks are kept on the module, where class spaces read them too
     (`_normalized_classes`), so each coboundary is eliminated once per
     module content, whichever asks first.  The walk eliminates no rank it
-    finds there, and certifies the next pair by the full product.  One
+    finds there, and certifies the next pair on all its columns.  One
     `Normalized` serves the whole query, so each of its coboundaries is
     assembled once.
     """
@@ -664,12 +668,12 @@ def class_dims(module, up_to, kind):
 def _rank_walk(module, kind, steps, image=None, leads=None):
     """Keep the rank of each coboundary d of `steps`, pairs (k, d) in
     increasing degree, on the module as ("normalized rank", "cohomology",
-    k), after certifying that d kills `image`, the image of the d before
-    it, and a failure names `kind`, the user's.  `image` and `leads`, the
-    leads of its basis, start as those of the coboundary before the
-    first, when given."""
+    k), after certifying by `d.kills(image)` that d is zero on `image`,
+    the image of the d before it, and a failure names `kind`, the
+    user's.  `image` and `leads`, the leads of its basis, start as those
+    of the coboundary before the first, when given."""
     for k, d in steps:
-        if image is not None and not (d @ image).is_zero():
+        if image is not None and not d.kills(image):
             raise InclusionViolation(
                 f"{kind} degree {k}: the composite of the normalized "
                 f"differentials is not zero")

@@ -22,7 +22,9 @@ fill of the rows used, never the rank.  `kernel_basis` scatters each
 rref row into its free columns, and `Solver` keeps the augmentation part
 of one elimination as two matrices, a section and the conditions for a
 solution to exist, one row per condition, so a solve, of one right-hand
-side or of a whole matrix of them, is two products.
+side or of a whole matrix of them, is a check that the conditions vanish
+on it and one product.  `SparseMat.kills` makes every such zero check,
+a d o d certificate too, without building the product.
 
 `rank` counts the vectors of `image_basis`, a basis of the column space
 keyed by distinct leads.  When the matrix has no more columns than rows
@@ -157,15 +159,38 @@ class SparseMat:
         return out
 
     def __matmul__(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
-            )
+        self._check_product(other)
         out = SparseMat(self.nrows, other.ncols, self.field)
         for j, col in enumerate(other.cols):
             for k, v in col.items():
                 axpy(out.cols[j], v, self.cols[k], self.field)
         return out
+
+    def kills(self, other):
+        """True when `self @ other` is zero, without building the product.
+
+        Each column of the product is summed in plain `int`/`Fraction`
+        arithmetic, with no field call and no deletion, and tested once at
+        its end: over F_p an entry is zero when p divides its sum, so any
+        integer representatives give the exact answer.
+        """
+        self._check_product(other)
+        cols, p = self.cols, self.field.characteristic
+        for col in other.cols:
+            out = {}
+            get = out.get
+            for k, f in col.items():
+                for i, v in cols[k].items():
+                    out[i] = get(i, 0) + f * v
+            if any(v % p for v in out.values()) if p else any(out.values()):
+                return False
+        return True
+
+    def _check_product(self, other):
+        if self.ncols != other.nrows:
+            raise ValueError(
+                f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
+            )
 
     def __add__(self, other):
         fld = self.field
@@ -453,8 +478,9 @@ class Solver:
     solution whose free variables are zero.  The other rows are supported
     on the augmentation alone; they are the rref of the left null space
     of m, one row per condition, and give `conditions`, which is zero on
-    b exactly when b is in the column space of m.  A solve is two
-    products, of one right-hand side or of a whole matrix of them.
+    b exactly when b is in the column space of m.  A solve, of one
+    right-hand side or of a whole matrix of them, checks that
+    `conditions` is zero on it and is then one product by `section`.
     """
 
     def __init__(self, m):
@@ -487,7 +513,7 @@ class Solver:
 
     def solve_matrix(self, rhs):
         """Solve m X = rhs for every column at once; None if any column fails."""
-        if not (self.conditions @ rhs).is_zero():
+        if not self.conditions.kills(rhs):
             return None
         return self.section @ rhs
 

@@ -367,6 +367,66 @@ def test_kernel_basis_properties(p, data):
         assert not any(free[j] in other for i, other in enumerate(k.cols) if i != j)
 
 
+def _raw_columns(data, p, nrows, ncols):
+    """ncols sparse columns of length nrows, not coerced: Fractions over Q
+    (integral ones too), ints in [-2p, 2p] over F_p, so that multiples of
+    p and negative entries are stored."""
+    scalars = _scalars(None) if p is None else st.integers(-2 * p, 2 * p)
+    col = st.dictionaries(st.integers(0, max(nrows - 1, 0)), scalars, max_size=min(nrows, 4))
+    return [{i: v for i, v in c.items() if v}
+            for c in data.draw(st.lists(col, min_size=ncols, max_size=ncols))]
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_kills_is_a_zero_product(p, data):
+    # kills sums each column of the product in plain ints or Fractions and
+    # reduces once at its end; it must read every product as `@` does, on
+    # empty shapes, zero and cancelling factors and unreduced entries
+    field = _field(p)
+    n, k, m = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = SparseMat(n, k, field, _raw_columns(data, p, n, k))
+    form = data.draw(st.sampled_from(["random", "zero", "kernel"]))
+    if form == "random":
+        b = SparseMat(k, m, field, _raw_columns(data, p, k, m))
+    elif form == "zero":
+        b = SparseMat.zero(k, m, field)
+    else:
+        # the kernel of a's reduction, so every column cancels, over F_p
+        # in sums that are nonzero multiples of p
+        b = kernel_basis(SparseMat.from_columns(
+            n, field, [{i: field.coerce(v) for i, v in c.items()} for c in a.cols]))
+    assert a.kills(b) == (a @ b).is_zero()
+    if form != "random":
+        assert a.kills(b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kills_reduces_each_sum_mod_p(p):
+    # 1 + (p - 1) and (p + 1) - 1 are p, zero in F_p; 1 + p is not
+    a = SparseMat(1, 2, GF(p), [{0: 1}, {0: 1}])
+    assert a.kills(SparseMat(2, 2, GF(p), [{0: 1, 1: p - 1}, {0: p + 1, 1: -1}]))
+    assert not a.kills(SparseMat(2, 2, GF(p), [{0: 1, 1: p - 1}, {0: 1, 1: p}]))
+    # over Q the same sums are not zero
+    assert not SparseMat(1, 2, QQ, [{0: 1}, {0: 1}]).kills(
+        SparseMat(2, 1, QQ, [{0: 1, 1: p - 1}]))
+    q = SparseMat(1, 2, QQ, [{0: Fraction(1, 2)}, {0: Fraction(1, 3)}])
+    assert q.kills(SparseMat(2, 1, QQ, [{0: Fraction(2, 3), 1: -1}]))
+    assert not q.kills(SparseMat(2, 1, QQ, [{0: 1, 1: -1}]))
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 2)), ((0, 1), (0, 4)), ((3, 0), (1, 0))])
+def test_kills_refuses_a_shape_mismatch_as_matmul_does(shapes):
+    (n, k), (r, m) = shapes
+    a, b = SparseMat.zero(n, k, QQ), SparseMat.zero(r, m, QQ)
+    with pytest.raises(ValueError, match="shape mismatch") as product:
+        a @ b
+    with pytest.raises(ValueError, match="shape mismatch") as killed:
+        a.kills(b)
+    assert str(killed.value) == str(product.value)
+
+
 def _same_echelon(got, want):
     assert got.ncols == want.ncols
     assert got.pivots == want.pivots
