@@ -25,13 +25,10 @@ Coboundary of the cochain (w; j) sending w = (a_1..a_m) to e_j, with
 
 The face loop (`_faces`) assembles b_n, and the bar differential of
 `cap` too; the coface loop (`_coface_loop`) assembles delta^m column by
-column.  For finite dimensional M the cochains C^m(A, M) are the dual of
-the chains C_m(A, M*), M* = Hom_k(M, k), whose left action is the
-transposed right action of M and whose right action is the transposed
-left one: delta_m is the transpose of b_{m+1} on M*, with the dual chain
-(j; w) read as the cochain rank(w)*r + j.  `_cofaces` applies that
-transpose to a sparse functional without assembling either matrix, and
-both loops read their interior cofaces off `_coface_tables`.
+column.  `_coboundaries` applies delta^m to a few sparse cochains
+without assembling it, adding each entry's column; both read the
+cofaces of a tuple off the same tables (`_coface_tables`), in the
+cochain layout of the module.
 Homology and cohomology are presented as subquotients with canonical
 coordinates, so equal classes get equal coordinate tuples no matter how
 they were found.
@@ -318,54 +315,56 @@ def _dual(M):
     return config.cached(M, "dual module", build)
 
 
-def _coface_tables(mult, fld):
-    """The interior cofaces of a letter, signed: tables[s][l] lists
-    (a d + b, (-1)^s v) for each product e_a e_b with a term v e_l, v != 0,
-    where d is the number of letters."""
+def _coface_tables(left, right, mult, fld, r, m):
+    """The cofaces of delta^m on Hom(L^{(x)m}, M), M of dimension r, L the
+    letters of `mult`, left[a] and right[a] the actions of letter a on M,
+    as row offsets in the cochain layout: (slots, firsts, lasts).
+
+    slots[i-1] = (table, low) is slot i (1..m) of a tuple w, its letter at
+    place value low = d^(m-i): table[l] lists, for each product e_a e_b
+    with a term v e_l, v != 0, the row offset of the pair (a, b) in that
+    slot and (-1)^i v.  firsts[j] and lasts[j] hold the row offsets of
+    a.e_j at (a, w) and of e_j.a at (w, a), less those of w, with the
+    coefficient and the last coface's sign (-1)^(m+1).  No list holds a
+    zero coefficient.
+    """
     d = len(mult)
+    mul = fld.mul
     grouped = [[] for _ in range(d)]
     for a, row in enumerate(mult):
         for b, entry in enumerate(row):
             for l, v in entry.items():
                 grouped[l].append((a * d + b, v))
-    mul = fld.mul
-    return [[[(ab, c) for ab, v in entries if (c := mul(sign, v))] for entries in grouped]
-            for sign in (fld.one, fld.neg(fld.one))]
-
-
-def _coface_loop(left, right, mult, fld, r, m):
-    """The matrix of delta^m on Hom(L^{(x)m}, M), M of dimension r, L the
-    letters of `mult`, left[a] and right[a] the actions of letter a on M.
-
-    Column (w; j), the cochain sending the tuple w to e_j, at rank(w)*r + j,
-    is written directly from its cofaces (see the module docstring).  The
-    interior cofaces of w, the tuples that contract to w at some slot i,
-    with the sign (-1)^i, are found once per tuple and merged into one
-    dict of row offsets, which each module index j shifts by j in one
-    comprehension, as in `_faces`.  The outer cofaces, a.e_j at (a, w)
-    and (-1)^(m+1) e_j.a at (w, a), are then added from lists per module
-    index, built once per call.  A zero coefficient stores nothing, and
-    no column holds a zero.
-    """
-    d = len(mult)
-    block = d ** m
-    add, mul = fld.add, fld.mul
-    tables = _coface_tables(mult, fld)
-    # slot i (1..m) of w, its letter at place value low = d^(m-i): the
-    # signed cofaces of that letter, each with the row offset of its pair
-    # (a, b), and low
+    signs = (fld.one, fld.neg(fld.one))
     slots = []
     for i in range(1, m + 1):
-        low = d ** (m - i)
-        slots.append(([[(ab * low * r, v) for ab, v in entries] for entries in tables[i % 2]], low))
-    # outer cofaces: firsts[j] and lasts[j] hold the row offsets of a.e_j
-    # at (a, w) and of e_j.a at (w, a), less those of w, with the
-    # coefficient and the last coface's sign
-    last = fld.one if m % 2 else fld.neg(fld.one)
+        low, sign = d ** (m - i), signs[i % 2]
+        slots.append(([[(ab * low * r, c) for ab, v in entries if (c := mul(sign, v))]
+                       for entries in grouped], low))
+    block, last = d ** m, fld.one if m % 2 else fld.neg(fld.one)
     firsts = [[(a * block * r + y, v) for a, act in enumerate(left)
                for y, v in act.cols[j].items() if v] for j in range(r)]
     lasts = [[(a * r + y, c) for a, act in enumerate(right)
               for y, v in act.cols[j].items() if (c := mul(last, v))] for j in range(r)]
+    return slots, firsts, lasts
+
+
+def _coface_loop(left, right, mult, fld, r, m):
+    """The matrix of delta^m on Hom(L^{(x)m}, M), the arguments as for
+    `_coface_tables`.
+
+    Column (w; j), the cochain sending the tuple w to e_j, at rank(w)*r + j,
+    is written directly from its cofaces (see the module docstring).  The
+    interior cofaces of w, the tuples that contract to w at some slot, are
+    found once per tuple and merged into one dict of row offsets, which
+    each module index j shifts by j in one comprehension, as in `_faces`.
+    The outer cofaces of each module index are then added.  A zero
+    coefficient stores nothing, and no column holds a zero.
+    """
+    d = len(mult)
+    block = d ** m
+    add = fld.add
+    slots, firsts, lasts = _coface_tables(left, right, mult, fld, r, m)
     cols = [None] * (block * r)
     for k, w in enumerate(tuples(d, m)):
         terms = {}
@@ -406,40 +405,29 @@ def _coface_loop(left, right, mult, fld, r, m):
     return SparseMat(block * d * r, block * r, fld, cols)
 
 
-def _cofaces(left, right, mult, fld, n, functionals):
-    """phi o b_{n+1} for each sparse functional phi on the degree n chains
-    N (x) L^{(x)n} (the other arguments as for `_faces`), as a sparse
-    dict on the degree n+1 chains, without assembling b_{n+1}.
-
-    Each entry of phi at (y; w) is spread over the chains having (y; w)
-    as a face: (x; a, w) when x.a has a y term, the tuples that contract
-    to w at slot i, with the sign (-1)^i (`_coface_tables`), and
-    (x; w, a) when a.x has a y term, with the sign (-1)^(n+1).  The work
-    is the size of that coface set, never the size of either chain space.
-    """
-    d = len(mult)
-    block = d ** n
-    neg, mul = fld.neg, fld.mul
-    tables = _coface_tables(mult, fld)
-    firsts = [a.transpose().cols for a in right]  # firsts[a][y]: {x: (x.a)_y}
-    lasts = [a.transpose().cols for a in left]
-    slots = [(tables[i % 2], d ** (n - i)) for i in range(1, n + 1)]  # signed cofaces, place value
+def _coboundaries(M, m, cochains):
+    """delta^m of each sparse cochain of M, a bimodule or a `Normalized`,
+    as a sparse dict, without assembling delta^m: each entry at (w; j) adds
+    its multiple of column (w; j), read off `_coface_tables` as
+    `_coface_loop` reads it.
+    The work is the size of those columns, never the size of either
+    cochain space."""
+    fld, r, d = M.field, M.dim, len(M.mult)
+    mul = fld.mul
+    slots, firsts, lasts = _coface_tables(M.left, M.right, M.mult, fld, r, m)
     images = []
-    for phi in functionals:
+    for psi in cochains:
         out = {}
-        for c, f in phi.items():
-            y, k = divmod(c, block)
-            base = y * block * d
-            last = f if n % 2 else neg(f)
-            for a in range(d):
-                for x, v in firsts[a][y].items():
-                    acc(out, (x * d + a) * block + k, mul(f, v), fld)
-                for x, v in lasts[a][y].items():
-                    acc(out, (x * block + k) * d + a, mul(last, v), fld)
+        for c, f in psi.items():
+            k, j = divmod(c, r)
             for table, low in slots:
-                at = base + k // (low * d) * d * d * low + k % low
-                for ab, v in table[k // low % d]:
-                    acc(out, at + ab * low, mul(f, v), fld)
+                base = (k // (low * d) * d * d * low + k % low) * r + j
+                for t, v in table[k // low % d]:
+                    acc(out, base + t, mul(f, v), fld)
+            for y, v in firsts[j]:
+                acc(out, y + k * r, mul(f, v), fld)
+            for y, v in lasts[j]:
+                acc(out, y + k * d * r, mul(f, v), fld)
         images.append(out)
     return images
 
@@ -482,31 +470,31 @@ def _class_subquotient(module, degree, kind):
       with the h pulled-back cocycles (`Echelon.extend`); delta^m is
       never built.
     Two certificates raise InclusionViolation: each pulled-back cocycle
-    psi is checked exactly, as the functional psi o b_{n+1} on the chains
-    of the dual of its module, over the cofaces of its support
-    (`_cofaces`), and the functionals must have rank h on Z_n, or the
-    cocycles add h pivots to B^m.
+    psi of the owner (M, or M* for homology) must have delta^n psi = 0,
+    checked exactly over the cofaces of its support, off the tables that
+    assemble delta^n (`_coboundaries`), and the functionals must have
+    rank h on Z_n, or the cocycles add h pivots to B^m.
     """
-    owner, dual = (module, _dual(module)) if kind == "cohomology" else (_dual(module), module)
+    owner = module if kind == "cohomology" else _dual(module)
     classes = _normalized_classes(owner, degree, kind)
     if not classes:
         return None
-    fld, d, r = module.field, len(module.mult), module.dim
     cocycles = [_pullback(owner, v, degree) for v in classes]
-    # the cochain (w; j) of the owner is the chain (j; w) of its dual
-    duals = [{t % r * d ** degree + t // r: v for t, v in psi.items()} for psi in cocycles]
     what = "functional" if kind == "homology" else "cocycle"
-    for j, image in enumerate(_cofaces(dual.left, dual.right, module.mult, fld, degree, duals)):
+    for j, image in enumerate(_coboundaries(owner, degree, cocycles)):
         if image:
             raise InclusionViolation(
                 f"{kind} degree {degree}: the pulled-back normalized {what} {j} "
                 f"is not a cocycle")
     if kind == "homology":
+        # the cochain (w; j) of M* is the functional on the chain (j; w) of M
+        r, block = module.dim, len(module.mult) ** degree
+        functionals = [{t % r * block + t // r: v for t, v in psi.items()} for psi in cocycles]
         cycles = Echelon.null_space(differential(module, degree, kind))
-        boundaries = cycles.restrict(duals)
+        boundaries = cycles.restrict(functionals)
     else:
         into = differential(module, degree - 1, kind)
-        boundaries = Echelon(fld, list(into.cols), into.nrows)
+        boundaries = Echelon(module.field, list(into.cols), into.nrows)
         cycles = boundaries.extend(cocycles)
     found, dim = len(cycles.pivots) - len(boundaries.pivots), _normalized_dim(owner, degree)
     if found != dim:
@@ -599,9 +587,11 @@ def _class_space(module, degree, kind):
     """
     if degree < 0:
         raise DegreeError(f"{kind} degree must be nonnegative")
-    # refuse what the standard route would build, before the cache lookup
-    # and before any normalized work: the differential touching degree + 1
-    # (b_{n+1} or delta^n) has the larger space
+    # refuse before the cache lookup and before any normalized work by
+    # the size of b_{n+1} or delta^n, which no class space builds any
+    # more (the pulled-back classes stand in for it): a lowered cap keeps
+    # refusing what it refused, until a size model of what each command
+    # builds replaces this guard ("Refuse before work" in ROADMAP.md)
     _guard(module, degree + 1 if kind == "homology" else degree, kind)
     space = config.cached(module, (kind, degree),
                           lambda: _class_subquotient(module, degree, kind))

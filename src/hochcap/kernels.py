@@ -1,23 +1,15 @@
 """The row-reduction kernel.
 
 This elimination loop dominates the package's runtime; every kernel,
-solve and subquotient, and the rank of a wide matrix, goes through
-`build_rref`.  The output is canonical and depends on the row space
-alone: the reduced row echelon form of a row space is unique, pivots are
-always the leftmost possible, and rows come out sorted by pivot column.
+solve and subquotient goes through `build_rref`.  The output is
+canonical and depends on the row space alone: the reduced row echelon
+form of a row space is unique, pivots are always the leftmost possible,
+and rows come out sorted by pivot column.
 
 A rank needs no canonical form.  `echelon` is the same loop without the
 back-substitution: it reduces each row at its leading column only and
 clears nothing above a pivot.  `linalg.image_basis`, and so `rank`, uses
-it on a tall matrix (no more columns than rows: every normalized
-coboundary, which carries homology too, as the coboundary of the dual
-module), whose few long columns it eliminates.  On M_2 clearing each new
-pivot from the basis was most of the rref's work and peak memory there;
-on some F_p group algebras lead-only reduction cascades instead, and took
-up to 1.5x the rref's time at a quarter of its memory.  On the many short
-columns of a wide matrix (a normalized boundary), reducing at the lead
-only leaves more fill in the basis and measured up to 4.8x slower than
-the full rref (1.9x on M_2's b_8; `BENCH_rank.json`).
+it for every matrix.
 
 Because the output does not depend on the order of the input rows, the
 rows are fed in the order that keeps fill low: leading column

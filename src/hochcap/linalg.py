@@ -14,39 +14,28 @@ zero vector.
 by tuple rank, which is how every slot operator of the bar resolution
 (contractions, outer multiplications, unit insertions) acts.
 
-Every elimination but the rank of a tall matrix produces one `Echelon`:
-the canonical rref rows from `kernels.build_rref` with an index from
-pivot column to row.  Reducing a vector against it walks only the pivot
-columns in the vector's support, so the work is the support plus the
-fill of the rows used, never the rank.  `kernel_basis` scatters each
-rref row into its free columns, and `Solver` keeps the augmentation part
-of one elimination as two matrices, a section and the conditions for a
-solution to exist, one row per condition, so a solve, of one right-hand
-side or of a whole matrix of them, is a check that the conditions vanish
-on it and one product.  `SparseMat.kills` makes every such zero check,
-a d o d certificate too, without building the product.
+Every elimination but a rank produces one `Echelon`: the canonical rref
+rows from `kernels.build_rref` with an index from pivot column to row.
+Reducing a vector against it walks only the pivot columns in the
+vector's support, so the work is the support plus the fill of the rows
+used, never the rank.  A null space is `Echelon.null_space`, one
+elimination read back as the rref of the kernel (its docstring says
+why); `kernel_basis` is that rref with the column order reversed.
+`Solver` keeps the augmentation part of one elimination as two
+matrices, a section and the conditions for a solution to exist, one row
+per condition, so a solve, of one right-hand side or of a whole matrix
+of them, is a check that the conditions vanish on it and one product.
+`SparseMat.kills` makes every such zero check, a d o d certificate too,
+without building the product.
 
 `rank` counts the vectors of `image_basis`, a basis of the column space
-keyed by distinct leads.  When the matrix has no more columns than rows
-(every normalized coboundary, whole or restricted, and the tall maps the
-exactness checks rank) that is `kernels.echelon`, a forward elimination
-with no canonical form; a wide matrix keeps the rref, which measured
-faster there.  The normalized work keeps the basis itself (see
+keyed by distinct leads, from `kernels.echelon`, a forward elimination
+with no canonical form.  The normalized work keeps the basis itself (see
 `complexes.class_dims`).
 
-The cycles of a homology class space are the null space of a
-differential, and `Echelon.null_space` gives its canonical rref from one
-elimination of the differential's rows, with the columns relabelled
-c -> n-1-c.  Read back in the original labels, each row of that rref R
-ends in a 1 at a column q_i, and every other entry lies left of q_i.  For each column f
-that is no q_i, e_f - sum_i R[i, f] e_{q_i} is in the null space, leads
-with 1 at f, has its other entries only at q_i > f, and is zero at every
-other such f: together these vectors are a reduced row echelon basis of
-the null space, and since the rref is unique, they are the rows that
-eliminating any other basis of it would give.
-
-A class space then derives its second subspace from the first and a few
-vectors, with no second elimination of a large matrix: `restrict` cuts
+A class space eliminates one subspace (for homology the cycles, a null
+space) and derives the other from it and a few vectors, with no second
+elimination of a large matrix: `restrict` cuts
 out the vectors of a row space that some functionals kill (the
 boundaries inside the cycles), and `extend` adds vectors to one (the
 cycles over the boundaries).  Both emit canonical rows, keys increasing
@@ -308,8 +297,15 @@ class Echelon:
     def null_space(cls, m):
         """The echelon of the null space of m, from one elimination.
 
-        Equal, pivots, rows, key order and value types, to the echelon of
-        `kernel_basis(m).cols`; see the module docstring for why.
+        The rows of m are eliminated with the columns relabelled
+        c -> n-1-c.  Read back in the original labels, each row of that
+        rref R ends in a 1 at a column q_i, and every other entry lies left
+        of q_i.  For each column f that is no q_i,
+        e_f - sum_i R[i, f] e_{q_i} is in the null space, leads with 1 at
+        f, has its other entries only at q_i > f, and is zero at every
+        other such f: together these vectors are a reduced row echelon
+        basis of the null space, and since the rref is unique, they are
+        the rows that eliminating any other basis of it would give.
         """
         fld, n = m.field, m.ncols
         flipped = [dict() for _ in range(m.nrows)]
@@ -341,23 +337,25 @@ class Echelon:
         """The echelon of the vectors of the row space that every
         functional (a sparse dict) sends to zero.
 
-        With the rows z_i listed from the last, a combination sum a_i z_i
-        is killed when its coefficients are in the null space of the
-        matrix whose column i is Phi(z_i), the values of the functionals.
-        The canonical basis of that null space (`kernel_basis`) has one
-        vector per row whose values depend on those of the rows after
-        it, with a 1 there and otherwise entries only at later rows whose
-        values are independent: the rref rows of the subspace, read back
-        in the order of their pivots.  A row no functional touches is
-        shared, not copied, and the values are read over the smaller of a
-        row and the functionals' support.
+        A combination sum a_i z_i of the rows is killed when its
+        coefficients are in the null space of the matrix whose column i
+        is Phi(z_i), the values of the functionals.  Each row of the rref
+        of that null space (`null_space`) is 1 at some i and otherwise
+        nonzero only at rows q > i that lead no other null row.  Its
+        combination therefore leads with 1 at the pivot of z_i, since
+        each z_q starts right of it, and is 0 at the pivot of every
+        other leading row, since the rows are fully reduced: the
+        combinations are the rref of the subspace, in the order of their
+        pivots.  A row no functional touches is shared, not copied, and
+        the values are read over the smaller of a row and the
+        functionals' support.
         """
         fld = self.field
         touch = {}
         for j, phi in enumerate(functionals):
             for c, v in phi.items():
                 touch.setdefault(c, []).append((j, v))
-        rows = self.rows[::-1]
+        rows = self.rows
         values = []
         for row in rows:
             if len(row) < len(touch):
@@ -369,10 +367,9 @@ class Echelon:
                 for j, u in t:
                     acc(val, j, fld.mul(v, u), fld)
             values.append(val)
-        kernel = kernel_basis(SparseMat(len(functionals), len(rows), fld, values))
+        null = Echelon.null_space(SparseMat(len(functionals), len(rows), fld, values))
         index = {}
-        for coeffs in reversed(kernel.cols):
-            i = next(iter(coeffs))
+        for i, coeffs in null.index.items():
             row = rows[i]
             if len(coeffs) > 1:
                 row = dict(row)
@@ -380,7 +377,7 @@ class Echelon:
                     if q != i:
                         axpy(row, c, rows[q], fld)
                 row = _canonical(fld, row)
-            index[self.pivots[len(rows) - 1 - i]] = row
+            index[self.pivots[i]] = row
         return Echelon._of(fld, self.ncols, index)
 
     def extend(self, vectors):
@@ -434,16 +431,9 @@ def _canonical(field, row):
 
 def image_basis(m):
     """A basis of the column space of m, as {lead: vector}, with distinct
-    leads: the columns are stored, the rows would be built.
-
-    A tall matrix (no more columns than rows) takes `echelon`, which skips
-    the back-substitution, and its vectors are in the kernel's working
-    form; the many short columns of a wide one fill more when reduced at
-    the lead only, so it keeps the canonical rref.
-    """
-    if m.ncols <= m.nrows:
-        return echelon(m.field, m.cols)
-    return Echelon(m.field, m.cols, m.nrows).index
+    leads, in the kernel's working form (`kernels.echelon`): the columns
+    are stored, the rows would be built."""
+    return echelon(m.field, m.cols)
 
 
 def rank(m):
@@ -454,19 +444,20 @@ def kernel_basis(m):
     """Canonical basis of the null space, one column per free column.
 
     The basis vector for free column f has a 1 at f and -R[i, f] at the
-    i-th pivot column, where R is the rref of m.  Columns are ordered by
-    increasing free column, which makes the result deterministic.
+    i-th pivot column, where R is the rref of m, listed in that order:
+    f, then the pivots increasing.  Columns are ordered by increasing
+    free column.  It is the rref of the null space of m with its columns
+    reversed (`Echelon.null_space`, which eliminates the rows of m as
+    they stand), read back: the rows from the last, and each row's
+    entries after its leading 1 from the last.
     """
-    fld = m.field
-    ech = Echelon(fld, m.rows_view(), m.ncols)
-    cols = {f: {f: fld.one} for f in range(m.ncols) if f not in ech.index}
-    # scatter each row into the columns of its free entries; rows come in
-    # increasing pivot order, so every column lists its pivots in order
-    for p, row in zip(ech.pivots, ech.rows):
-        for f, v in row.items():
-            if f != p:
-                cols[f][p] = fld.neg(v)
-    return SparseMat(m.ncols, len(cols), fld, list(cols.values()))
+    n = m.ncols
+    null = Echelon.null_space(SparseMat(m.nrows, n, m.field, m.cols[::-1]))
+    cols = []
+    for row in reversed(null.rows):
+        (f, one), *rest = row.items()
+        cols.append({n - 1 - f: one, **{n - 1 - c: v for c, v in reversed(rest)}})
+    return SparseMat(n, len(cols), m.field, cols)
 
 
 class Solver:
@@ -585,9 +576,6 @@ class SubquotientSpace:
             raise NotACycle("vector is not in the cycle space")
         free = self._free_index
         return [(free[p], f) for p, f in rec.items() if p in free]
-
-    def is_boundary(self, v):
-        return not self._coords(coerce_vector(self.field, v, self.ambient_dim))
 
     def representative(self, k):
         """Canonical ambient representative of generator k (sparse dict).

@@ -81,15 +81,25 @@ def dense_solve(rows, b, p=None):
     """The solution of rows * x = b whose free variables are zero, as a
     sparse dict {column: value}, or None when there is none.
 
-    Gauss-Jordan elimination of the augmented matrix [rows | b], over
-    Fractions (p is None) or mod p; x takes the last column's entry of
-    each pivot row at that row's pivot column.
+    The rref of the augmented matrix [rows | b]: there is no solution when
+    its last column is a pivot, and otherwise x takes the last column's
+    entry of each pivot row at that row's pivot column.
     """
+    ncols = len(rows[0]) if rows else 0
+    pivots, red = dense_rref([list(r) + [y] for r, y in zip(rows, b)], ncols + 1, p)
+    if ncols in pivots:
+        return None
+    return {col: red[i][-1] for i, col in enumerate(pivots) if red[i][-1] != 0}
+
+
+def dense_rref(rows, ncols, p=None):
+    """(pivots, rows): the reduced row echelon form of a dense matrix of
+    width ncols, zero rows dropped, by Gauss-Jordan elimination over
+    Fractions (p is None) or mod p."""
     if p is None:
-        mat = [[Fraction(x) for x in r] + [Fraction(y)] for r, y in zip(rows, b)]
+        mat = [[Fraction(x) for x in r] for r in rows]
     else:
-        mat = [[x % p for x in r] + [y % p] for r, y in zip(rows, b)]
-    ncols = len(mat[0]) - 1 if mat else 0
+        mat = [[x % p for x in r] for r in rows]
     pivots = []
     for col in range(ncols):
         row = len(pivots)
@@ -105,9 +115,23 @@ def dense_solve(rows, b, p=None):
                 mat[i] = [(x - f * y) % p if p is not None else x - f * y
                           for x, y in zip(mat[i], mat[row])]
         pivots.append(col)
-    if any(r[-1] != 0 for r in mat[len(pivots):]):
-        return None
-    return {col: mat[i][-1] for i, col in enumerate(pivots) if mat[i][-1] != 0}
+    return pivots, mat[:len(pivots)]
+
+
+def dense_null_space_rref(rows, ncols, p=None):
+    """(pivots, rows): the rref of the null space of a dense matrix of
+    width ncols.  The textbook basis, e_f - sum_i R[i][f] e_{p_i} for each
+    non-pivot column f of the rref R, is row reduced a second time."""
+    pivots, red = dense_rref(rows, ncols, p)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = 1
+            for i, q in enumerate(pivots):
+                v[q] = -red[i][f]
+            basis.append(v)
+    return dense_rref(basis, ncols, p)
 
 
 # --- raw algebra data (kept local on purpose) ----------------------------

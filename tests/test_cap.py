@@ -356,7 +356,7 @@ def test_coboundary_lift_gives_boundaries():
             h0 = homology(reg, 0)
             for k in range(hs.dim):
                 out = cap_via_lift(reg, m, hs.representative(k), lift)
-                assert h0.space.is_boundary(out), (name, m, k)
+                assert not any(h0.class_of(out)), (name, m, k)
 
 
 # sha256 of every lift value, generator by generator, for the cases of

@@ -1,9 +1,8 @@
 """The elimination kernel against the dense oracle.
 
 `build_rref` is the routine every kernel, solve and subquotient goes
-through, and the rank of a wide matrix.  The rank of a tall one (every
-normalized coboundary) needs no canonical form and comes from `echelon`,
-the same loop without the back-substitution.  Random sparse inputs over
+through.  A rank needs no canonical form and comes from `echelon`, the
+same loop without the back-substitution.  Random sparse inputs over
 Q and several F_p are checked against plain Gaussian elimination in
 `_oracle.py`, the rref against the definition of a reduced row echelon
 form, and the echelon against the rref's pivots.

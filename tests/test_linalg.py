@@ -11,7 +11,7 @@ from hochcap.errors import InclusionViolation, NotACycle, ParseError
 from hochcap.fields import field_from_json
 from hochcap.linalg import Echelon, axpy, image_basis, on_slots
 
-from _oracle import dense_rank, dense_solve
+from _oracle import dense_null_space_rref, dense_rank, dense_solve
 
 PRIMES = [2, 3, 101, (1 << 31) + 11]
 
@@ -213,7 +213,7 @@ def test_subquotient_canonical_coords():
     assert sq.coset_reduce({0: F(1)}) == (F(-1), F(0))
     assert sq.coset_reduce({1: F(1)}) == (F(1), F(0))
     assert sq.coset_reduce({2: F(1)}) == (F(0), F(1))
-    assert sq.is_boundary({0: F(1), 1: F(1)})
+    assert not any(sq.coset_reduce({0: F(1), 1: F(1)}))
 
     # generators reduce to unit vectors and lift back to themselves
     for k in range(sq.dim):
@@ -267,7 +267,7 @@ def test_subquotient_mod_p():
     sq = subquotient(Z, B)
     assert sq.dim == 1
     assert sq.coset_reduce({1: 1, 2: 1}) == (1,)
-    assert sq.is_boundary({0: 1, 1: 1})
+    assert not any(sq.coset_reduce({0: 1, 1: 1}))
 
 
 # -- properties of the echelon layer on random sparse input --------------
@@ -311,8 +311,7 @@ def _rank_of_columns(cols, n, p):
 @settings(max_examples=60)
 @given(data=st.data())
 def test_rank_is_the_dense_rank(p, shape, data):
-    # tall matrices take the forward elimination, the others the rref;
-    # sizes start at 0, so 0 x n, n x 0 and all-zero matrices are drawn
+    # every shape takes the forward elimination; sizes start at 0, so 0 x n, n x 0 and all-zero matrices are drawn
     field = _field(p)
     short, extra = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 5))
     long = short + (extra if shape != "square" else 0)
@@ -436,6 +435,18 @@ def _same_echelon(got, want):
     assert list(got.index.items()) == list(want.index.items())
 
 
+def _dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def _is_dense_null_space(got, rows, p):
+    # the rref of the null space of the dense rows, from the oracle's own
+    # Gauss-Jordan elimination, twice
+    pivots, want = dense_null_space_rref(rows, got.ncols, p)
+    assert got.pivots == pivots
+    assert _dense(got.rows, got.ncols) == want
+
+
 @pytest.mark.parametrize("p", [None] + PRIMES)
 @settings(max_examples=60)
 @given(data=st.data())
@@ -448,6 +459,7 @@ def test_null_space_echelon_is_the_kernel_basis_rref(p, data):
     m = SparseMat.from_columns(nrows, field, cols)
     got = Echelon.null_space(m)
     _same_echelon(got, Echelon(field, kernel_basis(m).cols, m.ncols))
+    _is_dense_null_space(got, m.to_dense(), p)
     assert all(m.matvec(row) == {} for row in got.rows)
 
 
@@ -464,6 +476,7 @@ def test_null_space_echelon_edge_cases(p, shape):
         m = SparseMat.zero(0, 5, field)
     got = Echelon.null_space(m)
     _same_echelon(got, Echelon(field, kernel_basis(m).cols, m.ncols))
+    _is_dense_null_space(got, m.to_dense(), p)
     assert len(got.pivots) == m.ncols - rank(m)
 
 
@@ -491,6 +504,10 @@ def test_restrict_is_the_echelon_of_the_vectors_the_functionals_kill(p, data):
     values = SparseMat.from_columns(len(phis), field, [
         {j: v for j, phi in enumerate(phis) if (v := _dot(field, phi, row))} for row in space.rows])
     _same_echelon(got, Echelon(field, (rows @ kernel_basis(values)).cols, ncols))
+    # the row space is the null space of its own null space, so the
+    # vectors the functionals kill in it are the null space of both
+    annihilator = dense_null_space_rref(_dense(space.rows, ncols), ncols, p)[1]
+    _is_dense_null_space(got, annihilator + _dense(phis, ncols), p)
     for q, row in space.index.items():
         if not any(_dot(field, phi, row) for phi in phis):
             assert got.index[q] is row
@@ -616,7 +633,7 @@ def test_subquotient_properties(p, data):
         assert sq.coset_reduce(back) == coords
         diff = dict(v)
         axpy(diff, field.neg(field.one), back, field)
-        assert sq.is_boundary(diff)
+        assert not any(sq.coset_reduce(diff))
 
     for w in data.draw(sparse_columns(field, p, n, 2)):
         if _rank_of_columns(Z.cols + [w], n, p) > rank_z:
