@@ -21,8 +21,8 @@ the same product are provided and tested against one another:
 
 The bar resolution has one coordinate system: A^{(x)k} keyed by tuple
 rank, as in `complexes`.  The bar differential b' is the Hochschild
-boundary b with a zero left action, so it comes out of the same face
-loop as the differentials there.  The operators of the comultiplication
+boundary b with a zero left action, so it is built as b_n is, by the
+transposed coface loop there.  The operators of the comultiplication
 act on a block of consecutive slots.  Its compatibility check composes
 them once per degree into two block maps, d_n(h (x) 1) and d_n(1 (x) h)
 for every tuple h, and reads both right-hand terms of each generator

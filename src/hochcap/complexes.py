@@ -23,12 +23,12 @@ Coboundary of the cochain (w; j) sending w = (a_1..a_m) to e_j, with
           where e_b e_c = v e_{a_i} + ...
     + (-1)^(m+1) sum_a (a_1..a_m, a) |-> e_j.a
 
-The face loop (`_faces`) assembles b_n, and the bar differential of
-`cap` too; the coface loop (`_coface_loop`) assembles delta^m column by
-column.  `_coboundaries` applies delta^m to a few sparse cochains
-without assembling it, adding each entry's column; both read the
-cofaces of a tuple off the same tables (`_coface_tables`), in the
-cochain layout of the module.
+The coface loop (`_coface_loop`) assembles every differential: delta^m
+column by column, and b_n, with the bar differential of `cap`, as its
+transpose on the dual actions (`_faces`).  `_coboundaries` applies
+delta^m to a few sparse cochains without assembling it, adding each
+entry's column; both read the cofaces of a tuple off the same tables
+(`_coface_tables`), in the cochain layout of the module.
 Homology and cohomology are presented as subquotients with canonical
 coordinates, so equal classes get equal coordinate tuples no matter how
 they were found.
@@ -56,10 +56,10 @@ it.  A nonzero space assembles only the differential of the smaller
 neighbouring degree, b_n for H_n and delta^{m-1} for H^m, and the
 normalized classes, pulled back along pi and each certified a cocycle
 exactly, give the other subspace (see `_class_subquotient`).  Both
-complexes come out of the same face and coface loops, which read the
-letters of the tensor slots off the first argument of the differential:
-a bimodule and a `Normalized` each expose the letters' actions on the
-module slot (`left`, `right`) and their product table (`mult`).
+complexes come out of the same coface loop, which reads the letters of
+the tensor slots off the first argument of the differential: a bimodule
+and a `Normalized` each expose the letters' actions on the module slot
+(`left`, `right`) and their product table (`mult`).
 
 Every map between class spaces (pushforwards, the central action,
 connecting maps, the cap product with a class) is a `SparseMat` on
@@ -123,7 +123,7 @@ def module_slot(M, n, kind):
 # quasi-isomorphisms (Loday, Cyclic Homology, 1.1), and the spaces have
 # r (d-1)^n coordinates instead of r d^n.  In either complex a tensor slot
 # holds a basis element e_i, i != k, of A, and an interior product is read
-# through pi: A -> Abar, so the same face loop builds both.
+# through pi: A -> Abar, so the same coface loop builds both.
 
 
 def _normalized_mult(A):
@@ -176,7 +176,8 @@ def _pullback(module, vec, degree):
 
 class Normalized:
     """The normalized complex of a bimodule, passed in the module's place
-    as the first argument of `boundary_matrix` and `coboundary_matrix`.
+    as the first argument of `coboundary_matrix`; nothing asks it for b_n,
+    as normalized homology is the cohomology of the dual module.
 
     `left`/`right` are the module's actions of the letters of Abar and
     `mult` their product table through pi, where a bimodule has those of
@@ -203,69 +204,25 @@ def _faces(left, right, mult, fld, r, n):
     """The matrix of b_n on N (x) L^{(x)n}, N of dimension r, L the
     letters of `mult`, left[a] and right[a] the actions of letter a on N.
 
-    The interior faces of a tuple are found once, from its rank, and
-    merged into one dict, which each module index shifts by x d^(n-1) in
-    one comprehension.  The two outer faces are then added from lists
-    per letter and module index, built once per call with the last
-    face's sign folded in.  A zero coefficient stores nothing, and no
-    column holds a zero.
+    b_n on N is the transpose of delta^{n-1} on N* = Hom_k(N, k), since
+    C^n(A, N*) = Hom_k(C_n(A, N), k) (Cartan and Eilenberg, Homological
+    Algebra, ch. IX): N* acts on the left by the transposed right action
+    of N, and on the right by the transposed left one.  The coface loop's
+    entry at row (u; y), column (w; x) is written to column (y; u), row
+    (x; w) here, in the chain layout; like it, no column holds a zero.
     """
     d = len(mult)
     block, rest = d ** n, d ** (n - 1)
-    add, mul = fld.add, fld.mul
-    signs = (fld.one, fld.neg(fld.one))
-
-    def scaled(entries, sign, place=1):
-        return [(l * place, c) for l, v in entries if (c := mul(sign, v))]
-
-    # interior face i: the letter products times (-1)^i, and the place
-    # value of the contracted letter in the target tuple
-    tables = [[[scaled(entry.items(), sign) for entry in row] for row in mult] for sign in signs]
-    interior = [(tables[i % 2], d ** (n - i - 1)) for i in range(1, n)]
-    # outer faces: firsts[a][x] and lasts[a][x] hold (y d^(n-1), coefficient)
-    # for each term y of letter a acting on module index x
-    firsts = [[scaled(col.items(), signs[0], rest) for col in a.cols] for a in right]
-    lasts = [[scaled(col.items(), signs[n % 2], rest) for col in a.cols] for a in left]
-    cols = [None] * (r * block)
-    for k, w in enumerate(tuples(d, n)):
-        terms = {}
-        for i, (table, low) in enumerate(interior, 1):
-            base = k // (low * d * d) * low * d + k % low
-            for l, v in table[w[i - 1]][w[i]]:
-                t = base + l * low
-                s = terms.get(t)
-                if s is None:
-                    terms[t] = v
-                elif s := add(s, v):
-                    terms[t] = s
-                else:
-                    del terms[t]
-        terms = terms.items()
-        first, last = firsts[w[0]], lasts[w[-1]]
-        tail, head = k % rest, k // d  # the ranks of w[1:] and w[:-1]
-        for x in range(r):
-            base = x * rest
-            col = {base + t: v for t, v in terms}
-            for y, v in first[x]:
-                t = y + tail
-                s = col.get(t)
-                if s is None:
-                    col[t] = v
-                elif s := add(s, v):
-                    col[t] = s
-                else:
-                    del col[t]
-            for y, v in last[x]:
-                t = y + head
-                s = col.get(t)
-                if s is None:
-                    col[t] = v
-                elif s := add(s, v):
-                    col[t] = s
-                else:
-                    del col[t]
-            cols[x * block + k] = col
-    return SparseMat(r * rest, r * block, fld, cols)
+    dual = _coface_loop([a.transpose() for a in right], [a.transpose() for a in left],
+                        mult, fld, r, n - 1)
+    # by_row[rank(u)*r + y] is column (y; u) of b_n
+    by_row = [{} for _ in range(block * r)]
+    for c, col in enumerate(dual.cols):
+        w, x = divmod(c, r)
+        row = x * rest + w
+        for t, v in col.items():
+            by_row[t][row] = v
+    return SparseMat(r * rest, r * block, fld, [col for y in range(r) for col in by_row[y::r]])
 
 
 def boundary_matrix(N, n):
@@ -357,9 +314,9 @@ def _coface_loop(left, right, mult, fld, r, m):
     is written directly from its cofaces (see the module docstring).  The
     interior cofaces of w, the tuples that contract to w at some slot, are
     found once per tuple and merged into one dict of row offsets, which
-    each module index j shifts by j in one comprehension, as in `_faces`.
-    The outer cofaces of each module index are then added.  A zero
-    coefficient stores nothing, and no column holds a zero.
+    each module index j shifts by j in one comprehension.  The outer
+    cofaces of each module index are then added.  A zero coefficient
+    stores nothing, and no column holds a zero.
     """
     d = len(mult)
     block = d ** m

@@ -589,10 +589,11 @@ def diagonal_failures(A, max_total, unit=None):
 
 # -- the face loop, one term at a time --------------------------------------
 #
-# `complexes._faces` as it was written before it merged the interior faces
-# of a tuple into one dict: every term of every column, the outer faces
-# included, added by its own `acc` call in the face formula's order.  The
-# package's loop must return the same matrix, entry for entry.
+# b_n straight from the face formula: every term of every column, the
+# outer faces included, added by its own `acc` call in the formula's
+# order.  `complexes._faces`, the transposed coface loop on the dual
+# actions, and `complexes._coface_loop`, read through that transpose,
+# must each give this matrix entry for entry.
 
 def faces(left, right, mult, fld, r, n):
     d = len(mult)

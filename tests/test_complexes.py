@@ -136,8 +136,9 @@ def _face_arguments(name, kind):
     """The arguments of the `complexes._faces` calls of one kind on one
     zoo algebra: its regular bimodule to degree 4, the normalized
     letters, the coinduced and induced modules to degree 2, the dual
-    actions of the regular and coinduced modules, and a product table
-    holding explicit zeros."""
+    actions of the regular and coinduced modules, a product table
+    holding explicit zeros, and the zero module, whose chains and
+    cochains have no coordinates, to degree 3."""
     A = zoo.get(name)
     fld, d = A.field, A.dim
     reg = A.regular()
@@ -157,13 +158,17 @@ def _face_arguments(name, kind):
         mult = [[{**entry, (i + j) % d: fld.zero} for j, entry in enumerate(row)]
                 for i, row in enumerate(A.mult)]
         sources = [(reg.left, reg.right, mult, reg.dim, 3)]
+    elif kind == "zero module":
+        zero = [SparseMat.zero(0, 0, fld)] * d
+        sources = [(zero, zero, A.mult, 0, 3)]
     else:
         sources = [(reg.left, reg.right, reg.mult, reg.dim, 4)]
     return [(left, right, mult, fld, r, n)
             for left, right, mult, r, top in sources for n in range(1, top + 1)]
 
 
-FACE_KINDS = ["regular", "normalized", "coinduced", "induced", "dual", "zero coefficient"]
+FACE_KINDS = ["regular", "normalized", "coinduced", "induced", "dual", "zero coefficient",
+              "zero module"]
 
 
 def _assert_same_faces(got, want):
