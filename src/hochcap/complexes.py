@@ -52,10 +52,11 @@ coordinates are promised canonical there and no simple chain map carries
 normalized chain classes back.  A zero space eliminates nothing there:
 B = Z, the outgoing differential is assembled only to test a vector
 (`linalg.ZeroSubquotient`), and the module keeps nothing but None for
-it.  A nonzero space assembles only the differential of the smaller
-neighbouring degree, b_n for H_n and delta^{m-1} for H^m, and the
-normalized classes, pulled back along pi and each certified a cocycle
-exactly, give the other subspace (see `_class_subquotient`).  Both
+it.  A nonzero space is built as cohomology too, of M or M*: only
+delta^{n-1} of that module is assembled, and the normalized classes,
+pulled back along pi and each certified a cocycle exactly, extend its
+image to the cocycles; for homology both are read back as annihilators
+in the chain layout of M (see `_class_subquotient`).  Both
 complexes come out of the same coface loop, which reads the letters of
 the tensor slots off the first argument of the differential: a bimodule
 and a `Normalized` each expose the letters' actions on the module slot
@@ -257,13 +258,14 @@ def _guard(M, n, kind):
 def _dual(M):
     """M* = Hom_k(M, k) as a bimodule, cached on M: its left action is the
     transposed right action of M and its right action the transposed left
-    one.  It is the module whose normalized cochains carry the normalized
-    work of M's homology, and on whose chains the cocycles of M are
-    functionals.
+    one.  Its cochains carry M's homology: its normalized classes, and the
+    coboundaries and cocycles whose annihilators are M's boundaries and
+    cycles; on its chains the cocycles of M are functionals.
 
     Its cache is its own, not its twins': a self-dual M would otherwise
-    hold its own cache.  It keeps only normalized ranks, never its own
-    dual, which would be a twin of M and close a cycle of caches."""
+    hold its own cache.  It keeps normalized ranks and the coboundaries
+    of M's nonzero homology class spaces, never its own dual, which would
+    be a twin of M and close a cycle of caches."""
     def build():
         dual = Bimodule(M.algebra, M.dim, [a.transpose() for a in M.right],
                         [a.transpose() for a in M.left], label=f"{M.label or 'bimodule'}*")
@@ -413,24 +415,22 @@ def _class_subquotient(module, degree, kind):
     """Z / B in the given degree of the chain or cochain complex, or None
     when it is zero.
 
-    The h normalized classes come first (`_normalized_classes`), as
-    cocycles of M for cohomology and of M* for homology, where they are
-    functionals on the chains of M.  When h is 0, B = Z and nothing is
-    assembled here; the class space stands for it with a
-    `ZeroSubquotient` (see `_class_space`).  Otherwise only the smaller
-    neighbouring degree is assembled, and the classes, pulled back along
-    pi, supply the rest:
-    - homology: Z_n is the null space of b_n, eliminated once by
-      `Echelon.null_space`, and B_n the cycles that the h pulled-back
-      functionals kill (`Echelon.restrict`); b_{n+1} is never built;
-    - cohomology: B^m is the image of delta^{m-1}, and Z^m its span
-      with the h pulled-back cocycles (`Echelon.extend`); delta^m is
-      never built.
+    Both kinds are the cohomology of the owner, M, or M* for homology.
+    The h normalized classes come first (`_normalized_classes`).  When h
+    is 0, B = Z and nothing is assembled here; the class space stands for
+    it with a `ZeroSubquotient` (see `_class_space`).  Otherwise only
+    delta^{n-1} of the owner is assembled: B^n is its image, and Z^n the
+    span of B^n and the h classes pulled back along pi
+    (`Echelon.extend`); delta^n is never built.  For homology the cochain
+    (w; j) of M* is the functional on the chain (j; w) of M, and with
+    C^n(A, M*) = Hom_k(C_n(A, M), k) (Cartan and Eilenberg, Homological
+    Algebra, ch. IX) Z_n = Ann B^n(M*) and B_n = Ann Z^n(M*): each vector
+    is relabelled to the chain layout, columns reversed, and both
+    echelons are read back (`Echelon.annihilator`).
     Two certificates raise InclusionViolation: each pulled-back cocycle
-    psi of the owner (M, or M* for homology) must have delta^n psi = 0,
-    checked exactly over the cofaces of its support, off the tables that
-    assemble delta^n (`_coboundaries`), and the functionals must have
-    rank h on Z_n, or the cocycles add h pivots to B^m.
+    psi of the owner must have delta^n psi = 0, checked exactly over the
+    cofaces of its support, off the tables that assemble delta^n
+    (`_coboundaries`), and the cocycles must add h pivots to B^n.
     """
     owner = module if kind == "cohomology" else _dual(module)
     classes = _normalized_classes(owner, degree, kind)
@@ -443,16 +443,18 @@ def _class_subquotient(module, degree, kind):
             raise InclusionViolation(
                 f"{kind} degree {degree}: the pulled-back normalized {what} {j} "
                 f"is not a cocycle")
+    into = differential(owner, degree - 1, "cohomology")
+    vecs = into.cols
     if kind == "homology":
-        # the cochain (w; j) of M* is the functional on the chain (j; w) of M
+        # (w; j) at rank(w)*r + j goes to j*d^n + rank(w), then c -> N-1-c
         r, block = module.dim, len(module.mult) ** degree
-        functionals = [{t % r * block + t // r: v for t, v in psi.items()} for psi in cocycles]
-        cycles = Echelon.null_space(differential(module, degree, kind))
-        boundaries = cycles.restrict(functionals)
-    else:
-        into = differential(module, degree - 1, kind)
-        boundaries = Echelon(module.field, list(into.cols), into.nrows)
-        cycles = boundaries.extend(cocycles)
+        last = r * block - 1
+        vecs, cocycles = ([{last - t % r * block - t // r: v for t, v in psi.items()}
+                           for psi in group] for group in (vecs, cocycles))
+    boundaries = Echelon(module.field, list(vecs), into.nrows)
+    cycles = boundaries.extend(cocycles)
+    if kind == "homology":
+        cycles, boundaries = boundaries.annihilator(), cycles.annihilator()
     found, dim = len(cycles.pivots) - len(boundaries.pivots), _normalized_dim(owner, degree)
     if found != dim:
         raise InclusionViolation(

@@ -18,9 +18,10 @@ Every elimination but a rank produces one `Echelon`: the canonical rref
 rows from `kernels.build_rref` with an index from pivot column to row.
 Reducing a vector against it walks only the pivot columns in the
 vector's support, so the work is the support plus the fill of the rows
-used, never the rank.  A null space is `Echelon.null_space`, one
-elimination read back as the rref of the kernel (its docstring says
-why); `kernel_basis` is that rref with the column order reversed.
+used, never the rank.  A null space is `Echelon.null_space`: the rows
+eliminated with the columns reversed, read back as the rref of the
+kernel by `Echelon.annihilator` (its docstring says why); `kernel_basis`
+is that rref with the column order reversed.
 `Solver` keeps the augmentation part of one elimination as two
 matrices, a section and the conditions for a solution to exist, one row
 per condition, so a solve, of one right-hand side or of a whole matrix
@@ -33,14 +34,13 @@ keyed by distinct leads, from `kernels.echelon`, a forward elimination
 with no canonical form.  The normalized work keeps the basis itself (see
 `complexes.class_dims`).
 
-A class space eliminates one subspace (for homology the cycles, a null
-space) and derives the other from it and a few vectors, with no second
-elimination of a large matrix: `restrict` cuts
-out the vectors of a row space that some functionals kill (the
-boundaries inside the cycles), and `extend` adds vectors to one (the
-cycles over the boundaries).  Both emit canonical rows, keys increasing
-and values in the field's canonical form, as `build_rref` does, and a
-row that does not change is shared, not copied.  `SubquotientSpace`
+A class space eliminates one subspace, the coboundaries, and `extend`s
+it by a few vectors to the cocycles, with no second elimination of a
+large matrix; for homology the two are read back as annihilators, the
+cycles and the boundaries (see `complexes._class_subquotient`).
+`extend` emits canonical rows, keys increasing and values in the
+field's canonical form, as `build_rref` does, and a row that does not
+change is shared, not copied.  `SubquotientSpace`
 takes the two echelons as they are; `subquotient` eliminates the columns
 of two matrices and checks that the second space lies in the first.
 
@@ -295,34 +295,40 @@ class Echelon:
 
     @classmethod
     def null_space(cls, m):
-        """The echelon of the null space of m, from one elimination.
-
-        The rows of m are eliminated with the columns relabelled
-        c -> n-1-c.  Read back in the original labels, each row of that
-        rref R ends in a 1 at a column q_i, and every other entry lies left
-        of q_i.  For each column f that is no q_i,
-        e_f - sum_i R[i, f] e_{q_i} is in the null space, leads with 1 at
-        f, has its other entries only at q_i > f, and is zero at every
-        other such f: together these vectors are a reduced row echelon
-        basis of the null space, and since the rref is unique, they are
-        the rows that eliminating any other basis of it would give.
-        """
-        fld, n = m.field, m.ncols
+        """The echelon of the null space of m, from one elimination: the
+        rows of m with the columns relabelled c -> n-1-c, eliminated and
+        read back (`annihilator`)."""
+        n = m.ncols
         flipped = [dict() for _ in range(m.nrows)]
         for j, col in enumerate(m.cols):
             for i, v in col.items():
                 flipped[i][n - 1 - j] = v
-        pivots, rows = build_rref(fld, flipped, n)
+        return cls(m.field, flipped, n).annihilator()
+
+    def annihilator(self):
+        """The echelon, in the labels c -> ncols-1-c, of the vectors that
+        every row sends to zero.
+
+        Read back in those labels, each row of this rref R ends in a 1 at
+        a column q_i, and every other entry lies left of q_i.  For each
+        column f that is no q_i, e_f - sum_i R[i, f] e_{q_i} is killed by
+        every row, leads with 1 at f, has its other entries only at
+        q_i > f, and is zero at every other such f: together these vectors
+        are a reduced row echelon basis of the annihilator, and since the
+        rref is unique, they are the rows that eliminating any other basis
+        of it would give.
+        """
+        fld, n = self.field, self.ncols
         # row i ends at q_i = n-1-pivots[i]; walking the rows backwards
-        # lists each null space row's entries in increasing column order
-        bound = {n - 1 - p for p in pivots}
+        # lists each annihilator row's entries in increasing column order
+        bound = {n - 1 - p for p in self.pivots}
         index = {f: {f: fld.one} for f in range(n) if f not in bound}
-        for p, row in zip(reversed(pivots), reversed(rows)):
+        for p, row in zip(reversed(self.pivots), reversed(self.rows)):
             q = n - 1 - p
             for c, v in row.items():
                 if c != p:
                     index[n - 1 - c][q] = fld.neg(v)
-        return cls._of(fld, n, index)
+        return Echelon._of(fld, n, index)
 
     @classmethod
     def _of(cls, field, ncols, index):
@@ -332,53 +338,6 @@ class Echelon:
         ech.field, ech.ncols = field, ncols
         ech.pivots, ech.rows, ech.index = list(index), list(index.values()), index
         return ech
-
-    def restrict(self, functionals):
-        """The echelon of the vectors of the row space that every
-        functional (a sparse dict) sends to zero.
-
-        A combination sum a_i z_i of the rows is killed when its
-        coefficients are in the null space of the matrix whose column i
-        is Phi(z_i), the values of the functionals.  Each row of the rref
-        of that null space (`null_space`) is 1 at some i and otherwise
-        nonzero only at rows q > i that lead no other null row.  Its
-        combination therefore leads with 1 at the pivot of z_i, since
-        each z_q starts right of it, and is 0 at the pivot of every
-        other leading row, since the rows are fully reduced: the
-        combinations are the rref of the subspace, in the order of their
-        pivots.  A row no functional touches is shared, not copied, and
-        the values are read over the smaller of a row and the
-        functionals' support.
-        """
-        fld = self.field
-        touch = {}
-        for j, phi in enumerate(functionals):
-            for c, v in phi.items():
-                touch.setdefault(c, []).append((j, v))
-        rows = self.rows
-        values = []
-        for row in rows:
-            if len(row) < len(touch):
-                pairs = [(v, touch[c]) for c, v in row.items() if c in touch]
-            else:
-                pairs = [(row[c], t) for c, t in touch.items() if c in row]
-            val = {}
-            for v, t in pairs:
-                for j, u in t:
-                    acc(val, j, fld.mul(v, u), fld)
-            values.append(val)
-        null = Echelon.null_space(SparseMat(len(functionals), len(rows), fld, values))
-        index = {}
-        for i, coeffs in null.index.items():
-            row = rows[i]
-            if len(coeffs) > 1:
-                row = dict(row)
-                for q, c in coeffs.items():
-                    if q != i:
-                        axpy(row, c, rows[q], fld)
-                row = _canonical(fld, row)
-            index[self.pivots[i]] = row
-        return Echelon._of(fld, self.ncols, index)
 
     def extend(self, vectors):
         """The echelon of the row space plus the vectors (sparse dicts).

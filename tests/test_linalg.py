@@ -480,37 +480,37 @@ def test_null_space_echelon_edge_cases(p, shape):
     assert len(got.pivots) == m.ncols - rank(m)
 
 
-def _dot(field, u, v):
-    out = field.zero
-    for c, x in u.items():
-        if c in v:
-            out = field.add(out, field.mul(x, v[c]))
-    return out
-
-
 @pytest.mark.parametrize("p", [None] + PRIMES)
 @settings(max_examples=30)
 @given(data=st.data())
-def test_restrict_is_the_echelon_of_the_vectors_the_functionals_kill(p, data):
-    # the kernel of Phi on the row space, found by eliminating a basis of
-    # it a second time; a row that every functional kills is shared
+def test_annihilators_of_the_reversed_rows_and_their_extension(p, data):
+    # a homology class space's two read-backs: the echelon of the rows
+    # with the columns reversed gives the vectors the rows kill (the
+    # cycles), and its extension by the reversed functionals Phi those
+    # that the rows and Phi kill (the boundaries).  Phi may be empty or
+    # lie in the row space, and a row may be zero
     field = _field(p)
     ncols = data.draw(st.integers(1, 8))
-    space = Echelon(field, data.draw(sparse_columns(field, p, ncols, data.draw(st.integers(0, 6)))),
-                    ncols)
+    rows = data.draw(sparse_columns(field, p, ncols, data.draw(st.integers(0, 6))))
     phis = data.draw(sparse_columns(field, p, ncols, data.draw(st.integers(0, 3))))
-    got = space.restrict(phis)
-    rows = SparseMat.from_columns(ncols, field, space.rows)
-    values = SparseMat.from_columns(len(phis), field, [
-        {j: v for j, phi in enumerate(phis) if (v := _dot(field, phi, row))} for row in space.rows])
-    _same_echelon(got, Echelon(field, (rows @ kernel_basis(values)).cols, ncols))
-    # the row space is the null space of its own null space, so the
-    # vectors the functionals kill in it are the null space of both
-    annihilator = dense_null_space_rref(_dense(space.rows, ncols), ncols, p)[1]
-    _is_dense_null_space(got, annihilator + _dense(phis, ncols), p)
-    for q, row in space.index.items():
-        if not any(_dot(field, phi, row) for phi in phis):
-            assert got.index[q] is row
+    if data.draw(st.booleans()):
+        rows.append({})
+    if rows and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(_scalars(p), min_size=len(rows), max_size=len(rows)))
+        inside = {}
+        for c, row in zip(coeffs, rows):
+            axpy(inside, field.coerce(c), row, field)
+        phis.append(inside)
+
+    def flip(vecs):
+        return [{ncols - 1 - c: v for c, v in vec.items()} for vec in vecs]
+
+    space = Echelon(field, flip(rows), ncols)
+    for got, vecs in ((space.annihilator(), rows),
+                      (space.extend(flip(phis)).annihilator(), rows + phis)):
+        m = SparseMat.from_columns(ncols, field, vecs).transpose()
+        _same_echelon(got, Echelon(field, kernel_basis(m).cols, ncols))
+        _is_dense_null_space(got, _dense(vecs, ncols), p)
 
 
 @pytest.mark.parametrize("p", [None] + PRIMES)
